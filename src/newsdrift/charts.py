@@ -169,16 +169,19 @@ def domain_influence_chart(influence: dict) -> str:
                              series, -2.0, 2.0)
 
 
+CHART_NAMES = ("attitudes.svg", "mean_score.svg", "domain_influence.svg")
+
+
 def write_charts(out_dir, results: list[dict], truth, influence: dict) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = {
-        "attitudes.svg": attitude_chart(results, truth),
-        "mean_score.svg": mean_score_chart(results),
-        "domain_influence.svg": domain_influence_chart(influence),
-    }
+    svgs = (
+        attitude_chart(results, truth),
+        mean_score_chart(results),
+        domain_influence_chart(influence),
+    )
     written = []
-    for name, svg in files.items():
+    for name, svg in zip(CHART_NAMES, svgs):
         path = out_dir / name
         path.write_text(svg, encoding="utf-8")
         written.append(path)

@@ -41,13 +41,6 @@ class Payload:
     debias_failed: bool = False
 
 
-@dataclass(frozen=True)
-class SelectionResult:
-    agent_id: str
-    selected_ids: tuple[str, ...]
-    payloads: tuple[Payload, ...]
-
-
 def sample_headlines(index: CorpusIndex, year: int, agent_id: str, k: int,
                      run_seed) -> HeadlineOffer:
     pool = index.by_year.get(year, [])
@@ -62,11 +55,11 @@ def sample_headlines(index: CorpusIndex, year: int, agent_id: str, k: int,
 def mock_ranking(profile, offer: HeadlineOffer, taxonomy: TopicTaxonomy,
                  lexicon: MockLexicon) -> list[str]:
     """Rank offer ids by (interest keyword hits, sentiment magnitude, id) desc."""
-    interest_topics = [t for t in taxonomy.topics if t.name in profile.interests]
+    interest = [i for i, name in enumerate(taxonomy.names) if name in profile.interests]
     scored = []
     for article_id, headline in offer.offers:
-        lowered = headline.lower()
-        matched = sum(t.keywords_present(lowered) for t in interest_topics)
+        hits = taxonomy.keyword_hits(headline)
+        matched = sum(hits[i] for i in interest)
         magnitude = abs(mock_sentiment(headline, lexicon))
         scored.append((matched, magnitude, article_id))
     scored.sort(reverse=True)

@@ -107,6 +107,11 @@ class MockLexicon:
         self.positive = {w.lower(): float(x) for w, x in positive.items()}
         self.negative = {w.lower(): float(x) for w, x in negative.items()}
         self.signed = {**self.positive, **{w: -x for w, x in self.negative.items()}}
+        words = sorted(self.signed, key=len, reverse=True)
+        self.debias_pattern = re.compile(
+            r"\b(?:" + "|".join(re.escape(w) for w in words) + r")\b", re.IGNORECASE)
+        # mock_sentiment's per-run memo, keyed by the scored text
+        self._scores: dict[str, float] = {}
 
     def __contains__(self, word: str) -> bool:
         return word.lower() in self.signed
@@ -123,11 +128,14 @@ def load_lexicon(path: str | Path | None = None) -> MockLexicon:
 
 
 def mock_sentiment(text: str, lexicon: MockLexicon) -> float:
-    """Deterministic sentiment score in [-2, 2].
+    """Deterministic sentiment score in [-2, 2], memoised on the lexicon.
 
     Signed lexicon weights of matched word occurrences are averaged and
     scaled by 2, then clamped; a text without lexicon words scores 0.
     """
+    score = lexicon._scores.get(text)
+    if score is not None:
+        return score
     total = 0.0
     matched = 0
     for token in _WORD.findall(text.lower()):
@@ -135,8 +143,8 @@ def mock_sentiment(text: str, lexicon: MockLexicon) -> float:
         if weight is not None:
             total += weight
             matched += 1
-    score = total / max(1, matched) * 2.0
-    return clamp_valence(score)
+    score = lexicon._scores[text] = clamp_valence(total / max(1, matched) * 2.0)
+    return score
 
 
 def clamp_valence(value: float) -> float:
@@ -280,7 +288,7 @@ class Gateway:
         self._seq = resume_seq
         self._seen_tags: set[str] = set()
         self.request_counts: dict[str, int] = dict(initial_counts or {})
-        self._replay_index: dict[str, list[dict]] = {}
+        self._replay_index: dict[str, list[tuple[bool, str]]] = {}
         if self.mode == "replay":
             self._load_replay_index(Path(config.replay_log))
         if self.mode == "remote":
@@ -301,7 +309,8 @@ class Gateway:
                 if not line:
                     continue
                 record = json.loads(line)
-                self._replay_index.setdefault(record["tag"], []).append(record)
+                self._replay_index.setdefault(record["tag"], []).append(
+                    (record["ok"], record["raw_response"]))
 
     @property
     def log_lines(self) -> int:
@@ -398,12 +407,12 @@ class Gateway:
             records = self._replay_index.get(request.request_tag)
             if not records:
                 raise ReplayError(f"no replay entry for tag {request.request_tag!r}")
-            for record in records:
-                if record["ok"]:
-                    parsed = parse_structured(request.expected_schema, record["raw_response"])
-                    self._log(request, record["raw_response"], parsed, True, 0.0, 0.0)
+            for ok, raw in records:
+                if ok:
+                    parsed = parse_structured(request.expected_schema, raw)
+                    self._log(request, raw, parsed, True, 0.0, 0.0)
                     return parsed
-            raw = records[-1]["raw_response"]
+            raw = records[-1][1]
             self._log(request, raw, None, False, 0.0, 0.0)
             raise SchemaError(f"replayed failure for tag {request.request_tag!r}", raw=raw)
 

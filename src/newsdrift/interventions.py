@@ -21,16 +21,9 @@ from .modes import validate_intervention
 log = logging.getLogger(__name__)
 
 
-def _lexicon_pattern(lexicon: MockLexicon) -> re.Pattern:
-    words = sorted(lexicon.signed, key=len, reverse=True)
-    return re.compile(r"\b(?:" + "|".join(re.escape(w) for w in words) + r")\b",
-                      re.IGNORECASE)
-
-
 def mock_debias_text(text: str, lexicon: MockLexicon) -> str:
     """Strip every lexicon word; the result always scores neutral."""
-    pattern = _lexicon_pattern(lexicon)
-    stripped, hits = pattern.subn("", text)
+    stripped, hits = lexicon.debias_pattern.subn("", text)
     if not hits:
         return text
     return re.sub(r"\s+", " ", stripped).strip()

@@ -37,6 +37,10 @@ log = logging.getLogger(__name__)
 
 CHECKPOINT_NAME = "checkpoint.json"
 REPLAY_NAME = "replay.jsonl"
+# written by _finalize; a new run removes them so a reused directory never
+# shows an earlier run's results
+FINAL_ARTIFACTS = ("results.json", "results.csv", "run_report.json",
+                   "domain_influence.csv", "demographics.csv") + charts.CHART_NAMES
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +360,14 @@ def _truncate_replay_log(path: Path, keep_lines: int):
         if keep_lines:
             raise ResumeError(f"replay log missing but checkpoint expects {keep_lines} lines")
         return
-    with path.open("r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    if len(lines) < keep_lines:
-        raise ResumeError(
-            f"replay log has {len(lines)} lines, checkpoint expects {keep_lines}"
-        )
-    with path.open("w", encoding="utf-8") as fh:
-        fh.writelines(lines[:keep_lines])
+    with path.open("rb") as fh:
+        for n in range(keep_lines):
+            if not fh.readline():
+                raise ResumeError(
+                    f"replay log has {n} lines, checkpoint expects {keep_lines}"
+                )
+        offset = fh.tell()
+    os.truncate(path, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +384,8 @@ def run(config: RunConfig, stop_after_year: int | None = None) -> dict:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     replay_path = out_dir / REPLAY_NAME
-    if replay_path.exists():
-        replay_path.unlink()
+    for name in (CHECKPOINT_NAME, REPLAY_NAME) + FINAL_ARTIFACTS:
+        (out_dir / name).unlink(missing_ok=True)
     for stale in out_dir.glob("updates_*.jsonl"):
         stale.unlink()
     for stale in out_dir.glob("trace/year_*.jsonl"):
@@ -394,8 +398,11 @@ def run(config: RunConfig, stop_after_year: int | None = None) -> dict:
     gateway = Gateway(backend, log_path=replay_path)
     states = {p.agent_id: OpinionState.initial(p.agent_id, env.taxonomy)
               for p in env.agents}
+    cache = DebiasCache()
+    # a kill before the first year ends resumes this run from its start
+    _write_checkpoint(out_dir, config, env, states, [], [], cache, gateway, 0, 0, False)
     return _drive(config, env, gateway, states, results=[], skipped=[],
-                  cache=DebiasCache(), offer_count=0, payload_count=0,
+                  cache=cache, offer_count=0, payload_count=0,
                   stop_after_year=stop_after_year)
 
 

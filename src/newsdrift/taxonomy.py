@@ -68,6 +68,12 @@ class TopicTaxonomy:
         self.names = tuple(names)
         self.demographics = {k: tuple(v) for k, v in demographics.items()}
         self._by_name = {t.name: t for t in self.topics}
+        # Per-run memos of the mock keyword rules, keyed by the caller's text
+        # (a corpus headline, or a read's headline and body), so each text is
+        # matched once per run.
+        self._hits: dict[str, tuple[int, ...]] = {}
+        self._hit_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._best: dict[str, str] = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
@@ -80,11 +86,24 @@ class TopicTaxonomy:
         lowered = text.lower()
         return [t.name for t in self.topics if t.matches(lowered)]
 
+    def keyword_hits(self, headline: str) -> tuple[int, ...]:
+        """Distinct keywords present per topic, in taxonomy order (memoised)."""
+        hits = self._hits.get(headline)
+        if hits is None:
+            lowered = headline.lower()
+            row = tuple(t.keywords_present(lowered) for t in self.topics)
+            # few distinct rows occur, so headlines share one tuple per row
+            hits = self._hits[headline] = self._hit_rows.setdefault(row, row)
+        return hits
+
     def best_topic(self, text: str) -> str:
-        """Topic with the highest keyword hit count.
+        """Topic with the highest keyword hit count (memoised per text).
 
         Ties break by taxonomy order; if nothing matches, the first topic.
         """
+        best = self._best.get(text)
+        if best is not None:
+            return best
         lowered = text.lower()
         best = self.topics[0].name
         best_count = 0
@@ -92,6 +111,7 @@ class TopicTaxonomy:
             count = t.hit_count(lowered)
             if count > best_count:
                 best, best_count = t.name, count
+        self._best[text] = best
         return best
 
     def tag_interests(self, text: str) -> list[str]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from newsdrift.distribution import (
 from newsdrift.errors import CorpusError, SchemaError, YearEmptyError
 from newsdrift.gateway import BackendConfig, Gateway
 from newsdrift.modes import AblationFlags
+from newsdrift.orchestrator import run
+from newsdrift.taxonomy import Topic
 
 
 class FakeProfile:
@@ -95,6 +98,29 @@ def test_ranking_ties_break_on_id_descending(taxonomy, lexicon):
     ))
     ranked = mock_ranking(FakeProfile, offer, taxonomy, lexicon)
     assert ranked == ["a2", "a1"]
+
+
+def test_run_matches_each_offered_headline_once(make_config, monkeypatch):
+    calls = {"n": 0}
+    keywords_present = Topic.keywords_present
+
+    def counting(self, lowered_text):
+        calls["n"] += 1
+        return keywords_present(self, lowered_text)
+
+    monkeypatch.setattr(Topic, "keywords_present", counting)
+    # 20 agents see most of each year's 60 headlines, so every headline is
+    # offered many times over
+    config = make_config(n_agents=20, years=(2005, 2006))
+    run(config)
+
+    index, _ = ingest(config.corpus_path)
+    offered = set()
+    for path in (Path(config.out_dir) / "trace").glob("year_*.jsonl"):
+        for line in path.read_text("utf-8").splitlines():
+            offered.update(index.get(i).headline for i in json.loads(line)["offer_ids"])
+    assert offered
+    assert calls["n"] <= 15 * len(offered)
 
 
 def test_mock_selection_returns_top_ranked(taxonomy, lexicon, tmp_path):

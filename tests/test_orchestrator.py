@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from newsdrift import cli
+from newsdrift import cli, orchestrator
 from newsdrift.errors import ConfigError, ResumeError
 from newsdrift.gateway import BackendConfig
 from newsdrift.modes import AblationFlags
@@ -258,6 +258,54 @@ def test_resume_can_be_interrupted_again(make_config):
     assert partial["interrupted_after"] == 2007
     bundle = resume(config.out_dir)
     assert [r["year"] for r in bundle["years"]] == [2005, 2006, 2007, 2008]
+
+
+def test_new_run_killed_in_first_year_never_resumes_the_old_run(make_config, monkeypatch):
+    done = make_config(n_agents=2)
+    assert run(done)["seed"] == 7
+
+    class Killed(Exception):
+        pass
+
+    def killed(*args, **kwargs):
+        raise Killed()
+
+    restart = dataclasses.replace(done, seed=1007)
+    with monkeypatch.context() as patch:
+        patch.setattr(orchestrator, "reflect_batch", killed)
+        with pytest.raises(Killed):
+            run(restart)
+    out = Path(done.out_dir)
+    assert not (out / "results.json").exists()
+    assert not (out / "attitudes.svg").exists()
+    assert json.loads((out / "checkpoint.json").read_text())["complete"] is False
+
+    bundle = resume(done.out_dir)
+    assert bundle["seed"] == 1007
+    fresh = make_config(n_agents=2, seed=1007)
+    assert bundle == run(fresh)
+    for name in ("results.json", "replay.jsonl"):
+        assert _read(out / name) == _read(Path(fresh.out_dir) / name), name
+
+
+def test_replay_log_truncation_streams_whole_lines(tmp_path):
+    records = [json.dumps({"seq": n, "user": f"caf\u00e9 {n} \u2028 \u4e2d\u6587"},
+                          ensure_ascii=False) + "\n" for n in range(1, 5)]
+    blob = "".join(records).encode("utf-8")
+    path = tmp_path / "replay.jsonl"
+
+    path.write_bytes(blob)
+    orchestrator._truncate_replay_log(path, 2)
+    assert path.read_bytes() == "".join(records[:2]).encode("utf-8")
+
+    path.write_bytes(blob)
+    orchestrator._truncate_replay_log(path, 4)
+    assert path.read_bytes() == blob
+
+    path.write_bytes(blob)
+    with pytest.raises(ResumeError, match="4 lines, checkpoint expects 5"):
+        orchestrator._truncate_replay_log(path, 5)
+    assert path.read_bytes() == blob
 
 
 # --- command line ---

@@ -3,9 +3,21 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from newsdrift.errors import ValidationError
+from newsdrift.gateway import MockLexicon, load_lexicon, mock_sentiment
 from newsdrift.taxonomy import Topic, TopicTaxonomy, load_taxonomy
+
+_TAXONOMY = load_taxonomy()
+_LEXICON = load_lexicon()
+# words that hit the rules, mixed with filler and arbitrary text below
+_WORDS = sorted({kw for t in _TAXONOMY.topics for kw in t.keywords}
+                | set(_LEXICON.signed) | {"China", "the", "AI", "Tariffs", "x"})
+_texts = st.one_of(
+    st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join),
+    st.text(max_size=80),
+)
 
 
 def test_packaged_taxonomy_shape(taxonomy):
@@ -76,3 +88,19 @@ def test_vocab_validation(taxonomy):
     assert not taxonomy.validate_vocab("gender", "xyz")
     # unknown fields are unconstrained
     assert taxonomy.validate_vocab("shoe_size", "12")
+
+
+@given(_texts)
+def test_memoised_rules_match_a_fresh_computation(text):
+    hits = _TAXONOMY.keyword_hits(text)
+    assert hits == tuple(t.keywords_present(text.lower()) for t in _TAXONOMY.topics)
+    assert _TAXONOMY.keyword_hits(text) == hits
+
+    # a taxonomy and lexicon with empty memos compute from scratch
+    fresh_taxonomy = TopicTaxonomy(list(_TAXONOMY.topics), _TAXONOMY.demographics)
+    fresh_lexicon = MockLexicon(_LEXICON.positive, _LEXICON.negative)
+    best = _TAXONOMY.best_topic(text)
+    assert _TAXONOMY.best_topic(text) == best == fresh_taxonomy.best_topic(text)
+    score = mock_sentiment(text, _LEXICON)
+    again = mock_sentiment(text, _LEXICON)
+    assert repr(again) == repr(score) == repr(mock_sentiment(text, fresh_lexicon))
