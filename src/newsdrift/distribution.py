@@ -39,6 +39,7 @@ class Payload:
     full_text: str
     debiased: bool = False
     debias_failed: bool = False
+    category: str = ""  # the corpus's stored category, "" when it has none
 
 
 def sample_headlines(index: CorpusIndex, year: int, agent_id: str, k: int,
@@ -117,5 +118,5 @@ def retrieve_full_text(index: CorpusIndex, selected_ids, ablation: AblationFlags
         article = index.get(article_id)
         text = "" if ablation.title_only else article.full_text
         payloads.append(Payload(article_id=article_id, headline=article.headline,
-                                full_text=text))
+                                full_text=text, category=article.category))
     return tuple(payloads)

@@ -274,8 +274,9 @@ def serialize_for_log(schema: str, value) -> str:
 class Gateway:
     """Single entry point for all backend exchanges in a run.
 
-    The replay log is append-only behind a lock; request tags must be unique
-    per run so a recorded log can drive an exact replay.
+    The replay log is append-only behind a lock, through one line-buffered
+    handle opened on the first record; request tags must be unique per run so
+    a recorded log can drive an exact replay. ``close`` releases the handle.
     """
 
     def __init__(self, config: BackendConfig, log_path: str | Path | None = None,
@@ -283,6 +284,7 @@ class Gateway:
         self.config = config
         self.mode = config.mode
         self._log_path = Path(log_path) if log_path else None
+        self._log_fh = None
         self._log_lock = threading.Lock()
         self._inflight = threading.Semaphore(config.max_in_flight)
         self._seq = resume_seq
@@ -297,6 +299,12 @@ class Gateway:
                 raise ConfigError(
                     f"remote mode requires API key in ${config.api_key_env_var}"
                 )
+
+    def close(self):
+        """Close the replay-log handle; a later record opens it again."""
+        if self._log_fh is not None:
+            self._log_fh.close()
+            self._log_fh = None
 
     # -- replay ------------------------------------------------------------
 
@@ -339,8 +347,10 @@ class Gateway:
         }
         line = json.dumps(record, sort_keys=True, ensure_ascii=False)
         with self._log_lock:
-            with self._log_path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            if self._log_fh is None:
+                # line buffering hands every record to the OS as it is written
+                self._log_fh = self._log_path.open("a", encoding="utf-8", buffering=1)
+            self._log_fh.write(line + "\n")
 
     # -- remote transport ----------------------------------------------------
 

@@ -32,8 +32,9 @@ def mock_debias_text(text: str, lexicon: MockLexicon) -> str:
 class DebiasCache:
     """One rewrite per article per run, shared across agents."""
 
-    def __init__(self):
-        self._by_id: dict[str, tuple[str, bool]] = {}
+    def __init__(self, entries: dict[str, list] | None = None):
+        # entries in the as_dict form restore a checkpointed cache
+        self._by_id = {k: (text, failed) for k, (text, failed) in (entries or {}).items()}
 
     def get(self, article_id: str):
         return self._by_id.get(article_id)

@@ -110,24 +110,14 @@ class RunConfig:
 
     @classmethod
     def from_canonical(cls, doc: dict, out_dir: str) -> "RunConfig":
-        backend_doc = dict(doc["backend"])
-        return cls(
-            seed=doc["seed"],
-            years=tuple(doc["years"]),
-            n_agents=doc["n_agents"],
-            headlines_per_agent=doc["headlines_per_agent"],
-            reads_per_year=doc["reads_per_year"],
-            batch_size=doc["batch_size"],
-            intervention=doc["intervention"],
-            ablation=AblationFlags.from_name(doc["ablation"]),
-            backend=BackendConfig.from_dict(backend_doc),
-            corpus_path=doc["corpus_path"],
-            profiles_path=doc["profiles_path"],
-            ground_truth_path=doc.get("ground_truth_path"),
-            taxonomy_path=doc.get("taxonomy_path"),
-            lexicon_path=doc.get("lexicon_path"),
-            out_dir=out_dir,
-        )
+        # canonical keys are field names; three fields need their types back
+        return cls(**{
+            **doc,
+            "years": tuple(doc["years"]),
+            "ablation": AblationFlags.from_name(doc["ablation"]),
+            "backend": BackendConfig.from_dict(doc["backend"]),
+            "out_dir": out_dir,
+        })
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -206,9 +196,10 @@ class RunEnv:
     ingest_report: IngestReport
     agents: list[AgentProfile]
     truth: GroundTruthSeries | None
+    header: dict  # the run's identity in every checkpoint; see _load_environment
 
 
-def _load_environment(config: RunConfig) -> RunEnv:
+def _load_environment(config: RunConfig, fingerprints: dict | None = None) -> RunEnv:
     taxonomy = load_taxonomy(config.taxonomy_path)
     lexicon = load_lexicon(config.lexicon_path)
     index, ingest_report = ingest(config.corpus_path, CorpusConfig())
@@ -219,7 +210,54 @@ def _load_environment(config: RunConfig) -> RunEnv:
         truth = GroundTruthSeries.from_csv(config.ground_truth_path)
         if not len(truth):
             log.warning("ground truth file %s is empty", config.ground_truth_path)
-    return RunEnv(taxonomy, lexicon, index, ingest_report, agents, truth)
+    header = {
+        "config": config.canonical(),
+        "config_hash": config.config_hash(),
+        "fingerprints": config.fingerprints() if fingerprints is None else fingerprints,
+        "agent_ids": [p.agent_id for p in agents],
+    }
+    return RunEnv(taxonomy, lexicon, index, ingest_report, agents, truth, header)
+
+
+@dataclass
+class RunState:
+    """Everything the year loop carries from one year to the next.
+
+    A checkpoint is this object serialised next to the run's header and the
+    gateway's log position; yearly aggregates live in the per-year traces.
+    """
+    states: dict[str, OpinionState]
+    completed_years: list[int] = field(default_factory=list)
+    skipped_years: list[int] = field(default_factory=list)
+    cache: DebiasCache = field(default_factory=DebiasCache)
+    offer_count: int = 0
+    payload_count: int = 0
+
+    @classmethod
+    def initial(cls, env: RunEnv) -> "RunState":
+        return cls({p.agent_id: OpinionState.initial(p.agent_id, env.taxonomy)
+                    for p in env.agents})
+
+    def to_dict(self) -> dict:
+        return {
+            "states": {agent_id: state.to_dict() for agent_id, state in self.states.items()},
+            "completed_years": list(self.completed_years),
+            "skipped_years": list(self.skipped_years),
+            "debias_cache": self.cache.as_dict(),
+            "offer_count": self.offer_count,
+            "payload_count": self.payload_count,
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "RunState":
+        return cls(
+            states={agent_id: OpinionState.from_dict(d) for agent_id, d in doc["states"].items()},
+            completed_years=list(doc["completed_years"]),
+            skipped_years=list(doc["skipped_years"]),
+            cache=DebiasCache(doc["debias_cache"]),
+            offer_count=doc["offer_count"],
+            payload_count=doc["payload_count"],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -231,32 +269,28 @@ def _chunk(items, size):
 
 
 def _process_year(config: RunConfig, env: RunEnv, gateway: Gateway,
-                  states: dict[str, OpinionState], year: int,
-                  cache: DebiasCache) -> tuple[dict, list[dict], list[dict], int, int]:
-    per_agent: dict[str, tuple[float, int]] = {}
+                  state: RunState, year: int) -> tuple[list[dict], list[dict]]:
     updates_all: list[dict] = []
     trace: list[dict] = []
-    offer_count = 0
-    payload_count = 0
     for profile in env.agents:
         agent_id = profile.agent_id
         offer = sample_headlines(env.index, year, agent_id,
                                  config.headlines_per_agent, config.seed)
-        offer_count += len(offer.offers)
+        state.offer_count += len(offer.offers)
         m_eff = min(config.reads_per_year, len(offer.offers))
         selected = select_articles(
             profile, offer, m_eff, gateway, env.taxonomy, env.lexicon,
             config.ablation, tag=f"select:{year}:{agent_id}",
         )
         payloads = retrieve_full_text(env.index, selected, config.ablation)
-        payload_count += len(payloads)
+        state.payload_count += len(payloads)
 
-        state = states[agent_id]
+        opinion = state.states[agent_id]
         critique_chars = []
         read_meta = []
         for j, batch in enumerate(_chunk(list(payloads), config.effective_batch)):
             batch_payloads, critique = apply_intervention(
-                config.intervention, batch, gateway, env.lexicon, cache,
+                config.intervention, batch, gateway, env.lexicon, state.cache,
                 tag=f"critique:{year}:{agent_id}:b{j}",
             )
             critique_chars.append(len(critique) if critique else 0)
@@ -266,32 +300,29 @@ def _process_year(config: RunConfig, env: RunEnv, gateway: Gateway,
                 for p in batch_payloads
             )
             outcome = reflect_batch(
-                profile, batch_payloads, state, gateway, env.taxonomy,
+                profile, batch_payloads, opinion, gateway, env.taxonomy,
                 env.lexicon, config.ablation,
                 batch_id=f"{year}:{agent_id}:b{j}",
                 tag=f"reflect:{year}:{agent_id}:b{j}",
-                critique=critique, index=env.index,
+                critique=critique,
             )
-            state, updates = apply_updates(state, outcome, year)
+            opinion, updates = apply_updates(opinion, outcome, year)
             updates_all.extend(updates)
-        state.advance_year(year)
-        response = survey_response(profile, state, gateway, env.taxonomy,
+        opinion.year_cursor = year
+        response = survey_response(profile, opinion, gateway, env.taxonomy,
                                    tag=f"survey:{year}:{agent_id}")
-        state.last_response = response
-        states[agent_id] = state
-        per_agent[agent_id] = (overall_valence(state), response)
+        opinion.last_response = response
+        state.states[agent_id] = opinion
         trace.append({
             "agent_id": agent_id,
             "offer_ids": list(offer.ids),
             "selected_ids": list(selected),
             "reads": read_meta,
             "critique_chars": critique_chars,
-            "overall_valence": overall_valence(state),
+            "overall_valence": overall_valence(opinion),
             "response": response,
         })
-    expected = [p.agent_id for p in env.agents]
-    result = aggregate_year(year, per_agent, expected)
-    return result, updates_all, trace, offer_count, payload_count
+    return updates_all, trace
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +339,26 @@ def _write_json(path: Path, doc):
     _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
-def _write_checkpoint(out_dir: Path, config: RunConfig, env: RunEnv,
-                      states: dict[str, OpinionState], results: list[dict],
-                      skipped: list[int], cache: DebiasCache, gateway: Gateway,
-                      offer_count: int, payload_count: int, complete: bool):
+def _write_jsonl(path: Path, rows: list[dict]):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [json.dumps(row, sort_keys=True, ensure_ascii=False) for row in rows]
+    _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
+
+
+def _read_jsonl(path: Path) -> list[dict]:
+    with path.open("r", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def _trace_path(out_dir: Path, year: int) -> Path:
+    return out_dir / "trace" / f"year_{year}.jsonl"
+
+
+def _write_checkpoint(out_dir: Path, header: dict, gateway: Gateway,
+                      state: RunState, complete: bool):
     doc = {
-        "config": config.canonical(),
-        "config_hash": config.config_hash(),
-        "fingerprints": config.fingerprints(),
-        "agent_ids": [p.agent_id for p in env.agents],
-        "states": {agent_id: state.to_dict() for agent_id, state in states.items()},
-        "completed_years": [r["year"] for r in results],
-        "skipped_years": list(skipped),
-        "results": results,
-        "offer_count": offer_count,
-        "payload_count": payload_count,
-        "debias_cache": cache.as_dict(),
+        **header,
+        **state.to_dict(),
         "request_counts": gateway.request_counts,
         "replay_lines": gateway.log_lines,
         "complete": complete,
@@ -331,28 +366,24 @@ def _write_checkpoint(out_dir: Path, config: RunConfig, env: RunEnv,
     _write_json(out_dir / CHECKPOINT_NAME, doc)
 
 
-def _write_updates(out_dir: Path, year: int, updates: list[dict]):
-    path = out_dir / f"updates_{year}.jsonl"
-    lines = [json.dumps(u, sort_keys=True, ensure_ascii=False) for u in updates]
-    _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
-def _write_trace(out_dir: Path, year: int, trace: list[dict]):
-    trace_dir = out_dir / "trace"
-    trace_dir.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps(t, sort_keys=True, ensure_ascii=False) for t in trace]
-    _atomic_write(trace_dir / f"year_{year}.jsonl", "\n".join(lines) + ("\n" if lines else ""))
-
-
 def read_update_logs(out_dir: Path) -> list[dict]:
     updates = []
     for path in sorted(out_dir.glob("updates_*.jsonl")):
-        with path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    updates.append(json.loads(line))
+        updates.extend(_read_jsonl(path))
     return updates
+
+
+def _year_result(out_dir: Path, year: int, agent_ids: list[str]) -> dict:
+    """Rebuild one completed year's aggregate from its trace rows, in file order."""
+    path = _trace_path(out_dir, year)
+    if not path.exists():
+        raise ResumeError(f"year {year} is complete but {path} is missing")
+    per_agent = {row["agent_id"]: (row["overall_valence"], row["response"])
+                 for row in _read_jsonl(path)}
+    missing = [a for a in agent_ids if a not in per_agent]
+    if missing:
+        raise ResumeError(f"year {year} is complete but {path} lacks agents {missing}")
+    return aggregate_year(year, per_agent, agent_ids)
 
 
 def _truncate_replay_log(path: Path, keep_lines: int):
@@ -383,27 +414,20 @@ def run(config: RunConfig, stop_after_year: int | None = None) -> dict:
     config.validate()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    replay_path = out_dir / REPLAY_NAME
     for name in (CHECKPOINT_NAME, REPLAY_NAME) + FINAL_ARTIFACTS:
         (out_dir / name).unlink(missing_ok=True)
-    for stale in out_dir.glob("updates_*.jsonl"):
-        stale.unlink()
-    for stale in out_dir.glob("trace/year_*.jsonl"):
+    for stale in [*out_dir.glob("updates_*.jsonl"), *out_dir.glob("trace/year_*.jsonl")]:
         stale.unlink()
 
     env = _load_environment(config)
-    backend = config.backend
-    if backend.mode == "replay" and backend.replay_log is None:
-        raise ConfigError("replay mode requires a replay_log path")
-    gateway = Gateway(backend, log_path=replay_path)
-    states = {p.agent_id: OpinionState.initial(p.agent_id, env.taxonomy)
-              for p in env.agents}
-    cache = DebiasCache()
-    # a kill before the first year ends resumes this run from its start
-    _write_checkpoint(out_dir, config, env, states, [], [], cache, gateway, 0, 0, False)
-    return _drive(config, env, gateway, states, results=[], skipped=[],
-                  cache=cache, offer_count=0, payload_count=0,
-                  stop_after_year=stop_after_year)
+    gateway = Gateway(config.backend, log_path=out_dir / REPLAY_NAME)
+    state = RunState.initial(env)
+    try:
+        # a kill before the first year ends resumes this run from its start
+        _write_checkpoint(out_dir, env.header, gateway, state, False)
+        return _drive(config, env, gateway, state, stop_after_year)
+    finally:
+        gateway.close()
 
 
 def resume(out_dir: str | Path, config: RunConfig | None = None,
@@ -432,34 +456,24 @@ def resume(out_dir: str | Path, config: RunConfig | None = None,
         log.info("run already complete; nothing to resume")
         return json.loads((out_dir / "results.json").read_text("utf-8"))
 
-    env = _load_environment(config)
-    if [p.agent_id for p in env.agents] != ck["agent_ids"]:
+    env = _load_environment(config, current)
+    if env.header["agent_ids"] != ck["agent_ids"]:
         raise ResumeError("agent sample no longer matches checkpoint")
 
     _truncate_replay_log(out_dir / REPLAY_NAME, ck["replay_lines"])
-    done = set(ck["completed_years"]) | set(ck["skipped_years"])
-    for path in out_dir.glob("updates_*.jsonl"):
-        year = int(path.stem.split("_")[1])
-        if year not in done:
-            path.unlink()
-    for path in out_dir.glob("trace/year_*.jsonl"):
-        year = int(path.stem.split("_")[1])
-        if year not in done:
+    state = RunState.from_dict(ck)
+    done = set(state.completed_years) | set(state.skipped_years)
+    for path in [*out_dir.glob("updates_*.jsonl"), *out_dir.glob("trace/year_*.jsonl")]:
+        if int(path.stem.split("_")[1]) not in done:
             path.unlink()
 
     gateway = Gateway(config.backend, log_path=out_dir / REPLAY_NAME,
                       resume_seq=ck["replay_lines"],
-                      initial_counts=ck.get("request_counts"))
-    states = {agent_id: OpinionState.from_dict(doc)
-              for agent_id, doc in ck["states"].items()}
-    cache = DebiasCache()
-    for article_id, (text, failed) in ck.get("debias_cache", {}).items():
-        cache.put(article_id, text, failed)
-    return _drive(config, env, gateway, states,
-                  results=list(ck["results"]), skipped=list(ck["skipped_years"]),
-                  cache=cache, offer_count=ck["offer_count"],
-                  payload_count=ck["payload_count"],
-                  stop_after_year=stop_after_year)
+                      initial_counts=ck["request_counts"])
+    try:
+        return _drive(config, env, gateway, state, stop_after_year)
+    finally:
+        gateway.close()
 
 
 def _config_drift(proposed: dict, recorded: dict) -> list[str]:
@@ -470,45 +484,33 @@ def _config_drift(proposed: dict, recorded: dict) -> list[str]:
     return drift
 
 
-def _drive(config: RunConfig, env: RunEnv, gateway: Gateway,
-           states: dict[str, OpinionState], results: list[dict],
-           skipped: list[int], cache: DebiasCache, offer_count: int,
-           payload_count: int, stop_after_year: int | None) -> dict:
+def _drive(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState,
+           stop_after_year: int | None) -> dict:
     out_dir = Path(config.out_dir)
-    done = {r["year"] for r in results} | set(skipped)
     for year in range(config.years[0], config.years[1] + 1):
-        if year in done:
+        if year in state.completed_years or year in state.skipped_years:
             continue
         if not articles_for_year(env.index, year):
             log.warning("year %d has no articles; skipping", year)
-            skipped.append(year)
-            _write_checkpoint(out_dir, config, env, states, results, skipped,
-                              cache, gateway, offer_count, payload_count, False)
+            state.skipped_years.append(year)
+            _write_checkpoint(out_dir, env.header, gateway, state, False)
             continue
-        result, updates, trace, offers, payloads = _process_year(
-            config, env, gateway, states, year, cache
-        )
-        results.append(result)
-        offer_count += offers
-        payload_count += payloads
-        _write_updates(out_dir, year, updates)
-        _write_trace(out_dir, year, trace)
-        _write_checkpoint(out_dir, config, env, states, results, skipped,
-                          cache, gateway, offer_count, payload_count, False)
+        updates, trace = _process_year(config, env, gateway, state, year)
+        _write_jsonl(out_dir / f"updates_{year}.jsonl", updates)
+        _write_jsonl(_trace_path(out_dir, year), trace)
+        state.completed_years.append(year)
+        _write_checkpoint(out_dir, env.header, gateway, state, False)
         if stop_after_year == year:
             log.info("stopping after year %d as requested", year)
             return {"interrupted_after": year, "out_dir": str(out_dir)}
-    return _finalize(config, env, gateway, states, results, skipped, cache,
-                     offer_count, payload_count)
+    return _finalize(config, env, gateway, state)
 
 
-def _finalize(config: RunConfig, env: RunEnv, gateway: Gateway,
-              states: dict[str, OpinionState], results: list[dict],
-              skipped: list[int], cache: DebiasCache, offer_count: int,
-              payload_count: int) -> dict:
+def _finalize(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState) -> dict:
     out_dir = Path(config.out_dir)
-    results = sorted(results, key=lambda r: r["year"])
     updates = read_update_logs(out_dir)
+    results = [_year_result(out_dir, year, env.header["agent_ids"])
+               for year in sorted(state.completed_years)]
     influence = domain_influence(updates)
 
     error = None
@@ -519,12 +521,12 @@ def _finalize(config: RunConfig, env: RunEnv, gateway: Gateway,
             log.warning("ground truth and simulation share no years; skipping MAE")
 
     bundle = {
-        "config_hash": config.config_hash(),
+        "config_hash": env.header["config_hash"],
         "seed": config.seed,
         "intervention": config.intervention,
         "ablation": config.ablation.name,
         "years": results,
-        "skipped_years": sorted(skipped),
+        "skipped_years": sorted(state.skipped_years),
         "mae": error,
     }
     _write_json(out_dir / "results.json", bundle)
@@ -536,17 +538,16 @@ def _finalize(config: RunConfig, env: RunEnv, gateway: Gateway,
     report = {
         "agents": len(env.agents),
         "years_completed": [r["year"] for r in results],
-        "years_skipped": sorted(skipped),
-        "offer_count": offer_count,
-        "payload_count": payload_count,
+        "years_skipped": sorted(state.skipped_years),
+        "offer_count": state.offer_count,
+        "payload_count": state.payload_count,
         "request_counts": dict(sorted(gateway.request_counts.items())),
         "replay_lines": gateway.log_lines,
         "corpus_accepted": env.ingest_report.accepted,
         "corpus_rejected": env.ingest_report.rejected,
     }
     _write_json(out_dir / "run_report.json", report)
-    _write_checkpoint(out_dir, config, env, states, results, skipped, cache,
-                      gateway, offer_count, payload_count, True)
+    _write_checkpoint(out_dir, env.header, gateway, state, True)
     return bundle
 
 

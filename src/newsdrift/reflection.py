@@ -15,6 +15,7 @@ held opinion barely budges and a rationalizing cognition is recorded).
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import prompts
@@ -47,9 +48,6 @@ class OpinionState:
             exposures={name: 0 for name in taxonomy.names},
         )
 
-    def advance_year(self, year: int):
-        self.year_cursor = year
-
     def to_dict(self) -> dict:
         return {
             "agent_id": self.agent_id,
@@ -80,21 +78,9 @@ class ReflectionOutcome:
     batch_counts: dict[str, int] = field(default_factory=dict)
 
 
-def categorize_payload(payload, taxonomy: TopicTaxonomy, index=None) -> str:
+def categorize_payload(payload, taxonomy: TopicTaxonomy) -> str:
     """Resolve an article's domain: stored category, else keyword rules."""
-    if index is not None:
-        stored = index.get(payload.article_id).category
-        if stored:
-            return stored
-    return taxonomy.categorize(payload.headline + " " + payload.full_text)
-
-
-def batch_domain_counts(payloads, taxonomy: TopicTaxonomy, index=None) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for payload in payloads:
-        domain = categorize_payload(payload, taxonomy, index)
-        counts[domain] = counts.get(domain, 0) + 1
-    return counts
+    return payload.category or taxonomy.categorize(payload.headline + " " + payload.full_text)
 
 
 def _mock_domain_update(old: float, mean_sentiment: float,
@@ -113,12 +99,11 @@ def _mock_domain_update(old: float, mean_sentiment: float,
     return "reinforce", old * REINFORCE_KEEP, [cognition]
 
 
-def _mock_outcome(payloads, state: OpinionState, taxonomy: TopicTaxonomy,
-                  lexicon: MockLexicon, critique: str | None,
-                  no_cognitive: bool, index=None) -> dict:
+def _mock_outcome(payloads, payload_domains: list[str], state: OpinionState,
+                  taxonomy: TopicTaxonomy, lexicon: MockLexicon,
+                  critique: str | None, no_cognitive: bool) -> dict:
     sentiments: dict[str, list[float]] = {}
-    for payload in payloads:
-        domain = categorize_payload(payload, taxonomy, index)
+    for payload, domain in zip(payloads, payload_domains):
         score = mock_sentiment(payload.headline + " " + payload.full_text, lexicon)
         sentiments.setdefault(domain, []).append(score)
 
@@ -151,13 +136,14 @@ def _mock_outcome(payloads, state: OpinionState, taxonomy: TopicTaxonomy,
 def reflect_batch(profile, payloads, state: OpinionState, gateway,
                   taxonomy: TopicTaxonomy, lexicon: MockLexicon,
                   ablation: AblationFlags, batch_id: str, tag: str,
-                  critique: str | None = None, index=None) -> ReflectionOutcome:
+                  critique: str | None = None) -> ReflectionOutcome:
     if not payloads:
         raise ValidationError("reflection needs at least one article")
 
-    counts = batch_domain_counts(payloads, taxonomy, index)
-    mock = _mock_outcome(payloads, state, taxonomy, lexicon, critique,
-                         ablation.no_cognitive, index)
+    payload_domains = [categorize_payload(p, taxonomy) for p in payloads]
+    counts = dict(Counter(payload_domains))
+    mock = _mock_outcome(payloads, payload_domains, state, taxonomy, lexicon,
+                         critique, ablation.no_cognitive)
     system, user = prompts.render_reflection(
         profile,
         opinions=format_opinions(state, taxonomy),
@@ -182,11 +168,10 @@ def reflect_batch(profile, payloads, state: OpinionState, gateway,
         if ablation.no_cognitive:
             entry["action"] = "none"
         old = state.valences[name]
-        if gateway.mode == "remote" and entry["new_valence"] == old:
-            nudged = old - NUDGE if old > 0 else old + NUDGE if old < 0 else old - NUDGE
-            entry["new_valence"] = round(clamp_valence(nudged), 6)
         if entry["new_valence"] == old:
-            continue
+            # a repeated value still moves toward zero (down from zero); mock
+            # outcomes never repeat one, so only model answers are nudged
+            entry["new_valence"] = round(old + NUDGE if old < 0 else old - NUDGE, 6)
         domains[name] = entry
     return ReflectionOutcome(
         agent_id=state.agent_id,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,7 @@ from newsdrift.gateway import (
     parse_structured,
     serialize_for_log,
 )
+from newsdrift.orchestrator import run
 
 
 # ---------------------------------------------------------------------------
@@ -257,21 +259,26 @@ def test_replay_missing_log_file(tmp_path):
 # ---------------------------------------------------------------------------
 
 class _CannedServer:
-    """Serves a scripted sequence of responses and records requests."""
+    """Serves a scripted sequence of responses and records requests.
+
+    Once the script runs out, every request is answered with the content
+    ``answer`` returns for its JSON body.
+    """
 
     def __init__(self):
         self.script: list = []
         self.requests: list = []
+        self.answer = lambda body: "1"
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
-                body = self.rfile.read(int(self.headers["Content-Length"]))
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 outer.requests.append({
                     "auth": self.headers.get("Authorization"),
-                    "json": json.loads(body),
+                    "json": body,
                 })
-                kind, *rest = outer.script.pop(0) if outer.script else ("ok", "1")
+                kind, *rest = outer.script.pop(0) if outer.script else ("ok", outer.answer(body))
                 if kind == "ok":
                     content = rest[0]
                     doc = {"choices": [{"message": {"content": content}}]}
@@ -381,6 +388,51 @@ def test_remote_garbage_body_is_transport_level(canned_server, tmp_path, monkeyp
     canned_server.script = [("garbage",), ("ok", "1")]
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
     assert gw.generate(_req("s:1")) == 1
+
+
+def _schema_answer(body):
+    """A fixed valid answer per schema, told apart by the system prompt."""
+    system = body["messages"][0]["content"]
+    if system.startswith("You are a reader deciding"):
+        return "[1, 2]"
+    if system.startswith("You are the reasoning core"):
+        return json.dumps({"themes": [], "reasoning": "", "domains": {
+            "economics": {"action": "confirm", "new_valence": 0.0, "cognitions": []}}})
+    return "3"
+
+
+def test_replay_of_remote_run_reproduces_it(canned_server, make_config, monkeypatch):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.answer = _schema_answer
+    remote = make_config(n_agents=2, backend=_remote_config(canned_server))
+    run(remote)
+    replay_log = Path(remote.out_dir) / "replay.jsonl"
+    replayed = make_config(n_agents=2, backend=BackendConfig(
+        mode="replay", replay_log=str(replay_log)))
+    run(replayed)
+
+    a, b = Path(remote.out_dir), Path(replayed.out_dir)
+    # economics answered 0.0 at 0.0 is nudged to -0.01, then set back to 0.0
+    updates = [json.loads(line) for line in (a / "updates_2005.jsonl").read_text().splitlines()]
+    assert {u["new_valence"] for u in updates} == {-0.01}
+    for name in ("updates_2005.jsonl", "updates_2006.jsonl", "results.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    # the config hash covers the backend mode, so only it may differ
+    results = [json.loads((d / "results.json").read_text()) for d in (a, b)]
+    assert results[0].pop("config_hash") != results[1].pop("config_hash")
+    assert results[0] == results[1]
+
+
+def test_log_records_reach_the_file_as_written(tmp_path):
+    path = tmp_path / "r.jsonl"
+    gw = Gateway(BackendConfig(mode="mock"), log_path=path)
+    for n in range(1, 3):
+        gw.generate(_req(f"s:{n}"), mock_value=n)
+        assert len(path.read_text().splitlines()) == n
+    gw.close()
+    gw.generate(_req("s:3"), mock_value=3)
+    gw.close()
+    assert [json.loads(line)["seq"] for line in path.read_text().splitlines()] == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,44 @@ def test_new_run_killed_in_first_year_never_resumes_the_old_run(make_config, mon
         assert _read(out / name) == _read(Path(fresh.out_dir) / name), name
 
 
+def test_final_artifacts_lists_every_other_output(make_config, fixtures_dir):
+    config = make_config(
+        n_agents=2, ground_truth_path=str(fixtures_dir / "ground_truth.csv"))
+    run(config)
+    out = Path(config.out_dir)
+    kept = {orchestrator.CHECKPOINT_NAME, orchestrator.REPLAY_NAME, "trace"}
+    written = {p.name for p in out.iterdir()
+               if p.name not in kept and not p.match("updates_*.jsonl")}
+    assert written == set(orchestrator.FINAL_ARTIFACTS)
+
+
+def test_checkpoint_holds_live_state_not_results(make_config):
+    config = make_config(n_agents=2, intervention="debias")
+    run(config, stop_after_year=2005)
+    ck_path = Path(config.out_dir) / "checkpoint.json"
+    partial = json.loads(ck_path.read_text())
+    assert "results" not in partial
+    assert partial["completed_years"] == [2005] and partial["debias_cache"]
+    resume(config.out_dir)
+    final = json.loads(ck_path.read_text())
+    assert "results" not in final and final["complete"] is True
+    assert set(final["states"]) == set(final["agent_ids"])
+
+
+@pytest.mark.parametrize("damage", ["delete", "drop_agent"])
+def test_resume_refuses_a_damaged_trace_of_a_completed_year(make_config, damage):
+    config = make_config(n_agents=2)
+    run(config, stop_after_year=2005)
+    trace = Path(config.out_dir) / "trace" / "year_2005.jsonl"
+    if damage == "delete":
+        trace.unlink()
+    else:
+        trace.write_text(trace.read_text().splitlines()[0] + "\n")
+    with pytest.raises(ResumeError, match="2005"):
+        resume(config.out_dir)
+    assert not (Path(config.out_dir) / "results.json").exists()
+
+
 def test_replay_log_truncation_streams_whole_lines(tmp_path):
     records = [json.dumps({"seq": n, "user": f"caf\u00e9 {n} \u2028 \u4e2d\u6587"},
                           ensure_ascii=False) + "\n" for n in range(1, 5)]

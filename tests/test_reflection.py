@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from newsdrift.corpus import ingest
-from newsdrift.distribution import Payload
+from newsdrift.distribution import Payload, retrieve_full_text
 from newsdrift.errors import SchemaError, ValidationError
 from newsdrift.gateway import BackendConfig, Gateway, MockLexicon
 from newsdrift.modes import AblationFlags
 from newsdrift.reflection import (
     OpinionState,
     apply_updates,
-    batch_domain_counts,
     categorize_payload,
     format_opinions,
     reflect_batch,
@@ -205,8 +204,6 @@ def test_valence_always_in_range(old, weight):
 # ---------------------------------------------------------------------------
 
 class StubGateway:
-    mode = "remote"
-
     def __init__(self, value):
         self.value = value
 
@@ -260,16 +257,17 @@ def test_categorize_prefers_stored_category(taxonomy, tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(row) + "\n")
     index, _ = ingest(path)
-    payload = Payload("a1", "China economy news", "text")
-    assert categorize_payload(payload, taxonomy, index) == "sports"
-    assert categorize_payload(payload, taxonomy, None) == "economics"
+    (payload,) = retrieve_full_text(index, ["a1"], NONE)
+    assert categorize_payload(payload, taxonomy) == "sports"
+    uncategorized = dataclasses.replace(payload, category="")
+    assert categorize_payload(uncategorized, taxonomy) == "economics"
 
 
 def test_batch_domain_counts(taxonomy):
     payloads = [_econ("x", "a1"), _econ("y", "a2"),
                 Payload("a3", "new software ships", "")]
-    counts = batch_domain_counts(payloads, taxonomy)
-    assert counts == {"economics": 2, "technology": 1}
+    outcome = _reflect(taxonomy, _state(taxonomy), payloads)
+    assert outcome.batch_counts == {"economics": 2, "technology": 1}
 
 
 def test_format_opinions_lists_all_domains(taxonomy):
