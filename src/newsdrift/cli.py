@@ -75,13 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _backend_from_args(args) -> BackendConfig:
-    backend = BackendConfig()
-    if args.config:
-        backend = RunConfig.from_file(args.config).backend
-    if args.backend and args.backend != backend.mode:
-        import dataclasses
-        backend = dataclasses.replace(backend, mode=args.backend)
-    return backend
+    config = RunConfig.from_file(args.config) if args.config else RunConfig()
+    return config.with_overrides(backend_mode=args.backend).backend
 
 
 def _cmd_build_profiles(args) -> int:

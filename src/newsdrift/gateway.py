@@ -10,12 +10,12 @@ a remote completion, which keeps the two paths byte-compatible.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -50,8 +50,6 @@ class GenerationRequest:
     user_text: str
     expected_schema: str
     request_tag: str
-    temperature: float = 0.7
-    max_tokens: int = 1024
 
     def __post_init__(self):
         if self.expected_schema not in SCHEMAS:
@@ -64,7 +62,6 @@ class BackendConfig:
     base_url: str = ""
     model_name: str = ""
     api_key_env_var: str = "NEWSDRIFT_API_KEY"
-    max_in_flight: int = 4
     max_attempts: int = 3
     backoff_seconds: tuple[float, ...] = (1.0, 2.0, 4.0)
     timeout_seconds: float = 60.0
@@ -79,11 +76,12 @@ class BackendConfig:
             raise ConfigError("remote mode requires base_url and model_name")
         if self.mode == "replay" and not self.replay_log:
             raise ConfigError("replay mode requires replay_log path")
-        if self.max_in_flight < 1:
-            raise ConfigError("max_in_flight must be positive")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BackendConfig":
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown backend keys: {', '.join(unknown)}")
         kwargs = dict(doc)
         if "backoff_seconds" in kwargs:
             kwargs["backoff_seconds"] = tuple(float(x) for x in kwargs["backoff_seconds"])
@@ -267,6 +265,10 @@ def serialize_for_log(schema: str, value) -> str:
     return json.dumps(value, sort_keys=True, ensure_ascii=False)
 
 
+def _prompt_digest(system: str, user: str) -> bytes:
+    return hashlib.sha256(f"{system}\x00{user}".encode("utf-8")).digest()
+
+
 # ---------------------------------------------------------------------------
 # Gateway
 # ---------------------------------------------------------------------------
@@ -274,7 +276,9 @@ def serialize_for_log(schema: str, value) -> str:
 class Gateway:
     """Single entry point for all backend exchanges in a run.
 
-    The replay log is append-only behind a lock, through one line-buffered
+    Each backend only supplies raw answers; ``generate`` parses, logs and
+    returns them the same way whatever the mode. A ``Gateway`` is used from
+    one thread. The replay log is append-only, through one line-buffered
     handle opened on the first record; request tags must be unique per run so
     a recorded log can drive an exact replay. ``close`` releases the handle.
     """
@@ -282,23 +286,19 @@ class Gateway:
     def __init__(self, config: BackendConfig, log_path: str | Path | None = None,
                  resume_seq: int = 0, initial_counts: dict[str, int] | None = None):
         self.config = config
-        self.mode = config.mode
         self._log_path = Path(log_path) if log_path else None
         self._log_fh = None
-        self._log_lock = threading.Lock()
-        self._inflight = threading.Semaphore(config.max_in_flight)
         self._seq = resume_seq
         self._seen_tags: set[str] = set()
         self.request_counts: dict[str, int] = dict(initial_counts or {})
-        self._replay_index: dict[str, list[tuple[bool, str]]] = {}
-        if self.mode == "replay":
+        # tag -> (raw answer served on replay, digest of its recorded prompts)
+        self._replay_index: dict[str, tuple[str, bytes]] = {}
+        if config.mode == "replay":
             self._load_replay_index(Path(config.replay_log))
-        if self.mode == "remote":
+        if config.mode == "remote":
             self._api_key = os.environ.get(config.api_key_env_var, "")
             if not self._api_key:
-                raise ConfigError(
-                    f"remote mode requires API key in ${config.api_key_env_var}"
-                )
+                raise ConfigError(f"remote mode requires API key in ${config.api_key_env_var}")
 
     def close(self):
         """Close the replay-log handle; a later record opens it again."""
@@ -309,16 +309,22 @@ class Gateway:
     # -- replay ------------------------------------------------------------
 
     def _load_replay_index(self, path: Path):
+        """Keep each tag's first ok record, or its last record when none is ok."""
         if not path.exists():
             raise ReplayError(f"replay log not found: {path}")
+        answered: set[str] = set()
         with path.open("r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
                 record = json.loads(line)
-                self._replay_index.setdefault(record["tag"], []).append(
-                    (record["ok"], record["raw_response"]))
+                tag = record["tag"]
+                if tag not in answered:
+                    self._replay_index[tag] = (
+                        record["raw_response"], _prompt_digest(record["system"], record["user"]))
+                    if record["ok"]:
+                        answered.add(tag)
 
     @property
     def log_lines(self) -> int:
@@ -337,57 +343,64 @@ class Gateway:
             "schema": request.expected_schema,
             "system": request.role_preamble,
             "user": request.user_text,
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
+            "temperature": self.config.temperature,
+            "max_tokens": self.config.max_tokens,
             "raw_response": raw,
             "parsed": parsed,
             "ok": ok,
             "t_start": t_start,
             "t_end": t_end,
         }
-        line = json.dumps(record, sort_keys=True, ensure_ascii=False)
-        with self._log_lock:
-            if self._log_fh is None:
-                # line buffering hands every record to the OS as it is written
-                self._log_fh = self._log_path.open("a", encoding="utf-8", buffering=1)
-            self._log_fh.write(line + "\n")
+        if self._log_fh is None:
+            # line buffering hands every record to the OS as it is written
+            self._log_fh = self._log_path.open("a", encoding="utf-8", buffering=1)
+        self._log_fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
 
-    # -- remote transport ----------------------------------------------------
-
-    def _post_once(self, request: GenerationRequest) -> str:
-        payload = {
-            "model": self.config.model_name,
-            "messages": [
-                {"role": "system", "content": request.role_preamble},
-                {"role": "user", "content": request.user_text},
-            ],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-        }
-        headers = {"Authorization": f"Bearer {self._api_key}"}
-        with self._inflight:
-            response = requests.post(
-                self.config.base_url,
-                json=payload,
-                headers=headers,
-                timeout=self.config.timeout_seconds,
-            )
-        response.raise_for_status()
-        data = response.json()
-        return data["choices"][0]["message"]["content"]
+    # -- backends ------------------------------------------------------------
 
     def _post(self, request: GenerationRequest) -> str:
-        last_error: Exception | None = None
-        schedule = self.config.backoff_seconds
-        for attempt in range(self.config.max_attempts):
-            try:
-                return self._post_once(request)
-            except (requests.RequestException, KeyError, ValueError, json.JSONDecodeError) as exc:
-                last_error = exc
-                if attempt < self.config.max_attempts - 1:
-                    delay = schedule[min(attempt, len(schedule) - 1)] if schedule else 0.0
-                    time.sleep(delay)
-        raise TransportError(f"backend unreachable after {self.config.max_attempts} attempts: {last_error}")
+        """Send one request to the remote endpoint and return the answer text."""
+        messages = [{"role": "system", "content": request.role_preamble},
+                    {"role": "user", "content": request.user_text}]
+        response = requests.post(
+            self.config.base_url,
+            json={"model": self.config.model_name, "messages": messages,
+                  "temperature": self.config.temperature, "max_tokens": self.config.max_tokens},
+            headers={"Authorization": f"Bearer {self._api_key}"},
+            timeout=self.config.timeout_seconds,
+        )
+        response.raise_for_status()
+        return response.json()["choices"][0]["message"]["content"]
+
+    def _answers(self, request: GenerationRequest, mock_value):
+        """Yield the backend's raw answers as (raw, t_start, t_end); remote posts
+        up to ``max_attempts`` times in all and backs off after transport failures."""
+        tag = request.request_tag
+        if self.config.mode == "mock":
+            if mock_value is None:
+                raise ConfigError(f"mock mode needs a mock_value for {tag!r}")
+            yield serialize_for_log(request.expected_schema, mock_value), 0.0, 0.0
+        elif self.config.mode == "replay":
+            if tag not in self._replay_index:
+                raise ReplayError(f"no replay entry for tag {tag!r}")
+            raw, digest = self._replay_index[tag]
+            if digest != _prompt_digest(request.role_preamble, request.user_text):
+                raise ReplayError(f"prompt for tag {tag!r} differs from the recorded one")
+            yield raw, 0.0, 0.0
+        else:
+            attempts = self.config.max_attempts
+            schedule = self.config.backoff_seconds
+            for attempt in range(attempts):
+                t_start = time.time()
+                try:
+                    raw = self._post(request)
+                except (requests.RequestException, KeyError, ValueError) as exc:
+                    if attempt == attempts - 1:
+                        raise TransportError(
+                            f"last of {attempts} attempts failed in transport: {exc}") from exc
+                    time.sleep(schedule[min(attempt, len(schedule) - 1)] if schedule else 0.0)
+                    continue
+                yield raw, t_start, time.time()
 
     # -- main entry ----------------------------------------------------------
 
@@ -396,52 +409,23 @@ class Gateway:
 
         ``mock_value`` is the deterministic result the mock backend returns;
         callers always supply it so a remote run can also fall back to it
-        when they choose to catch SchemaError.
+        when they choose to catch SchemaError. An answer that fails its
+        schema is logged as failed, and the next answer is tried.
         """
         if request.request_tag in self._seen_tags:
             raise ConfigError(f"duplicate request tag in run: {request.request_tag!r}")
         self._seen_tags.add(request.request_tag)
-        self.request_counts[request.expected_schema] = (
-            self.request_counts.get(request.expected_schema, 0) + 1
-        )
+        schema = request.expected_schema
+        self.request_counts[schema] = self.request_counts.get(schema, 0) + 1
 
-        if self.mode == "mock":
-            if mock_value is None:
-                raise ConfigError(f"mock mode needs a mock_value for {request.request_tag!r}")
-            raw = serialize_for_log(request.expected_schema, mock_value)
-            parsed = parse_structured(request.expected_schema, raw)
-            self._log(request, raw, parsed, True, 0.0, 0.0)
-            return parsed
-
-        if self.mode == "replay":
-            records = self._replay_index.get(request.request_tag)
-            if not records:
-                raise ReplayError(f"no replay entry for tag {request.request_tag!r}")
-            for ok, raw in records:
-                if ok:
-                    parsed = parse_structured(request.expected_schema, raw)
-                    self._log(request, raw, parsed, True, 0.0, 0.0)
-                    return parsed
-            raw = records[-1][1]
-            self._log(request, raw, None, False, 0.0, 0.0)
-            raise SchemaError(f"replayed failure for tag {request.request_tag!r}", raw=raw)
-
-        # remote: transport retries inside _post, schema retries here
-        last_raw = ""
-        for _ in range(self.config.max_attempts):
-            t_start = time.time()
-            raw = self._post(request)
-            t_end = time.time()
-            last_raw = raw
+        raw = ""
+        for raw, t_start, t_end in self._answers(request, mock_value):
             try:
-                parsed = parse_structured(request.expected_schema, raw)
+                parsed = parse_structured(schema, raw)
             except SchemaError:
                 self._log(request, raw, None, False, t_start, t_end)
                 continue
             self._log(request, raw, parsed, True, t_start, t_end)
             return parsed
         raise SchemaError(
-            f"response never matched schema {request.expected_schema!r} "
-            f"after {self.config.max_attempts} attempts",
-            raw=last_raw,
-        )
+            f"no answer for {request.request_tag!r} matched schema {schema!r}", raw=raw)

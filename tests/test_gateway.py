@@ -239,14 +239,23 @@ def test_replay_gateway_reserves_logged_values(tmp_path):
 
 def test_replay_surfaces_recorded_failures(tmp_path):
     log = tmp_path / "replay.jsonl"
-    record = {"seq": 1, "tag": "s:1", "schema": "survey_answer", "system": "",
-              "user": "", "temperature": 0.7, "max_tokens": 10,
+    record = {"seq": 1, "tag": "s:1", "schema": "survey_answer", "system": "system text",
+              "user": "user text", "temperature": 0.7, "max_tokens": 10,
               "raw_response": "no digits at all", "parsed": None, "ok": False,
               "t_start": 0.0, "t_end": 0.0}
     log.write_text(json.dumps(record) + "\n")
     replay = Gateway(BackendConfig(mode="replay", replay_log=str(log)))
     with pytest.raises(SchemaError):
         replay.generate(_req("s:1"))
+
+
+def test_replay_refuses_a_changed_prompt(tmp_path):
+    log = tmp_path / "replay.jsonl"
+    Gateway(BackendConfig(mode="mock"), log_path=log).generate(_req("s:1"), mock_value=4)
+    replay = Gateway(BackendConfig(mode="replay", replay_log=str(log)))
+    changed = GenerationRequest("system text", "other user text", "survey_answer", "s:1")
+    with pytest.raises(ReplayError, match="s:1"):
+        replay.generate(changed)
 
 
 def test_replay_missing_log_file(tmp_path):
@@ -390,6 +399,55 @@ def test_remote_garbage_body_is_transport_level(canned_server, tmp_path, monkeyp
     assert gw.generate(_req("s:1")) == 1
 
 
+def test_remote_attempt_budget_covers_both_kinds_of_failure(canned_server, tmp_path,
+                                                             monkeypatch):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.script = [("garbage",), ("garbage",), ("ok", "nope")] * 3
+    gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
+    with pytest.raises(SchemaError):
+        gw.generate(_req("s:1"))
+    assert len(canned_server.requests) == 3
+    # transport failures are not logged, the failed parse is
+    lines = [json.loads(l) for l in (tmp_path / "r.jsonl").read_text().splitlines()]
+    assert [(l["raw_response"], l["ok"]) for l in lines] == [("nope", False)]
+
+
+def test_remote_last_attempt_decides_the_error(canned_server, tmp_path, monkeypatch):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.script = [("ok", "nope"), ("ok", "nope"), ("http_error", 500)]
+    gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
+    with pytest.raises(TransportError):
+        gw.generate(_req("s:1"))
+    assert len(canned_server.requests) == 3
+
+
+def test_remote_only_transport_failures_back_off(canned_server, tmp_path, monkeypatch):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    slept = []
+    monkeypatch.setattr("newsdrift.gateway.time.sleep", slept.append)
+    gw = Gateway(_remote_config(canned_server, backoff_seconds=(0.25, 9.0)),
+                 log_path=tmp_path / "r.jsonl")
+    canned_server.script = [("ok", "no digits"), ("ok", "4")]
+    assert gw.generate(_req("s:1")) == 4
+    assert slept == []
+    canned_server.script = [("http_error", 500), ("ok", "2")]
+    assert gw.generate(_req("s:2")) == 2
+    assert slept == [0.25]
+
+
+def test_remote_sends_and_logs_the_backend_generation_parameters(canned_server, tmp_path,
+                                                                 monkeypatch):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.script = [("ok", "3")]
+    gw = Gateway(_remote_config(canned_server, temperature=0.2, max_tokens=64),
+                 log_path=tmp_path / "r.jsonl")
+    assert gw.generate(_req("s:1")) == 3
+    sent = canned_server.requests[0]["json"]
+    assert (sent["temperature"], sent["max_tokens"]) == (0.2, 64)
+    record = json.loads((tmp_path / "r.jsonl").read_text())
+    assert (record["temperature"], record["max_tokens"]) == (0.2, 64)
+
+
 def _schema_answer(body):
     """A fixed valid answer per schema, told apart by the system prompt."""
     system = body["messages"][0]["content"]
@@ -446,8 +504,6 @@ def test_backend_config_validation():
         BackendConfig(mode="remote")  # missing base_url/model_name
     with pytest.raises(ConfigError):
         BackendConfig(mode="replay")  # missing replay_log
-    with pytest.raises(ConfigError):
-        BackendConfig(max_in_flight=0)
 
 
 def test_unknown_schema_rejected():
@@ -458,3 +514,8 @@ def test_unknown_schema_rejected():
 def test_backend_config_from_dict_round_trip():
     cfg = BackendConfig.from_dict({"mode": "mock", "backoff_seconds": [0.5, 1]})
     assert cfg.backoff_seconds == (0.5, 1.0)
+
+
+def test_backend_config_from_dict_names_unknown_keys():
+    with pytest.raises(ConfigError, match="max_in_flight, typo"):
+        BackendConfig.from_dict({"mode": "mock", "typo": 1, "max_in_flight": 4})

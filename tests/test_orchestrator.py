@@ -378,6 +378,13 @@ def test_cli_run_and_report(tmp_path, make_config, capsys):
     assert doc["years"] == 2 and "domain_influence" in doc
 
 
+def test_cli_reports_unknown_backend_key_as_an_error(tmp_path, make_config, caplog):
+    config_path = _cli_config(tmp_path, make_config,
+                              backend={"mode": "mock", "max_in_flight": 4})
+    assert cli.main(["run", "--config", str(config_path)]) == 1
+    assert "unknown backend keys: max_in_flight" in caplog.text
+
+
 def test_cli_run_overrides_out_dir_and_seed(tmp_path, make_config):
     config_path = _cli_config(tmp_path, make_config)
     override_dir = tmp_path / "override-out"
