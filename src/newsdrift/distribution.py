@@ -7,18 +7,15 @@ order. Offers carry headline text only.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from . import prompts
 from .corpus import CorpusIndex
-from .errors import SchemaError, YearEmptyError
+from .errors import YearEmptyError
 from .gateway import GenerationRequest, MockLexicon, mock_sentiment
 from .modes import AblationFlags
 from .seeding import stable_rng
 from .taxonomy import TopicTaxonomy
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -90,12 +87,7 @@ def select_articles(profile, offer: HeadlineOffer, m: int, gateway,
         profile, prompts.format_numbered_headlines(offer.offers), m
     )
     request = GenerationRequest(system, user, "selection_list", tag)
-    try:
-        picks = gateway.generate(request, mock_value=mock_picks)
-    except SchemaError as exc:
-        log.warning("selection fell back to ranking for %s (%s)", tag, exc)
-        return tuple(ranked[:m])
-
+    picks = gateway.generate(request, mock_value=mock_picks, fallback=mock_picks)
     selected: list[str] = []
     for number in picks:
         article_id = id_by_index.get(number)

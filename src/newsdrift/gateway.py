@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import re
 import time
@@ -38,6 +39,8 @@ VALENCE_MIN = -2.0
 VALENCE_MAX = 2.0
 
 _WORD = re.compile(r"[a-z0-9']+")
+
+log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +79,8 @@ class BackendConfig:
             raise ConfigError("remote mode requires base_url and model_name")
         if self.mode == "replay" and not self.replay_log:
             raise ConfigError("replay mode requires replay_log path")
+        if self.max_attempts < 1:
+            raise ConfigError(f"max_attempts must be at least 1: {self.max_attempts}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BackendConfig":
@@ -284,13 +289,15 @@ class Gateway:
     """
 
     def __init__(self, config: BackendConfig, log_path: str | Path | None = None,
-                 resume_seq: int = 0, initial_counts: dict[str, int] | None = None):
+                 resume_seq: int = 0, initial_counts: dict[str, int] | None = None,
+                 initial_fallbacks: dict[str, int] | None = None):
         self.config = config
         self._log_path = Path(log_path) if log_path else None
         self._log_fh = None
         self._seq = resume_seq
         self._seen_tags: set[str] = set()
         self.request_counts: dict[str, int] = dict(initial_counts or {})
+        self.fallback_counts: dict[str, int] = dict(initial_fallbacks or {})
         # tag -> (raw answer served on replay, digest of its recorded prompts)
         self._replay_index: dict[str, tuple[str, bytes]] = {}
         if config.mode == "replay":
@@ -370,7 +377,10 @@ class Gateway:
             timeout=self.config.timeout_seconds,
         )
         response.raise_for_status()
-        return response.json()["choices"][0]["message"]["content"]
+        content = response.json()["choices"][0]["message"]["content"]
+        if not isinstance(content, str):
+            raise TypeError(f"reply carries no answer text: {content!r}")
+        return content
 
     def _answers(self, request: GenerationRequest, mock_value):
         """Yield the backend's raw answers as (raw, t_start, t_end); remote posts
@@ -394,7 +404,7 @@ class Gateway:
                 t_start = time.time()
                 try:
                     raw = self._post(request)
-                except (requests.RequestException, KeyError, ValueError) as exc:
+                except (requests.RequestException, LookupError, TypeError, ValueError) as exc:
                     if attempt == attempts - 1:
                         raise TransportError(
                             f"last of {attempts} attempts failed in transport: {exc}") from exc
@@ -404,13 +414,14 @@ class Gateway:
 
     # -- main entry ----------------------------------------------------------
 
-    def generate(self, request: GenerationRequest, mock_value=None):
+    def generate(self, request: GenerationRequest, mock_value=None, *, fallback):
         """Run one exchange and return the validated structured value.
 
-        ``mock_value`` is the deterministic result the mock backend returns;
-        callers always supply it so a remote run can also fall back to it
-        when they choose to catch SchemaError. An answer that fails its
-        schema is logged as failed, and the next answer is tried.
+        ``mock_value`` is the deterministic result the mock backend returns.
+        An answer that fails its schema is logged as failed, and the next
+        answer is tried. When none matches, the exchange is counted in
+        ``fallback_counts`` under its schema and ``fallback`` is returned;
+        transport, replay and config errors still raise.
         """
         if request.request_tag in self._seen_tags:
             raise ConfigError(f"duplicate request tag in run: {request.request_tag!r}")
@@ -418,7 +429,6 @@ class Gateway:
         schema = request.expected_schema
         self.request_counts[schema] = self.request_counts.get(schema, 0) + 1
 
-        raw = ""
         for raw, t_start, t_end in self._answers(request, mock_value):
             try:
                 parsed = parse_structured(schema, raw)
@@ -427,5 +437,6 @@ class Gateway:
                 continue
             self._log(request, raw, parsed, True, t_start, t_end)
             return parsed
-        raise SchemaError(
-            f"no answer for {request.request_tag!r} matched schema {schema!r}", raw=raw)
+        self.fallback_counts[schema] = self.fallback_counts.get(schema, 0) + 1
+        log.warning("no answer for %s matched %s; using the fallback", request.request_tag, schema)
+        return fallback

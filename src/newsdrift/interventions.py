@@ -9,16 +9,13 @@ reflection step reads alongside the batch.
 from __future__ import annotations
 
 import dataclasses
-import logging
 import re
 
 from . import prompts
 from .distribution import Payload
-from .errors import SchemaError, ValidationError
+from .errors import ValidationError
 from .gateway import GenerationRequest, MockLexicon, mock_sentiment
 from .modes import validate_intervention
-
-log = logging.getLogger(__name__)
 
 
 def mock_debias_text(text: str, lexicon: MockLexicon) -> str:
@@ -54,14 +51,10 @@ def debias_payload(payload: Payload, gateway, lexicon: MockLexicon,
         system, user = prompts.render_debias(payload.full_text)
         request = GenerationRequest(system, user, "debiased_text",
                                     f"debias:{payload.article_id}")
-        try:
-            text, failed = gateway.generate(request, mock_value=mock), False
-        except SchemaError as exc:
-            log.warning("debias failed for %s, keeping original text (%s)",
-                        payload.article_id, exc)
-            text, failed = payload.full_text, True
-        cache.put(payload.article_id, text, failed)
-        cached = (text, failed)
+        text = gateway.generate(request, mock_value=mock, fallback=None)
+        # None is the failed rewrite: the reader gets the original text
+        cached = (payload.full_text, True) if text is None else (text, False)
+        cache.put(payload.article_id, *cached)
     text, failed = cached
     return dataclasses.replace(payload, full_text=text,
                                debiased=not failed, debias_failed=failed)
@@ -89,11 +82,7 @@ def devils_advocate_critique(payloads, gateway, lexicon: MockLexicon,
     mock = _mock_critique(payloads, lexicon)
     system, user = prompts.render_critique(prompts.format_news_list(payloads))
     request = GenerationRequest(system, user, "critique_text", tag)
-    try:
-        return gateway.generate(request, mock_value=mock)
-    except SchemaError as exc:
-        log.warning("critique failed for %s, batch proceeds uncritiqued (%s)", tag, exc)
-        return ""
+    return gateway.generate(request, mock_value=mock, fallback="")
 
 
 def apply_intervention(mode: str, payloads, gateway, lexicon: MockLexicon,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from . import charts
+from . import charts, prompts
 from .corpus import CorpusConfig, CorpusIndex, IngestReport, articles_for_year, ingest
 from .distribution import retrieve_full_text, sample_headlines, select_articles
 from .errors import ConfigError, ResumeError
@@ -181,6 +181,7 @@ class RunConfig:
             else:
                 continue
             entries[role] = hashlib.sha256(blob).hexdigest()
+        entries["prompts"] = hashlib.sha256(prompts.template_bytes()).hexdigest()
         return entries
 
 
@@ -360,6 +361,7 @@ def _write_checkpoint(out_dir: Path, header: dict, gateway: Gateway,
         **header,
         **state.to_dict(),
         "request_counts": gateway.request_counts,
+        "fallback_counts": gateway.fallback_counts,
         "replay_lines": gateway.log_lines,
         "complete": complete,
     }
@@ -469,7 +471,8 @@ def resume(out_dir: str | Path, config: RunConfig | None = None,
 
     gateway = Gateway(config.backend, log_path=out_dir / REPLAY_NAME,
                       resume_seq=ck["replay_lines"],
-                      initial_counts=ck["request_counts"])
+                      initial_counts=ck["request_counts"],
+                      initial_fallbacks=ck.get("fallback_counts"))
     try:
         return _drive(config, env, gateway, state, stop_after_year)
     finally:
@@ -542,6 +545,7 @@ def _finalize(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState)
         "offer_count": state.offer_count,
         "payload_count": state.payload_count,
         "request_counts": dict(sorted(gateway.request_counts.items())),
+        "fallback_counts": dict(sorted(gateway.fallback_counts.items())),
         "replay_lines": gateway.log_lines,
         "corpus_accepted": env.ingest_report.accepted,
         "corpus_rejected": env.ingest_report.rejected,

@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import prompts
-from .errors import ConfigError, MatchingError, SchemaError, ValidationError
+from .errors import ConfigError, MatchingError, ValidationError
 from .gateway import GenerationRequest
 from .geography import REGIONS, state_to_region
 from .seeding import stable_rng
@@ -303,15 +303,11 @@ def assign_interests(pair: MatchedPair, taxonomy: TopicTaxonomy, gateway,
 
     def ask(suffix: str):
         request = GenerationRequest(system, user, "interest_list", tag + suffix)
-        return gateway.generate(request, mock_value=mock)
+        return gateway.generate(request, mock_value=mock, fallback=mock)
 
-    try:
-        proposed = ask("")
-        if any(t not in taxonomy.names for t in proposed):
-            proposed = ask(":retry")
-    except SchemaError as exc:
-        log.warning("interest tagging fell back to keyword rules for %s (%s)", tag, exc)
-        return tuple(mock)
+    proposed = ask("")
+    if any(t not in taxonomy.names for t in proposed):
+        proposed = ask(":retry")
     valid = [t for t in taxonomy.names if t in set(proposed)]
     if not valid:
         log.warning("no valid interests from backend for %s, using keyword rules", tag)

@@ -30,6 +30,12 @@ def _template(name: str) -> str:
     return resources.files("newsdrift").joinpath(f"data/prompts/{name}.txt").read_text("utf-8")
 
 
+def template_bytes() -> bytes:
+    """Every packaged template's bytes, joined in file-name order."""
+    folder = resources.files("newsdrift").joinpath("data/prompts")
+    return b"".join(path.read_bytes() for path in sorted(folder.iterdir(), key=lambda p: p.name))
+
+
 def _fill(template: str, mapping: dict[str, str]) -> str:
     text = template
     for key, value in mapping.items():

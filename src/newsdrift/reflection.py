@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import prompts
-from .errors import SchemaError, ValidationError
+from .errors import ValidationError
 from .gateway import GenerationRequest, MockLexicon, clamp_valence, mock_sentiment
 from .modes import AblationFlags
 from .taxonomy import TopicTaxonomy
@@ -153,12 +153,8 @@ def reflect_batch(profile, payloads, state: OpinionState, gateway,
         no_cognitive=ablation.no_cognitive,
     )
     request = GenerationRequest(system, user, "reflection_update", tag)
-    try:
-        parsed = gateway.generate(request, mock_value=mock)
-    except SchemaError as exc:
-        log.warning("reflection for %s produced no update (%s)", batch_id, exc)
-        return ReflectionOutcome(state.agent_id, batch_id, [], "", {}, counts)
-
+    parsed = gateway.generate(request, mock_value=mock,
+                              fallback={"themes": [], "reasoning": "", "domains": {}})
     domains = {}
     for name, entry in parsed["domains"].items():
         if name not in taxonomy.names:

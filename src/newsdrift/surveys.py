@@ -9,16 +9,13 @@ every agent must answer.
 from __future__ import annotations
 
 import csv
-import logging
 from pathlib import Path
 
 from . import prompts
-from .errors import ConfigError, SchemaError, ValidationError
+from .errors import ConfigError, ValidationError
 from .gateway import GenerationRequest
 from .reflection import OpinionState, format_opinions
 from .taxonomy import TopicTaxonomy
-
-log = logging.getLogger(__name__)
 
 FAVORABLE_RESPONSES = (3, 4)
 MAE_BASES = ("favorable", "unfavorable", "both_averaged")
@@ -56,11 +53,7 @@ def survey_response(profile, state: OpinionState, gateway,
         profile, format_opinions(state, taxonomy), valence, state.last_response
     )
     request = GenerationRequest(system, user, "survey_answer", tag)
-    try:
-        return gateway.generate(request, mock_value=mock)
-    except SchemaError as exc:
-        log.warning("survey for %s fell back to threshold mapping (%s)", tag, exc)
-        return mock
+    return gateway.generate(request, mock_value=mock, fallback=mock)
 
 
 def aggregate_year(year: int, per_agent: dict[str, tuple[float, int]],

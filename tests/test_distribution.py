@@ -14,7 +14,7 @@ from newsdrift.distribution import (
     sample_headlines,
     select_articles,
 )
-from newsdrift.errors import CorpusError, SchemaError, YearEmptyError
+from newsdrift.errors import CorpusError, YearEmptyError
 from newsdrift.gateway import BackendConfig, Gateway
 from newsdrift.modes import AblationFlags
 from newsdrift.orchestrator import run
@@ -165,7 +165,7 @@ class RepairStub:
     def __init__(self, picks):
         self.picks = picks
 
-    def generate(self, request, mock_value=None):
+    def generate(self, request, mock_value=None, *, fallback):
         return self.picks
 
 
@@ -185,8 +185,10 @@ def test_selection_repairs_invalid_picks(taxonomy, lexicon):
 
 
 class FailStub:
-    def generate(self, request, mock_value=None):
-        raise SchemaError("nope", raw="")
+    """Gateway whose every answer fails its schema."""
+
+    def generate(self, request, mock_value=None, *, fallback):
+        return fallback
 
 
 def test_selection_falls_back_to_ranking(taxonomy, lexicon):

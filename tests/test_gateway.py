@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -189,8 +190,8 @@ def _req(tag, schema="survey_answer", **kw):
 def test_mock_gateway_logs_every_exchange(tmp_path):
     log = tmp_path / "replay.jsonl"
     gw = Gateway(BackendConfig(mode="mock"), log_path=log)
-    assert gw.generate(_req("s:1"), mock_value=3) == 3
-    assert gw.generate(_req("s:2"), mock_value=1) == 1
+    assert gw.generate(_req("s:1"), mock_value=3, fallback=None) == 3
+    assert gw.generate(_req("s:2"), mock_value=1, fallback=None) == 1
     lines = [json.loads(l) for l in log.read_text().splitlines()]
     assert [l["seq"] for l in lines] == [1, 2]
     assert lines[0]["tag"] == "s:1"
@@ -206,35 +207,35 @@ def test_mock_gateway_logs_every_exchange(tmp_path):
 
 def test_duplicate_tag_rejected(tmp_path):
     gw = Gateway(BackendConfig(mode="mock"), log_path=tmp_path / "r.jsonl")
-    gw.generate(_req("dup"), mock_value=2)
+    gw.generate(_req("dup"), mock_value=2, fallback=None)
     with pytest.raises(ConfigError):
-        gw.generate(_req("dup"), mock_value=2)
+        gw.generate(_req("dup"), mock_value=2, fallback=None)
 
 
 def test_mock_requires_mock_value(tmp_path):
     gw = Gateway(BackendConfig(mode="mock"), log_path=tmp_path / "r.jsonl")
     with pytest.raises(ConfigError):
-        gw.generate(_req("x"))
+        gw.generate(_req("x"), fallback=None)
 
 
 def test_request_counts_by_schema(tmp_path):
     gw = Gateway(BackendConfig(mode="mock"), log_path=tmp_path / "r.jsonl")
-    gw.generate(_req("a"), mock_value=1)
-    gw.generate(_req("b"), mock_value=2)
-    gw.generate(_req("c", schema="selection_list"), mock_value=[1])
+    gw.generate(_req("a"), mock_value=1, fallback=None)
+    gw.generate(_req("b"), mock_value=2, fallback=None)
+    gw.generate(_req("c", schema="selection_list"), mock_value=[1], fallback=None)
     assert gw.request_counts == {"survey_answer": 2, "selection_list": 1}
 
 
 def test_replay_gateway_reserves_logged_values(tmp_path):
     log = tmp_path / "replay.jsonl"
     gw = Gateway(BackendConfig(mode="mock"), log_path=log)
-    gw.generate(_req("s:1"), mock_value=4)
+    gw.generate(_req("s:1"), mock_value=4, fallback=None)
 
     replay = Gateway(BackendConfig(mode="replay", replay_log=str(log)),
                      log_path=tmp_path / "second.jsonl")
-    assert replay.generate(_req("s:1"), mock_value=1) == 4
+    assert replay.generate(_req("s:1"), mock_value=1, fallback=None) == 4
     with pytest.raises(ReplayError):
-        replay.generate(_req("s:unknown"), mock_value=1)
+        replay.generate(_req("s:unknown"), mock_value=1, fallback=None)
 
 
 def test_replay_surfaces_recorded_failures(tmp_path):
@@ -245,17 +246,18 @@ def test_replay_surfaces_recorded_failures(tmp_path):
               "t_start": 0.0, "t_end": 0.0}
     log.write_text(json.dumps(record) + "\n")
     replay = Gateway(BackendConfig(mode="replay", replay_log=str(log)))
-    with pytest.raises(SchemaError):
-        replay.generate(_req("s:1"))
+    assert replay.generate(_req("s:1"), fallback=2) == 2
+    assert replay.fallback_counts == {"survey_answer": 1}
 
 
 def test_replay_refuses_a_changed_prompt(tmp_path):
     log = tmp_path / "replay.jsonl"
-    Gateway(BackendConfig(mode="mock"), log_path=log).generate(_req("s:1"), mock_value=4)
+    Gateway(BackendConfig(mode="mock"), log_path=log).generate(_req("s:1"), mock_value=4,
+                                                               fallback=None)
     replay = Gateway(BackendConfig(mode="replay", replay_log=str(log)))
     changed = GenerationRequest("system text", "other user text", "survey_answer", "s:1")
     with pytest.raises(ReplayError, match="s:1"):
-        replay.generate(changed)
+        replay.generate(changed, fallback=None)
 
 
 def test_replay_missing_log_file(tmp_path):
@@ -288,9 +290,10 @@ class _CannedServer:
                     "json": body,
                 })
                 kind, *rest = outer.script.pop(0) if outer.script else ("ok", outer.answer(body))
-                if kind == "ok":
-                    content = rest[0]
-                    doc = {"choices": [{"message": {"content": content}}]}
+                if kind in ("ok", "json"):
+                    doc = rest[0]  # "json" sends its document as the whole body
+                    if kind == "ok":
+                        doc = {"choices": [{"message": {"content": doc}}]}
                     blob = json.dumps(doc).encode()
                     self.send_response(200)
                     self.send_header("Content-Type", "application/json")
@@ -342,7 +345,7 @@ def test_remote_happy_path(canned_server, tmp_path, monkeypatch):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "sk-test-123")
     canned_server.script = [("ok", "the answer is 3")]
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
-    assert gw.generate(_req("s:1")) == 3
+    assert gw.generate(_req("s:1"), fallback=None) == 3
     sent = canned_server.requests[0]
     assert sent["auth"] == "Bearer sk-test-123"
     assert sent["json"]["model"] == "test-model"
@@ -360,7 +363,7 @@ def test_remote_schema_retry_then_success(canned_server, tmp_path, monkeypatch):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("ok", "no digits"), ("ok", "4")]
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
-    assert gw.generate(_req("s:1")) == 4
+    assert gw.generate(_req("s:1"), fallback=None) == 4
     lines = [json.loads(l) for l in (tmp_path / "r.jsonl").read_text().splitlines()]
     # the failed attempt is logged too, then the success
     assert [l["ok"] for l in lines] == [False, True]
@@ -371,8 +374,8 @@ def test_remote_schema_exhaustion(canned_server, tmp_path, monkeypatch):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("ok", "nope")] * 3
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
-    with pytest.raises(SchemaError):
-        gw.generate(_req("s:1"))
+    assert gw.generate(_req("s:1"), fallback=2) == 2
+    assert gw.fallback_counts == {"survey_answer": 1}
     lines = [json.loads(l) for l in (tmp_path / "r.jsonl").read_text().splitlines()]
     assert [l["ok"] for l in lines] == [False, False, False]
 
@@ -381,7 +384,7 @@ def test_remote_transport_retry_then_success(canned_server, tmp_path, monkeypatc
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("http_error", 500), ("ok", "2")]
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
-    assert gw.generate(_req("s:1")) == 2
+    assert gw.generate(_req("s:1"), fallback=None) == 2
 
 
 def test_remote_transport_exhaustion(canned_server, tmp_path, monkeypatch):
@@ -389,14 +392,56 @@ def test_remote_transport_exhaustion(canned_server, tmp_path, monkeypatch):
     canned_server.script = [("http_error", 503)] * 3
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
     with pytest.raises(TransportError):
-        gw.generate(_req("s:1"))
+        gw.generate(_req("s:1"), fallback=None)
 
 
 def test_remote_garbage_body_is_transport_level(canned_server, tmp_path, monkeypatch):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("garbage",), ("ok", "1")]
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
-    assert gw.generate(_req("s:1")) == 1
+    assert gw.generate(_req("s:1"), fallback=None) == 1
+
+
+def test_remote_reply_without_answer_text_is_transport_level(canned_server, tmp_path,
+                                                             monkeypatch):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    slept = []
+    monkeypatch.setattr("newsdrift.gateway.time.sleep", slept.append)
+    canned_server.script = [("ok", None), ("ok", "2")]
+    gw = Gateway(_remote_config(canned_server, backoff_seconds=(0.25,)),
+                 log_path=tmp_path / "r.jsonl")
+    assert gw.generate(_req("s:1"), fallback=None) == 2
+    assert slept == [0.25]
+    records = [json.loads(l) for l in (tmp_path / "r.jsonl").read_text().splitlines()]
+    assert [(r["raw_response"], r["ok"]) for r in records] == [("2", True)]
+
+
+def test_remote_empty_choices_exhaust_the_budget(canned_server, tmp_path, monkeypatch):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.script = [("json", {"choices": []})] * 3
+    gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
+    with pytest.raises(TransportError):
+        gw.generate(_req("s:1"), fallback=None)
+    assert len(canned_server.requests) == 3
+    assert gw.fallback_counts == {}
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+def test_exhausted_exchange_returns_the_fallback_and_counts_it(canned_server, tmp_path,
+                                                                monkeypatch):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.script = [("ok", "nope"), ("ok", "seven"), ("ok", "9"), ("ok", "2")]
+    gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
+    fallback = object()
+    assert gw.generate(_req("s:1"), fallback=fallback) is fallback
+    assert gw.generate(_req("s:2"), fallback=fallback) == 2
+    assert gw.fallback_counts == {"survey_answer": 1}
+    assert gw.request_counts == {"survey_answer": 2}
+    # every failed attempt is still logged
+    records = [json.loads(l) for l in (tmp_path / "r.jsonl").read_text().splitlines()]
+    assert [(r["tag"], r["raw_response"], r["ok"]) for r in records] == [
+        ("s:1", "nope", False), ("s:1", "seven", False), ("s:1", "9", False),
+        ("s:2", "2", True)]
 
 
 def test_remote_attempt_budget_covers_both_kinds_of_failure(canned_server, tmp_path,
@@ -404,8 +449,8 @@ def test_remote_attempt_budget_covers_both_kinds_of_failure(canned_server, tmp_p
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("garbage",), ("garbage",), ("ok", "nope")] * 3
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
-    with pytest.raises(SchemaError):
-        gw.generate(_req("s:1"))
+    assert gw.generate(_req("s:1"), fallback=2) == 2
+    assert gw.fallback_counts == {"survey_answer": 1}
     assert len(canned_server.requests) == 3
     # transport failures are not logged, the failed parse is
     lines = [json.loads(l) for l in (tmp_path / "r.jsonl").read_text().splitlines()]
@@ -417,7 +462,7 @@ def test_remote_last_attempt_decides_the_error(canned_server, tmp_path, monkeypa
     canned_server.script = [("ok", "nope"), ("ok", "nope"), ("http_error", 500)]
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
     with pytest.raises(TransportError):
-        gw.generate(_req("s:1"))
+        gw.generate(_req("s:1"), fallback=None)
     assert len(canned_server.requests) == 3
 
 
@@ -428,10 +473,10 @@ def test_remote_only_transport_failures_back_off(canned_server, tmp_path, monkey
     gw = Gateway(_remote_config(canned_server, backoff_seconds=(0.25, 9.0)),
                  log_path=tmp_path / "r.jsonl")
     canned_server.script = [("ok", "no digits"), ("ok", "4")]
-    assert gw.generate(_req("s:1")) == 4
+    assert gw.generate(_req("s:1"), fallback=None) == 4
     assert slept == []
     canned_server.script = [("http_error", 500), ("ok", "2")]
-    assert gw.generate(_req("s:2")) == 2
+    assert gw.generate(_req("s:2"), fallback=None) == 2
     assert slept == [0.25]
 
 
@@ -441,7 +486,7 @@ def test_remote_sends_and_logs_the_backend_generation_parameters(canned_server, 
     canned_server.script = [("ok", "3")]
     gw = Gateway(_remote_config(canned_server, temperature=0.2, max_tokens=64),
                  log_path=tmp_path / "r.jsonl")
-    assert gw.generate(_req("s:1")) == 3
+    assert gw.generate(_req("s:1"), fallback=None) == 3
     sent = canned_server.requests[0]["json"]
     assert (sent["temperature"], sent["max_tokens"]) == (0.2, 64)
     record = json.loads((tmp_path / "r.jsonl").read_text())
@@ -485,12 +530,25 @@ def test_log_records_reach_the_file_as_written(tmp_path):
     path = tmp_path / "r.jsonl"
     gw = Gateway(BackendConfig(mode="mock"), log_path=path)
     for n in range(1, 3):
-        gw.generate(_req(f"s:{n}"), mock_value=n)
+        gw.generate(_req(f"s:{n}"), mock_value=n, fallback=None)
         assert len(path.read_text().splitlines()) == n
     gw.close()
-    gw.generate(_req("s:3"), mock_value=3)
+    gw.generate(_req("s:3"), mock_value=3, fallback=None)
     gw.close()
     assert [json.loads(line)["seq"] for line in path.read_text().splitlines()] == [1, 2, 3]
+
+
+def test_schema_errors_are_caught_only_in_the_gateway():
+    """Fallback policy lives in Gateway.generate; call sites pass a fallback instead."""
+    package = Path(__file__).resolve().parents[1] / "src" / "newsdrift"
+    catchers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
+                if "SchemaError" in names and path.name != "gateway.py":
+                    catchers.append(f"{path.name}:{node.lineno}")
+    assert catchers == []
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +562,8 @@ def test_backend_config_validation():
         BackendConfig(mode="remote")  # missing base_url/model_name
     with pytest.raises(ConfigError):
         BackendConfig(mode="replay")  # missing replay_log
+    with pytest.raises(ConfigError, match="max_attempts"):
+        BackendConfig(max_attempts=0)
 
 
 def test_unknown_schema_rejected():

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from newsdrift.distribution import Payload
-from newsdrift.errors import ConfigError, SchemaError, ValidationError
+from newsdrift.errors import ConfigError, ValidationError
 from newsdrift.gateway import BackendConfig, Gateway, mock_sentiment
 from newsdrift.interventions import (
     DebiasCache,
@@ -33,9 +33,9 @@ class CountingGateway:
         self._inner = Gateway(BackendConfig(mode="mock"))
         self.calls = 0
 
-    def generate(self, request, mock_value=None):
+    def generate(self, request, mock_value=None, *, fallback):
         self.calls += 1
-        return self._inner.generate(request, mock_value=mock_value)
+        return self._inner.generate(request, mock_value=mock_value, fallback=fallback)
 
 
 class BrokenGateway:
@@ -44,13 +44,13 @@ class BrokenGateway:
     def __init__(self):
         self.calls = 0
 
-    def generate(self, request, mock_value=None):
+    def generate(self, request, mock_value=None, *, fallback):
         self.calls += 1
-        raise SchemaError(f"malformed response for {request.request_tag}")
+        return fallback
 
 
 class ForbiddenGateway:
-    def generate(self, request, mock_value=None):  # pragma: no cover
+    def generate(self, request, mock_value=None, *, fallback):  # pragma: no cover
         raise AssertionError("baseline must not touch the text backend")
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from newsdrift import cli, orchestrator
+from newsdrift import cli, orchestrator, prompts
 from newsdrift.errors import ConfigError, ResumeError
 from newsdrift.gateway import BackendConfig
 from newsdrift.modes import AblationFlags
@@ -155,6 +155,7 @@ def test_run_report_accounting(make_config):
     # one selection, one reflection batch, one survey per agent-year
     assert report["request_counts"] == {
         "reflection_update": 4, "selection_list": 4, "survey_answer": 4}
+    assert report["fallback_counts"] == {}
     assert report["replay_lines"] == 12
     assert report["corpus_accepted"] == 600
 
@@ -236,6 +237,45 @@ def test_resume_rejects_changed_input_file(make_config, tmp_path):
         fh.write("\n")
     with pytest.raises(ResumeError, match="corpus"):
         resume(config.out_dir)
+
+
+def test_resume_rejects_changed_prompt_templates(make_config, monkeypatch):
+    config = make_config(n_agents=2)
+    run(config, stop_after_year=2005)
+    edited = prompts.template_bytes() + b"\n"
+    monkeypatch.setattr(prompts, "template_bytes", lambda: edited)
+    with pytest.raises(ResumeError, match="prompts"):
+        resume(config.out_dir)
+    # a checkpoint written before templates were fingerprinted still resumes
+    ck_path = Path(config.out_dir) / "checkpoint.json"
+    ck = json.loads(ck_path.read_text())
+    del ck["fingerprints"]["prompts"]
+    ck_path.write_text(json.dumps(ck))
+    assert [r["year"] for r in resume(config.out_dir)["years"]] == [2005, 2006]
+
+
+def test_fallbacks_are_counted_and_survive_resume(make_config, tmp_path):
+    recorded = make_config(n_agents=2)
+    run(recorded)
+    records = [json.loads(line) for line in
+               (Path(recorded.out_dir) / "replay.jsonl").read_text().splitlines()]
+    survey = next(r for r in records if r["tag"].startswith("survey:"))
+    survey.update(ok=False, raw_response="no opinion", parsed=None)
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    backend = BackendConfig(mode="replay", replay_log=str(tampered))
+    straight = make_config(n_agents=2, backend=backend)
+    run(straight)
+    cut = make_config(n_agents=2, backend=backend)
+    run(cut, stop_after_year=2005)
+    resume(cut.out_dir, cut)
+
+    a, b = Path(straight.out_dir), Path(cut.out_dir)
+    report = json.loads((a / "run_report.json").read_text())
+    assert report["fallback_counts"] == {"survey_answer": 1}
+    for name in ("run_report.json", "results.json"):
+        assert _read(a / name) == _read(b / name), name
 
 
 def test_resume_without_checkpoint_fails(tmp_path):

@@ -108,20 +108,19 @@ def test_fixture_population_structure(fixtures_dir, taxonomy):
 # ---------------------------------------------------------------------------
 
 class StubGateway:
-    """Returns scripted values, falling back to the provided mock value."""
+    """Returns scripted values, then the provided mock value; a scripted
+    SchemaError stands for an answer that fails its schema."""
 
     def __init__(self, script=()):
         self.script = list(script)
         self.tags = []
 
-    def generate(self, request, mock_value=None):
+    def generate(self, request, mock_value=None, *, fallback):
         self.tags.append(request.request_tag)
         if not self.script:
             return mock_value
         item = self.script.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return item
+        return fallback if isinstance(item, SchemaError) else item
 
 
 def _pair(posts):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from newsdrift.errors import ConfigError, SchemaError, ValidationError
+from newsdrift.errors import ConfigError, ValidationError
 from newsdrift.reflection import OpinionState
 from newsdrift.surveys import (
     GroundTruthSeries,
@@ -73,8 +73,10 @@ def test_response_monotone_in_valence(a, b):
 
 
 class FailGateway:
-    def generate(self, request, mock_value=None):
-        raise SchemaError("bad", raw="")
+    """Gateway whose every answer fails its schema."""
+
+    def generate(self, request, mock_value=None, *, fallback):
+        return fallback
 
 
 def test_survey_falls_back_to_threshold(taxonomy):
