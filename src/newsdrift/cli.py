@@ -81,11 +81,18 @@ def _backend_from_args(args) -> BackendConfig:
 
 def _cmd_build_profiles(args) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
-    gateway = Gateway(_backend_from_args(args))
-    report_path = args.report or str(Path(args.out).with_suffix(".report.json"))
-    profiles, report = build_profiles(
-        args.social, args.survey, taxonomy, gateway, args.out, report_path
-    )
+    out = Path(args.out)
+    report_path = args.report or str(out.with_suffix(".report.json"))
+    log_path = out.with_suffix(".replay.jsonl")
+    gateway = Gateway(_backend_from_args(args), log_path=log_path)
+    # after a replay gateway has read its log, so the log holds this build only
+    log_path.unlink(missing_ok=True)
+    try:
+        profiles, report = build_profiles(
+            args.social, args.survey, taxonomy, gateway, args.out, report_path
+        )
+    finally:
+        gateway.close()
     log.info("wrote %d profiles to %s", len(profiles), args.out)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0

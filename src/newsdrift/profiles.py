@@ -295,8 +295,12 @@ def _interest_source_text(pair: MatchedPair) -> tuple[str, str]:
 
 
 def assign_interests(pair: MatchedPair, taxonomy: TopicTaxonomy, gateway,
-                     tag: str) -> tuple[str, ...]:
-    """Tag a matched pair with a non-empty subset of the taxonomy topics."""
+                     tag: str) -> tuple[tuple[str, ...], bool]:
+    """Tag a matched pair with a non-empty subset of the taxonomy topics.
+
+    Also says whether the keyword rules stood in, both asks having named
+    only unknown topics.
+    """
     posts, media = _interest_source_text(pair)
     mock = taxonomy.tag_interests(posts + " " + media)
     system, user = prompts.render_interests(posts or "(no posts)", media, taxonomy.names)
@@ -311,8 +315,8 @@ def assign_interests(pair: MatchedPair, taxonomy: TopicTaxonomy, gateway,
     valid = [t for t in taxonomy.names if t in set(proposed)]
     if not valid:
         log.warning("no valid interests from backend for %s, using keyword rules", tag)
-        return tuple(mock)
-    return tuple(valid)
+        return tuple(mock), True
+    return tuple(valid), False
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +360,22 @@ def build_profiles(social_path, survey_path, taxonomy: TopicTaxonomy, gateway,
     if not pairs:
         raise MatchingError("no record pairs could be matched")
 
+    out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     profiles = []
+    rule_fallbacks = 0
     for i, pair in enumerate(pairs):
-        interests = assign_interests(
+        interests, from_rules = assign_interests(
             pair, taxonomy, gateway, tag=f"interests:{pair.survey.record_id}"
         )
+        rule_fallbacks += from_rules
         profile = build_profile(pair, f"agent-{i:04d}", interests)
         validate_profile(profile, taxonomy)
         profiles.append(profile)
 
     report = _matching_report(profiles, unmatched)
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    report["fallback_counts"] = dict(gateway.fallback_counts)
+    report["interest_rule_fallbacks"] = rule_fallbacks
     with out_path.open("w", encoding="utf-8") as fh:
         json.dump([p.to_dict() for p in profiles], fh, indent=2, ensure_ascii=False)
         fh.write("\n")

@@ -80,7 +80,7 @@ class ReflectionOutcome:
 
 def categorize_payload(payload, taxonomy: TopicTaxonomy) -> str:
     """Resolve an article's domain: stored category, else keyword rules."""
-    return payload.category or taxonomy.categorize(payload.headline + " " + payload.full_text)
+    return payload.category or taxonomy.best_topic(payload.headline + " " + payload.full_text)
 
 
 def _mock_domain_update(old: float, mean_sentiment: float,

@@ -8,22 +8,17 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from importlib import resources
+from itertools import combinations
 from pathlib import Path
 
 from .errors import ValidationError
 
 # Topics that must be present in any taxonomy (the analysis pipeline
 # references them by name); the remaining eight are configuration.
-REQUIRED_TOPICS = (
-    "economics",
-    "politics",
-    "health",
-    "technology",
-    "lifestyle",
-    "sports",
-    "entertainment",
-)
+REQUIRED_TOPICS = ("economics", "politics", "health", "technology", "lifestyle", "sports",
+                   "entertainment")
 
 TOPIC_COUNT = 15
 
@@ -34,20 +29,35 @@ class Topic:
     def __init__(self, name: str, keywords: list[str]):
         self.name = name
         self.keywords = tuple(keywords)
-        # Word-boundary matching so short keywords never hit inside words.
-        self._patterns = tuple(
-            re.compile(r"\b" + re.escape(kw.lower()) + r"\b") for kw in self.keywords
-        )
-
-    def matches(self, lowered_text: str) -> bool:
-        return any(p.search(lowered_text) for p in self._patterns)
-
-    def hit_count(self, lowered_text: str) -> int:
-        return sum(len(p.findall(lowered_text)) for p in self._patterns)
 
     def keywords_present(self, lowered_text: str) -> int:
-        """Number of distinct keywords appearing at least once."""
-        return sum(1 for p in self._patterns if p.search(lowered_text))
+        """Distinct keywords present as whole words, searched one at a time."""
+        return sum(1 for kw in self.keywords
+                   if re.search(r"\b" + re.escape(kw.lower()) + r"\b", lowered_text))
+
+
+def _keyword_clashes(keywords: list[str]) -> list[str]:
+    """Why one alternation scan could count unlike a search per lower-cased
+    keyword: a keyword is empty or repeats, occurs as whole words inside
+    another ("trade" in "trade war"), or can overlap one ("stock market" /
+    "market share").
+    """
+    problems = {f"{kw!r} appears {n} times" for kw, n in Counter(keywords).items() if n > 1}
+    problems.update(f"empty keyword {kw!r}" for kw in keywords if not kw.strip())
+    # offsets where a whole-word match can start or end; text up to one -> keywords
+    cuts = {kw: [0, *(m.end() for m in re.finditer(r"\w+|\W+", kw))] for kw in keywords}
+    heads: dict[str, set[str]] = {}
+    for kw, c in cuts.items():
+        for j in c[1:]:
+            heads.setdefault(kw[:j], set()).add(kw)
+    for a, c in cuts.items():
+        for i, j in combinations(c, 2):
+            for b in heads.get(a[i:j], set()) - {a}:
+                if b == a[i:j]:
+                    problems.add(f"{b!r} occurs inside {a!r}")
+                elif i > 0 and j == len(a):
+                    problems.add(f"{a!r} and {b!r} can overlap")
+    return sorted(problems)
 
 
 class TopicTaxonomy:
@@ -67,67 +77,54 @@ class TopicTaxonomy:
         self.topics = tuple(topics)
         self.names = tuple(names)
         self.demographics = {k: tuple(v) for k, v in demographics.items()}
-        self._by_name = {t.name: t for t in self.topics}
-        # Per-run memos of the mock keyword rules, keyed by the caller's text
-        # (a corpus headline, or a read's headline and body), so each text is
-        # matched once per run.
+        keywords = [kw.lower() for t in self.topics for kw in t.keywords]
+        if problems := _keyword_clashes(keywords):
+            raise ValidationError("taxonomy keywords clash: " + "; ".join(problems))
+        # one alternation, longest keyword first, finds every keyword in one pass
+        self._topic_of = {kw.lower(): i for i, t in enumerate(self.topics) for kw in t.keywords}
+        self._scanner = re.compile(
+            r"\b(?:" + "|".join(map(re.escape, sorted(keywords, key=len, reverse=True))) + r")\b")
+        # Per-run memos of the mock keyword rules, keyed by the caller's text (a
+        # corpus headline, or a read's headline and body): one scan per text.
         self._hits: dict[str, tuple[int, ...]] = {}
-        self._hit_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._best: dict[str, str] = {}
 
     def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self.names
 
-    def topic(self, name: str) -> Topic:
-        return self._by_name[name]
+    def _scan(self, text: str, distinct: bool = False) -> list[int]:
+        """Keyword occurrences, or distinct keywords, per topic: one pass over text."""
+        found = self._scanner.findall(text.lower())
+        counts = [0] * len(self.topics)
+        for kw in set(found) if distinct else found:
+            counts[self._topic_of[kw]] += 1
+        return counts
 
     def topics_in_text(self, text: str) -> list[str]:
         """All topics with at least one keyword present, in taxonomy order."""
-        lowered = text.lower()
-        return [t.name for t in self.topics if t.matches(lowered)]
+        return [name for name, n in zip(self.names, self._scan(text)) if n]
 
     def keyword_hits(self, headline: str) -> tuple[int, ...]:
         """Distinct keywords present per topic, in taxonomy order (memoised)."""
         hits = self._hits.get(headline)
         if hits is None:
-            lowered = headline.lower()
-            row = tuple(t.keywords_present(lowered) for t in self.topics)
-            # few distinct rows occur, so headlines share one tuple per row
-            hits = self._hits[headline] = self._hit_rows.setdefault(row, row)
+            hits = self._hits[headline] = tuple(self._scan(headline, distinct=True))
         return hits
 
     def best_topic(self, text: str) -> str:
-        """Topic with the highest keyword hit count (memoised per text).
+        """Topic with the most keyword occurrences (memoised per text).
 
         Ties break by taxonomy order; if nothing matches, the first topic.
         """
         best = self._best.get(text)
-        if best is not None:
-            return best
-        lowered = text.lower()
-        best = self.topics[0].name
-        best_count = 0
-        for t in self.topics:
-            count = t.hit_count(lowered)
-            if count > best_count:
-                best, best_count = t.name, count
-        self._best[text] = best
+        if best is None:
+            counts = self._scan(text)
+            best = self._best[text] = self.names[counts.index(max(counts))]
         return best
 
     def tag_interests(self, text: str) -> list[str]:
-        """Deterministic keyword tagging used by the mock backend.
-
-        Every topic with a keyword present is tagged; when none match, fall
-        back to the single best topic (first topic if all counts are zero).
-        """
-        matched = self.topics_in_text(text)
-        if matched:
-            return matched
-        return [self.best_topic(text)]
-
-    def categorize(self, text: str) -> str:
-        """Single category for an article lacking one: best keyword match."""
-        return self.best_topic(text)
+        """Mock interest tags: topics_in_text, or the first topic when none match."""
+        return self.topics_in_text(text) or [self.names[0]]
 
     def validate_vocab(self, field: str, value: str) -> bool:
         vocab = self.demographics.get(field)

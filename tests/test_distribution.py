@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from newsdrift.errors import CorpusError, YearEmptyError
 from newsdrift.gateway import BackendConfig, Gateway
 from newsdrift.modes import AblationFlags
 from newsdrift.orchestrator import run
-from newsdrift.taxonomy import Topic
+from newsdrift.taxonomy import TopicTaxonomy
 
 
 class FakeProfile:
@@ -101,14 +102,14 @@ def test_ranking_ties_break_on_id_descending(taxonomy, lexicon):
 
 
 def test_run_matches_each_offered_headline_once(make_config, monkeypatch):
-    calls = {"n": 0}
-    keywords_present = Topic.keywords_present
+    scans = Counter()
+    scan = TopicTaxonomy._scan
 
-    def counting(self, lowered_text):
-        calls["n"] += 1
-        return keywords_present(self, lowered_text)
+    def counting(self, text, *args, **kwargs):
+        scans[text] += 1
+        return scan(self, text, *args, **kwargs)
 
-    monkeypatch.setattr(Topic, "keywords_present", counting)
+    monkeypatch.setattr(TopicTaxonomy, "_scan", counting)
     # 20 agents see most of each year's 60 headlines, so every headline is
     # offered many times over
     config = make_config(n_agents=20, years=(2005, 2006))
@@ -120,7 +121,8 @@ def test_run_matches_each_offered_headline_once(make_config, monkeypatch):
         for line in path.read_text("utf-8").splitlines():
             offered.update(index.get(i).headline for i in json.loads(line)["offer_ids"])
     assert offered
-    assert calls["n"] <= 15 * len(offered)
+    # one keyword scan per distinct offered headline, however often offered
+    assert {scans[headline] for headline in offered} == {1}
 
 
 def test_mock_selection_returns_top_ranked(taxonomy, lexicon, tmp_path):

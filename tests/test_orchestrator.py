@@ -467,15 +467,23 @@ def test_cli_ingest_corpus_prints_stats(make_config, capsys):
 
 def test_cli_build_profiles(tmp_path, fixtures_dir, capsys):
     out = tmp_path / "profiles.json"
-    assert cli.main([
+    argv = [
         "build-profiles",
         "--social", str(fixtures_dir / "social_records.jsonl"),
         "--survey", str(fixtures_dir / "survey_records.jsonl"),
         "--out", str(out),
-    ]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["matched"] == 27
-    assert out.exists() and out.with_suffix(".report.json").exists()
+    ]
+    # a second build replaces the first one's replay log instead of growing it
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["matched"] == 27
+        assert report["fallback_counts"] == {} and report["interest_rule_fallbacks"] == 0
+        assert out.exists() and out.with_suffix(".report.json").exists()
+        records = [json.loads(line) for line in
+                   out.with_suffix(".replay.jsonl").read_text("utf-8").splitlines()]
+        assert [r["seq"] for r in records] == list(range(1, 28))
+        assert {r["schema"] for r in records} == {"interest_list"}
 
 
 def test_cli_reports_domain_errors_as_exit_code(tmp_path, make_config):

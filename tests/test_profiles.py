@@ -114,13 +114,18 @@ class StubGateway:
     def __init__(self, script=()):
         self.script = list(script)
         self.tags = []
+        self.fallback_counts = {}
 
     def generate(self, request, mock_value=None, *, fallback):
         self.tags.append(request.request_tag)
         if not self.script:
             return mock_value
         item = self.script.pop(0)
-        return fallback if isinstance(item, SchemaError) else item
+        if isinstance(item, SchemaError):
+            schema = request.expected_schema
+            self.fallback_counts[schema] = self.fallback_counts.get(schema, 0) + 1
+            return fallback
+        return item
 
 
 def _pair(posts):
@@ -130,18 +135,18 @@ def _pair(posts):
 def test_interests_from_posts_keywords(taxonomy):
     pair = _pair(["The stock market worries me.", "New tariffs announced."])
     got = assign_interests(pair, taxonomy, StubGateway(), tag="interests:t")
-    assert got == ("economics",)
+    assert got == (("economics",), False)
 
 
 def test_interests_fallback_when_nothing_matches(taxonomy):
     got = assign_interests(_pair([]), taxonomy, StubGateway(), tag="interests:t")
-    assert got == (taxonomy.names[0],)
+    assert got == ((taxonomy.names[0],), False)
 
 
 def test_interests_invalid_entries_dropped(taxonomy):
     gw = StubGateway(script=[["economics", "astrology"], ["economics", "astrology"]])
     got = assign_interests(_pair([]), taxonomy, gw, tag="interests:t")
-    assert got == ("economics",)
+    assert got == (("economics",), False)
     # an invalid first answer triggers exactly one retry
     assert gw.tags == ["interests:t", "interests:t:retry"]
 
@@ -149,7 +154,21 @@ def test_interests_invalid_entries_dropped(taxonomy):
 def test_interests_schema_error_falls_back_to_keywords(taxonomy):
     gw = StubGateway(script=[SchemaError("bad", raw="")])
     pair = _pair(["tariffs all day"])
-    assert assign_interests(pair, taxonomy, gw, tag="t") == ("economics",)
+    assert assign_interests(pair, taxonomy, gw, tag="t") == (("economics",), False)
+
+
+def test_unknown_only_interests_fall_back_and_are_reported(fixtures_dir, taxonomy, tmp_path):
+    # first pair: both asks name only unknown topics, so the keyword rules
+    # stand in; second pair: an answer fails its schema inside the gateway
+    gw = StubGateway(script=[["astrology"], ["tarot"], SchemaError("bad", raw="")])
+    profiles, report = build_profiles(
+        fixtures_dir / "social_records.jsonl", fixtures_dir / "survey_records.jsonl",
+        taxonomy, gw, out_path=tmp_path / "p.json", report_path=tmp_path / "r.json")
+    assert gw.tags[:3] == ["interests:gss-000", "interests:gss-000:retry", "interests:gss-001"]
+    assert report["interest_rule_fallbacks"] == 1
+    assert report["fallback_counts"] == {"interest_list": 1}
+    assert json.loads((tmp_path / "r.json").read_text()) == report
+    assert all(p.interests for p in profiles)
 
 
 # ---------------------------------------------------------------------------

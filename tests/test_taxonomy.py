@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from newsdrift.errors import ValidationError
 from newsdrift.gateway import MockLexicon, load_lexicon, mock_sentiment
@@ -18,6 +19,44 @@ _texts = st.one_of(
     st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join),
     st.text(max_size=80),
 )
+# keywords in any case, next to filler words and punctuation, joined by
+# spaces or glued into longer words
+_KEYWORDS = sorted({kw for t in _TAXONOMY.topics for kw in t.keywords})
+_tokens = st.one_of(
+    st.sampled_from(_KEYWORDS),
+    st.sampled_from(_KEYWORDS).map(str.upper),
+    st.sampled_from(_KEYWORDS).map(str.title),
+    st.sampled_from(["the", "said", "waiter", "traders", "market", "share", "war", "x", "AI-led"]),
+    st.sampled_from([",", ".", "!", "-", "'s", "\n", "_", "3"]),
+)
+_scan_texts = st.one_of(
+    st.lists(_tokens, max_size=16).map(" ".join),
+    st.lists(_tokens, max_size=16).map("".join),
+    st.text(max_size=80),
+)
+
+
+def _reference(taxonomy, text):
+    """keyword_hits, best_topic and topics_in_text from a search per keyword."""
+    lowered = text.lower()
+    distinct = tuple(t.keywords_present(lowered) for t in taxonomy.topics)
+    best, best_count = taxonomy.names[0], 0
+    for t in taxonomy.topics:
+        count = sum(len(re.findall(r"\b" + re.escape(kw.lower()) + r"\b", lowered))
+                    for kw in t.keywords)
+        if count > best_count:
+            best, best_count = t.name, count
+    topics = [t.name for t, n in zip(taxonomy.topics, distinct) if n]
+    return distinct, best, topics
+
+
+def _scanned(taxonomy, text):
+    return taxonomy.keyword_hits(text), taxonomy.best_topic(text), taxonomy.topics_in_text(text)
+
+
+def _with_keywords(**extra):
+    """The packaged topics, with extra keywords appended to the named ones."""
+    return [Topic(t.name, [*t.keywords, *extra.get(t.name, ())]) for t in _TAXONOMY.topics]
 
 
 def test_packaged_taxonomy_shape(taxonomy):
@@ -56,7 +95,7 @@ def test_best_topic_prefers_hit_count(taxonomy):
 
 
 def test_categorize_unmatched_text_uses_first_topic(taxonomy):
-    assert taxonomy.categorize("nothing relevant here") == taxonomy.names[0]
+    assert taxonomy.best_topic("nothing relevant here") == taxonomy.names[0]
 
 
 def test_wrong_topic_count_rejected():
@@ -73,8 +112,7 @@ def test_duplicate_topic_names_rejected(taxonomy):
 
 def test_load_from_explicit_path(tmp_path, taxonomy):
     doc = {
-        "topics": [{"name": n, "keywords": list(taxonomy.topic(n).keywords)}
-                   for n in taxonomy.names],
+        "topics": [{"name": t.name, "keywords": list(t.keywords)} for t in taxonomy.topics],
         "demographics": {k: list(v) for k, v in taxonomy.demographics.items()},
     }
     path = tmp_path / "tax.json"
@@ -104,3 +142,44 @@ def test_memoised_rules_match_a_fresh_computation(text):
     score = mock_sentiment(text, _LEXICON)
     again = mock_sentiment(text, _LEXICON)
     assert repr(again) == repr(score) == repr(mock_sentiment(text, fresh_lexicon))
+
+
+@given(_scan_texts)
+def test_one_scan_counts_like_a_search_per_keyword(text):
+    assert _scanned(_TAXONOMY, text) == _reference(_TAXONOMY, text)
+
+
+@given(st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map(" ".join),
+                min_size=1, max_size=6, unique=True),
+       st.data())
+def test_taxonomies_the_guard_admits_scan_like_a_search_per_keyword(keywords, data):
+    # up to six keywords of one to three words, spread over three topics
+    topics = [Topic(t.name, keywords[i::3] if i < 3 else [])
+              for i, t in enumerate(_TAXONOMY.topics)]
+    try:
+        taxonomy = TopicTaxonomy(topics, {})
+    except ValidationError:
+        assume(False)
+    pieces = st.sampled_from([*keywords, "a", "b", "c", "B", "-", "ab"])
+    text = data.draw(st.lists(pieces, max_size=8).map(" ".join))
+    assert _scanned(taxonomy, text) == _reference(taxonomy, text)
+
+
+@pytest.mark.parametrize("extra, named", [
+    ({"business": ["Economy"]}, ["'economy' appears 2 times"]),
+    ({"health": ["VIRUS"]}, ["'virus' appears 2 times"]),
+    ({"economics": ["trade war"]}, ["'trade' occurs inside 'trade war'"]),
+    ({"business": ["market share"]}, ["'stock market' and 'market share' can overlap"]),
+    ({"sports": [""]}, ["empty keyword ''"]),
+], ids=["duplicate-across-topics", "duplicate-in-one-topic", "inside-another",
+        "overlapping", "empty"])
+def test_keywords_one_scan_would_miscount_are_refused(extra, named):
+    with pytest.raises(ValidationError) as err:
+        TopicTaxonomy(_with_keywords(**extra), {})
+    for problem in named:
+        assert problem in str(err.value)
+
+
+def test_packaged_taxonomy_passes_the_keyword_guard():
+    taxonomy = load_taxonomy()
+    assert taxonomy.topics_in_text("Stock market rally; trade talks resume.") == ["economics"]
