@@ -15,13 +15,12 @@ from .errors import (
     YearEmptyError,
 )
 from .gateway import BackendConfig, GenerationRequest, Gateway, load_lexicon, mock_sentiment
-from .modes import ABLATIONS, INTERVENTIONS, AblationFlags
+from .modes import ABLATIONS, INTERVENTIONS
 from .orchestrator import RunConfig, resume, run
 from .taxonomy import TopicTaxonomy, load_taxonomy
 
 __all__ = [
     "ABLATIONS",
-    "AblationFlags",
     "BackendConfig",
     "ConfigError",
     "CorpusError",

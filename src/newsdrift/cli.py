@@ -17,6 +17,7 @@ from pathlib import Path
 from .corpus import corpus_stats, ingest
 from .errors import NewsdriftError
 from .gateway import BackendConfig, Gateway
+from .modes import ABLATIONS, INTERVENTIONS
 from .orchestrator import RunConfig, read_update_logs, resume, run
 from .profiles import build_profiles
 from .surveys import MAE_BASES, GroundTruthSeries, domain_influence, mae
@@ -26,8 +27,8 @@ from . import charts as charts_mod
 log = logging.getLogger("newsdrift")
 
 BACKENDS = ("remote", "mock", "replay")
-INTERVENTION_FLAGS = ("baseline", "debias", "devils-advocate")
-ABLATION_FLAGS = ("none", "no-cognitive", "no-profile", "no-selection", "title-only")
+INTERVENTION_FLAGS = tuple(name.replace("_", "-") for name in INTERVENTIONS)
+ABLATION_FLAGS = tuple(name.replace("_", "-") for name in ABLATIONS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -114,11 +115,10 @@ def _cmd_ingest_corpus(args) -> int:
 
 def _run_config_from_args(args) -> RunConfig:
     config = RunConfig.from_file(args.config)
-    intervention = args.intervention.replace("-", "_") if args.intervention else None
     return config.with_overrides(
         seed=args.seed,
         backend_mode=args.backend,
-        intervention=intervention,
+        intervention=args.intervention,
         ablation=args.ablation,
         out_dir=args.out,
     )

@@ -22,6 +22,9 @@ _CRITERION = re.compile(r"\bchina\b|\bchinese\b", re.IGNORECASE)
 
 REJECT_REASONS = ("criterion", "year_out_of_range", "empty_full_text", "malformed")
 
+YEAR_MIN, YEAR_MAX = 2005, 2025  # the study window; other years are rejected
+REJECT_WARN_FRACTION = 0.10
+
 
 @dataclass(frozen=True)
 class Article:
@@ -32,14 +35,6 @@ class Article:
     subheader: str = ""
     category: str = ""
     full_text: str = ""
-
-
-@dataclass(frozen=True)
-class CorpusConfig:
-    year_min: int = 2005
-    year_max: int = 2025
-    headline_only: bool = False
-    reject_warn_fraction: float = 0.10
 
 
 @dataclass
@@ -82,8 +77,7 @@ def satisfies_criterion(headline: str, subheader: str) -> bool:
     return bool(_CRITERION.search(headline) or _CRITERION.search(subheader))
 
 
-def ingest(path: str | Path, config: CorpusConfig | None = None) -> tuple[CorpusIndex, IngestReport]:
-    config = config or CorpusConfig()
+def ingest(path: str | Path) -> tuple[CorpusIndex, IngestReport]:
     report = IngestReport()
     store: dict[str, Article] = {}
     if not Path(path).is_file():
@@ -113,18 +107,18 @@ def ingest(path: str | Path, config: CorpusConfig | None = None) -> tuple[Corpus
             if not satisfies_criterion(article.headline, article.subheader):
                 report.rejected["criterion"] += 1
                 continue
-            if not (config.year_min <= article.year <= config.year_max):
+            if not (YEAR_MIN <= article.year <= YEAR_MAX):
                 report.rejected["year_out_of_range"] += 1
                 continue
-            if not article.full_text.strip() and not config.headline_only:
+            if not article.full_text.strip():
                 report.rejected["empty_full_text"] += 1
                 continue
             store[article.article_id] = article
             report.accepted += 1
-    if report.total and sum(report.rejected.values()) > config.reject_warn_fraction * report.total:
+    if report.total and sum(report.rejected.values()) > REJECT_WARN_FRACTION * report.total:
         log.warning(
             "corpus rejects exceed %.0f%%: %s of %s rows",
-            config.reject_warn_fraction * 100,
+            REJECT_WARN_FRACTION * 100,
             sum(report.rejected.values()),
             report.total,
         )

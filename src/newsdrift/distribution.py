@@ -13,7 +13,6 @@ from . import prompts
 from .corpus import CorpusIndex
 from .errors import YearEmptyError
 from .gateway import GenerationRequest, MockLexicon, mock_sentiment
-from .modes import AblationFlags
 from .seeding import stable_rng
 from .taxonomy import TopicTaxonomy
 
@@ -66,7 +65,7 @@ def mock_ranking(profile, offer: HeadlineOffer, taxonomy: TopicTaxonomy,
 
 def select_articles(profile, offer: HeadlineOffer, m: int, gateway,
                     taxonomy: TopicTaxonomy, lexicon: MockLexicon,
-                    ablation: AblationFlags, tag: str) -> tuple[str, ...]:
+                    ablation: str, tag: str) -> tuple[str, ...]:
     """Pick exactly m distinct ids from the offer.
 
     The no-selection path returns the head of the offer without any backend
@@ -75,7 +74,7 @@ def select_articles(profile, offer: HeadlineOffer, m: int, gateway,
     """
     if m > len(offer.offers):
         raise ValueError(f"cannot select {m} from an offer of {len(offer.offers)}")
-    if ablation.no_selection:
+    if ablation == "no_selection":
         return offer.ids[:m]
 
     ranked = mock_ranking(profile, offer, taxonomy, lexicon)
@@ -104,11 +103,11 @@ def select_articles(profile, offer: HeadlineOffer, m: int, gateway,
     return tuple(selected)
 
 
-def retrieve_full_text(index: CorpusIndex, selected_ids, ablation: AblationFlags) -> tuple[Payload, ...]:
+def retrieve_full_text(index: CorpusIndex, selected_ids, ablation: str) -> tuple[Payload, ...]:
     payloads = []
     for article_id in selected_ids:
         article = index.get(article_id)
-        text = "" if ablation.title_only else article.full_text
+        text = "" if ablation == "title_only" else article.full_text
         payloads.append(Payload(article_id=article_id, headline=article.headline,
                                 full_text=text, category=article.category))
     return tuple(payloads)

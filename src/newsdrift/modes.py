@@ -1,57 +1,26 @@
-"""Run modes: ablation flags and intervention selection."""
+"""Run modes: the intervention and the ablation, each one checked name."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import ConfigError
 
 INTERVENTIONS = ("baseline", "debias", "devils_advocate")
 
+# at most one framework component is removed per run, so one name says which
 ABLATIONS = ("none", "no_cognitive", "no_profile", "no_selection", "title_only")
 
 
-@dataclass(frozen=True)
-class AblationFlags:
-    """At most one framework component may be removed per run."""
-
-    no_cognitive: bool = False
-    no_profile: bool = False
-    no_selection: bool = False
-    title_only: bool = False
-
-    def __post_init__(self):
-        active = [name for name, on in self.as_dict().items() if on]
-        if len(active) > 1:
-            raise ConfigError(f"ablation flags cannot be combined: {active}")
-
-    def as_dict(self) -> dict[str, bool]:
-        return {
-            "no_cognitive": self.no_cognitive,
-            "no_profile": self.no_profile,
-            "no_selection": self.no_selection,
-            "title_only": self.title_only,
-        }
-
-    @property
-    def name(self) -> str:
-        for key, on in self.as_dict().items():
-            if on:
-                return key
-        return "none"
-
-    @classmethod
-    def from_name(cls, name: str) -> "AblationFlags":
-        normalized = name.replace("-", "_")
-        if normalized not in ABLATIONS:
-            raise ConfigError(f"unknown ablation: {name!r} (choose from {ABLATIONS})")
-        if normalized == "none":
-            return cls()
-        return cls(**{normalized: True})
+def _checked(kind: str, name, names: tuple[str, ...]) -> str:
+    """The stored spelling of a mode name: "-" becomes "_"; unknown names raise."""
+    normalized = name.replace("-", "_") if isinstance(name, str) else name
+    if normalized not in names:
+        raise ConfigError(f"unknown {kind}: {name!r} (choose from {names})")
+    return normalized
 
 
 def validate_intervention(mode: str) -> str:
-    normalized = mode.replace("-", "_")
-    if normalized not in INTERVENTIONS:
-        raise ConfigError(f"unknown intervention: {mode!r} (choose from {INTERVENTIONS})")
-    return normalized
+    return _checked("intervention", mode, INTERVENTIONS)
+
+
+def validate_ablation(name: str) -> str:
+    return _checked("ablation", name, ABLATIONS)

@@ -20,12 +20,12 @@ from importlib import resources
 from pathlib import Path
 
 from . import charts, prompts
-from .corpus import CorpusConfig, CorpusIndex, IngestReport, articles_for_year, ingest
+from .corpus import CorpusIndex, IngestReport, articles_for_year, ingest
 from .distribution import retrieve_full_text, sample_headlines, select_articles
 from .errors import ConfigError, ResumeError
 from .gateway import BackendConfig, Gateway, MockLexicon, load_lexicon
 from .interventions import DebiasCache, apply_intervention
-from .modes import AblationFlags, validate_intervention
+from .modes import validate_ablation, validate_intervention
 from .profiles import AgentProfile, load_profiles, sample_agents
 from .reflection import OpinionState, apply_updates, reflect_batch
 from .surveys import (GroundTruthSeries, MAE_BASES, aggregate_year,
@@ -47,6 +47,19 @@ FINAL_ARTIFACTS = ("results.json", "results.csv", "run_report.json",
 # Configuration
 # ---------------------------------------------------------------------------
 
+# run config file: top-level keys, and each `paths` key with the field it sets
+_FILE_KEYS = ("seed", "years", "n_agents", "headlines_per_agent", "reads_per_year",
+              "batch_size", "intervention", "ablation", "backend", "paths")
+_PATH_FIELDS = {
+    "corpus": "corpus_path",
+    "profiles": "profiles_path",
+    "ground_truth": "ground_truth_path",
+    "taxonomy": "taxonomy_path",
+    "lexicon": "lexicon_path",
+    "out_dir": "out_dir",
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
@@ -56,7 +69,7 @@ class RunConfig:
     reads_per_year: int = 10
     batch_size: int | None = None
     intervention: str = "baseline"
-    ablation: AblationFlags = field(default_factory=AblationFlags)
+    ablation: str = "none"
     backend: BackendConfig = field(default_factory=BackendConfig)
     corpus_path: str = ""
     profiles_path: str = ""
@@ -64,6 +77,11 @@ class RunConfig:
     taxonomy_path: str | None = None
     lexicon_path: str | None = None
     out_dir: str = "out"
+
+    def __post_init__(self):
+        # every artifact stores the checked spelling of the run mode names
+        object.__setattr__(self, "intervention", validate_intervention(self.intervention))
+        object.__setattr__(self, "ablation", validate_ablation(self.ablation))
 
     @property
     def effective_batch(self) -> int:
@@ -79,7 +97,6 @@ class RunConfig:
             raise ConfigError("reads_per_year must lie in [1, headlines_per_agent]")
         if not (1 <= self.effective_batch <= self.reads_per_year):
             raise ConfigError("batch_size must lie in [1, reads_per_year]")
-        validate_intervention(self.intervention)
         if not self.corpus_path or not self.profiles_path:
             raise ConfigError("corpus_path and profiles_path are required")
 
@@ -95,7 +112,7 @@ class RunConfig:
             "reads_per_year": self.reads_per_year,
             "batch_size": self.effective_batch,
             "intervention": self.intervention,
-            "ablation": self.ablation.name,
+            "ablation": self.ablation,
             "backend": backend,
             "corpus_path": str(self.corpus_path),
             "profiles_path": str(self.profiles_path),
@@ -110,58 +127,40 @@ class RunConfig:
 
     @classmethod
     def from_canonical(cls, doc: dict, out_dir: str) -> "RunConfig":
-        # canonical keys are field names; three fields need their types back
+        # canonical keys are field names; two fields need their types back
         return cls(**{
             **doc,
             "years": tuple(doc["years"]),
-            "ablation": AblationFlags.from_name(doc["ablation"]),
             "backend": BackendConfig.from_dict(doc["backend"]),
             "out_dir": out_dir,
         })
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        doc = json.loads(Path(path).read_text("utf-8"))
-        paths = doc.get("paths", {})
-        kwargs = {}
-        for name in ("seed", "n_agents", "headlines_per_agent", "reads_per_year",
-                     "batch_size", "intervention"):
-            if name in doc:
-                kwargs[name] = doc[name]
-        if "years" in doc:
-            kwargs["years"] = tuple(doc["years"])
-        if "ablation" in doc:
-            kwargs["ablation"] = AblationFlags.from_name(doc["ablation"])
-        if "backend" in doc:
-            kwargs["backend"] = BackendConfig.from_dict(doc["backend"])
-        mapping = {
-            "corpus": "corpus_path",
-            "profiles": "profiles_path",
-            "ground_truth": "ground_truth_path",
-            "taxonomy": "taxonomy_path",
-            "lexicon": "lexicon_path",
-            "out_dir": "out_dir",
-        }
-        for key, attr in mapping.items():
+        kwargs = json.loads(Path(path).read_text("utf-8"))
+        paths = kwargs.pop("paths", {}) if isinstance(kwargs, dict) else None
+        if not isinstance(paths, dict):
+            raise ConfigError(f"{path}: a run config is a JSON object whose paths are an object")
+        unknown = ([key for key in kwargs if key not in _FILE_KEYS]
+                   + [f"paths.{key}" for key in paths if key not in _PATH_FIELDS])
+        if unknown:
+            raise ConfigError(f"unknown config keys in {path}: {', '.join(sorted(unknown))}")
+        if "years" in kwargs:
+            kwargs["years"] = tuple(kwargs["years"])
+        if "backend" in kwargs:
+            kwargs["backend"] = BackendConfig.from_dict(kwargs["backend"])
+        for key, attr in _PATH_FIELDS.items():
             if paths.get(key) is not None:
                 kwargs[attr] = paths[key]
         return cls(**kwargs)
 
     def with_overrides(self, *, seed=None, backend_mode=None, intervention=None,
                        ablation=None, out_dir=None) -> "RunConfig":
-        config = self
-        if seed is not None:
-            config = dataclasses.replace(config, seed=seed)
-        if intervention is not None:
-            config = dataclasses.replace(config, intervention=intervention)
-        if ablation is not None:
-            config = dataclasses.replace(config, ablation=AblationFlags.from_name(ablation))
-        if out_dir is not None:
-            config = dataclasses.replace(config, out_dir=out_dir)
-        if backend_mode is not None and backend_mode != config.backend.mode:
-            backend = dataclasses.replace(config.backend, mode=backend_mode)
-            config = dataclasses.replace(config, backend=backend)
-        return config
+        changes = dict(seed=seed, intervention=intervention, ablation=ablation, out_dir=out_dir)
+        changes = {name: value for name, value in changes.items() if value is not None}
+        if backend_mode is not None and backend_mode != self.backend.mode:
+            changes["backend"] = dataclasses.replace(self.backend, mode=backend_mode)
+        return dataclasses.replace(self, **changes)
 
     def fingerprints(self) -> dict:
         entries = {}
@@ -203,7 +202,7 @@ class RunEnv:
 def _load_environment(config: RunConfig, fingerprints: dict | None = None) -> RunEnv:
     taxonomy = load_taxonomy(config.taxonomy_path)
     lexicon = load_lexicon(config.lexicon_path)
-    index, ingest_report = ingest(config.corpus_path, CorpusConfig())
+    index, ingest_report = ingest(config.corpus_path)
     profiles = load_profiles(config.profiles_path, taxonomy)
     agents = sample_agents(profiles, config.n_agents, config.seed)
     truth = None
@@ -527,7 +526,7 @@ def _finalize(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState)
         "config_hash": env.header["config_hash"],
         "seed": config.seed,
         "intervention": config.intervention,
-        "ablation": config.ablation.name,
+        "ablation": config.ablation,
         "years": results,
         "skipped_years": sorted(state.skipped_years),
         "mae": error,

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from . import prompts
 from .errors import ValidationError
 from .gateway import GenerationRequest, MockLexicon, clamp_valence, mock_sentiment
-from .modes import AblationFlags
 from .taxonomy import TopicTaxonomy
 
 log = logging.getLogger(__name__)
@@ -70,10 +69,7 @@ class OpinionState:
 
 @dataclass
 class ReflectionOutcome:
-    agent_id: str
     batch_id: str
-    themes: list[str]
-    reasoning: str
     domains: dict[str, dict]
     batch_counts: dict[str, int] = field(default_factory=dict)
 
@@ -135,22 +131,23 @@ def _mock_outcome(payloads, payload_domains: list[str], state: OpinionState,
 
 def reflect_batch(profile, payloads, state: OpinionState, gateway,
                   taxonomy: TopicTaxonomy, lexicon: MockLexicon,
-                  ablation: AblationFlags, batch_id: str, tag: str,
+                  ablation: str, batch_id: str, tag: str,
                   critique: str | None = None) -> ReflectionOutcome:
     if not payloads:
         raise ValidationError("reflection needs at least one article")
+    no_cognitive = ablation == "no_cognitive"
 
     payload_domains = [categorize_payload(p, taxonomy) for p in payloads]
     counts = dict(Counter(payload_domains))
     mock = _mock_outcome(payloads, payload_domains, state, taxonomy, lexicon,
-                         critique, ablation.no_cognitive)
+                         critique, no_cognitive)
     system, user = prompts.render_reflection(
         profile,
         opinions=format_opinions(state, taxonomy),
         news_list=prompts.format_news_list(payloads),
         devils_advocate_response=critique,
-        no_profile=ablation.no_profile,
-        no_cognitive=ablation.no_cognitive,
+        no_profile=ablation == "no_profile",
+        no_cognitive=no_cognitive,
     )
     request = GenerationRequest(system, user, "reflection_update", tag)
     parsed = gateway.generate(request, mock_value=mock,
@@ -161,7 +158,7 @@ def reflect_batch(profile, payloads, state: OpinionState, gateway,
             log.warning("dropping unknown domain %r in %s", name, batch_id)
             continue
         entry = dict(entry)
-        if ablation.no_cognitive:
+        if no_cognitive:
             entry["action"] = "none"
         old = state.valences[name]
         if entry["new_valence"] == old:
@@ -169,14 +166,7 @@ def reflect_batch(profile, payloads, state: OpinionState, gateway,
             # outcomes never repeat one, so only model answers are nudged
             entry["new_valence"] = round(old + NUDGE if old < 0 else old - NUDGE, 6)
         domains[name] = entry
-    return ReflectionOutcome(
-        agent_id=state.agent_id,
-        batch_id=batch_id,
-        themes=parsed["themes"],
-        reasoning=parsed["reasoning"],
-        domains=domains,
-        batch_counts=counts,
-    )
+    return ReflectionOutcome(batch_id=batch_id, domains=domains, batch_counts=counts)
 
 
 def apply_updates(state: OpinionState, outcome: ReflectionOutcome,

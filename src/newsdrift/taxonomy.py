@@ -138,5 +138,11 @@ def load_taxonomy(path: str | Path | None = None) -> TopicTaxonomy:
     else:
         raw = Path(path).read_text("utf-8")
     doc = json.loads(raw)
+    for t in doc["topics"]:
+        keywords = t["keywords"]
+        if not (isinstance(t["name"], str) and isinstance(keywords, list)
+                and all(isinstance(kw, str) for kw in keywords)):
+            raise ValidationError(f"taxonomy topic {t['name']!r}: the name must be a string "
+                                  f"and keywords a list of strings, got {keywords!r}")
     topics = [Topic(t["name"], t["keywords"]) for t in doc["topics"]]
     return TopicTaxonomy(topics, doc.get("demographics", {}))

@@ -26,7 +26,6 @@ from newsdrift.gateway import (
     mock_sentiment,
 )
 from newsdrift.geography import state_to_region
-from newsdrift.modes import AblationFlags
 from newsdrift.orchestrator import RunConfig, read_update_logs, resume, run
 from newsdrift.profiles import build_profiles, validate_profile
 from newsdrift.reflection import OpinionState, reflect_batch
@@ -72,7 +71,7 @@ def test_criterion_1_equation_suite():
     def reflect(state, text):
         payload = Payload("a1", "The economy today", text)
         return reflect_batch(_Reader, [payload], state, gateway, taxonomy,
-                             lexicon, AblationFlags(), batch_id="b0",
+                             lexicon, "none", batch_id="b0",
                              tag=f"reflect:eq:{next(calls)}", critique=None)
 
     def state(**valences):
@@ -201,7 +200,7 @@ def test_criterion_4_corpus_gate(fixtures_dir):
 
 def test_criterion_5_ablation_structure(make_config):
     def run_ablation(name):
-        config = make_config(n_agents=5, years=(2005, 2006), ablation=AblationFlags.from_name(name))
+        config = make_config(n_agents=5, years=(2005, 2006), ablation=name)
         bundle = run(config)
         assert len(bundle["years"]) == 2
         return config.out_dir

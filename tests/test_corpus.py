@@ -7,7 +7,6 @@ import pytest
 from newsdrift.errors import CorpusError
 from newsdrift.corpus import (
     Article,
-    CorpusConfig,
     CorpusIndex,
     articles_for_year,
     corpus_stats,
@@ -71,12 +70,6 @@ def test_ingest_rejects_empty_full_text(tmp_path):
     rows = [_row(article_id="a1", full_text="  ")]
     index, report = ingest(_write(tmp_path, rows))
     assert report.rejected["empty_full_text"] == 1
-
-
-def test_headline_only_config_allows_empty_text(tmp_path):
-    rows = [_row(article_id="a1", full_text="")]
-    index, report = ingest(_write(tmp_path, rows), CorpusConfig(headline_only=True))
-    assert report.accepted == 1
 
 
 def test_ingest_counts_malformed_rows(tmp_path):

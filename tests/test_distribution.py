@@ -17,7 +17,6 @@ from newsdrift.distribution import (
 )
 from newsdrift.errors import CorpusError, YearEmptyError
 from newsdrift.gateway import BackendConfig, Gateway
-from newsdrift.modes import AblationFlags
 from newsdrift.orchestrator import run
 from newsdrift.taxonomy import TopicTaxonomy
 
@@ -43,9 +42,6 @@ def _corpus(tmp_path, n=6, year=2010):
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
     index, _ = ingest(path)
     return index
-
-
-NONE = AblationFlags()
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +129,7 @@ def test_mock_selection_returns_top_ranked(taxonomy, lexicon, tmp_path):
         ("a3", "China culture notes"),
     ))
     picked = select_articles(FakeProfile, offer, 1, gw, taxonomy, lexicon,
-                             NONE, tag="select:t")
+                             "none", tag="select:t")
     assert picked == ("a2",)
     # the exchange went through the gateway and was logged
     lines = (tmp_path / "r.jsonl").read_text().splitlines()
@@ -147,7 +143,7 @@ def test_no_selection_skips_backend(taxonomy, lexicon, tmp_path):
     offer = HeadlineOffer("agent-0000", 2010,
                           tuple((f"a{i}", f"China item {i}") for i in range(12)))
     picked = select_articles(FakeProfile, offer, 10, gw, taxonomy, lexicon,
-                             AblationFlags.from_name("no_selection"), tag="select:t")
+                             "no_selection", tag="select:t")
     assert picked == offer.ids[:10]
     assert not log.exists()
 
@@ -157,7 +153,7 @@ def test_select_all_of_offer(taxonomy, lexicon, tmp_path):
     offer = HeadlineOffer("agent-0000", 2010,
                           tuple((f"a{i}", f"China item {i}") for i in range(4)))
     picked = select_articles(FakeProfile, offer, 4, gw, taxonomy, lexicon,
-                             NONE, tag="select:t")
+                             "none", tag="select:t")
     assert sorted(picked) == ["a0", "a1", "a2", "a3"]
 
 
@@ -181,7 +177,7 @@ def test_selection_repairs_invalid_picks(taxonomy, lexicon):
     # refilled from the deterministic ranking
     gw = RepairStub([3, 3, 99])
     picked = select_articles(FakeProfile, offer, 2, gw, taxonomy, lexicon,
-                             NONE, tag="select:t")
+                             "none", tag="select:t")
     assert picked[0] == "a3"
     assert len(picked) == 2 and len(set(picked)) == 2
 
@@ -199,7 +195,7 @@ def test_selection_falls_back_to_ranking(taxonomy, lexicon):
         ("a2", "China technology briefing"),
     ))
     picked = select_articles(FakeProfile, offer, 1, FailStub(), taxonomy,
-                             lexicon, NONE, tag="select:t")
+                             lexicon, "none", tag="select:t")
     assert picked == ("a2",)
 
 
@@ -209,12 +205,12 @@ def test_selection_falls_back_to_ranking(taxonomy, lexicon):
 
 def test_retrieve_empty_selection(tmp_path):
     index = _corpus(tmp_path)
-    assert retrieve_full_text(index, (), NONE) == ()
+    assert retrieve_full_text(index, (), "none") == ()
 
 
 def test_retrieve_returns_stored_texts_in_order(tmp_path):
     index = _corpus(tmp_path)
-    payloads = retrieve_full_text(index, ("a2", "a0"), NONE)
+    payloads = retrieve_full_text(index, ("a2", "a0"), "none")
     assert [p.article_id for p in payloads] == ["a2", "a0"]
     assert [p.full_text for p in payloads] == ["Body 2.", "Body 0."]
     assert payloads[0].headline == "China report 2"
@@ -222,8 +218,7 @@ def test_retrieve_returns_stored_texts_in_order(tmp_path):
 
 def test_retrieve_title_only(tmp_path):
     index = _corpus(tmp_path)
-    payloads = retrieve_full_text(index, ("a1", "a2"),
-                                  AblationFlags.from_name("title_only"))
+    payloads = retrieve_full_text(index, ("a1", "a2"), "title_only")
     assert all(p.full_text == "" for p in payloads)
     assert all(p.headline for p in payloads)
 
@@ -231,4 +226,4 @@ def test_retrieve_title_only(tmp_path):
 def test_retrieve_dangling_id(tmp_path):
     index = _corpus(tmp_path)
     with pytest.raises(CorpusError):
-        retrieve_full_text(index, ("missing",), NONE)
+        retrieve_full_text(index, ("missing",), "none")

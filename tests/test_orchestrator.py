@@ -1,15 +1,18 @@
 """End-to-end run driver: config identity, artifacts, resume, and the CLI."""
 
+import contextlib
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from newsdrift import cli, orchestrator, prompts
 from newsdrift.errors import ConfigError, ResumeError
-from newsdrift.gateway import BackendConfig
-from newsdrift.modes import AblationFlags
+from newsdrift.gateway import BackendConfig, Gateway
+from newsdrift.modes import INTERVENTIONS
 from newsdrift.orchestrator import RunConfig, resume, run
 from newsdrift.surveys import MAE_BASES
 
@@ -49,11 +52,15 @@ def test_validate_requires_input_paths(make_config):
         dataclasses.replace(make_config(), corpus_path=None).validate()
 
 
-def test_combined_ablation_flags_rejected():
-    with pytest.raises(ConfigError):
-        AblationFlags(no_profile=True, title_only=True)
-    with pytest.raises(ConfigError):
-        AblationFlags.from_name("no_everything")
+def test_combined_ablation_flags_rejected(make_config):
+    # a run removes at most one component, so a combination names no ablation
+    for ablation in ("no_profile+title_only", ["no_profile", "title_only"], "no_everything"):
+        with pytest.raises(ConfigError, match="unknown ablation"):
+            make_config(ablation=ablation)
+    with pytest.raises(ConfigError, match="unknown ablation"):
+        make_config().with_overrides(ablation="no_everything")
+    with pytest.raises(ConfigError, match="unknown intervention"):
+        dataclasses.replace(make_config(), intervention="propaganda")
 
 
 def test_config_hash_ignores_out_dir(make_config):
@@ -111,13 +118,49 @@ def test_from_file_and_overrides(tmp_path, make_config):
     assert (config.seed, config.n_agents) == (11, 3)
     assert config.years == (2005, 2006)
     assert config.intervention == "debias"
-    assert config.ablation.name == "title_only"
+    assert config.ablation == "title_only"
     assert config.out_dir == str(tmp_path / "from-file")
 
     overridden = config.with_overrides(seed=99, ablation="none",
                                        intervention="baseline")
-    assert overridden.seed == 99 and overridden.ablation.name == "none"
+    assert overridden.seed == 99 and overridden.ablation == "none"
     assert config.seed == 11  # original untouched
+
+
+def test_from_file_names_unknown_keys(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"interventon": "debias", "n_agent": 5,
+                                "paths": {"groundtruth": "x"}}))
+    with pytest.raises(ConfigError,
+                       match="unknown config keys .*: interventon, n_agent, paths.groundtruth$"):
+        RunConfig.from_file(path)
+    for doc in ([], {"paths": "corpus.jsonl"}):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="a run config is a JSON object"):
+            RunConfig.from_file(path)
+
+
+def test_either_mode_spelling_is_one_run(tmp_path, make_config):
+    base = make_config(n_agents=2)
+    configs = []
+    for spelling in ("devils-advocate", "devils_advocate"):
+        path = tmp_path / f"{spelling}.json"
+        path.write_text(json.dumps({
+            "n_agents": 2, "intervention": spelling,
+            "ablation": "title-only" if "-" in spelling else "title_only",
+            "paths": {"corpus": base.corpus_path, "profiles": base.profiles_path,
+                      "out_dir": str(tmp_path / spelling)}}))
+        configs.append(RunConfig.from_file(path))
+    hyphens, underscores = configs
+    assert (hyphens.intervention, hyphens.ablation) == ("devils_advocate", "title_only")
+    assert hyphens.canonical() == underscores.canonical()
+    assert hyphens.config_hash() == underscores.config_hash()
+
+    # a run named one way resumes under a config file that spells it the other way
+    run(underscores, stop_after_year=2005)
+    bundle = resume(underscores.out_dir, dataclasses.replace(hyphens, out_dir=underscores.out_dir))
+    assert bundle["intervention"] == "devils_advocate" and bundle["ablation"] == "title_only"
+    assert bundle == run(hyphens)
 
 
 # --- full runs ---
@@ -384,6 +427,96 @@ def test_replay_log_truncation_streams_whole_lines(tmp_path):
     with pytest.raises(ResumeError, match="4 lines, checkpoint expects 5"):
         orchestrator._truncate_replay_log(path, 5)
     assert path.read_bytes() == blob
+
+
+# --- a kill at any write ---
+
+
+class _Killed(BaseException):
+    """The process dies here; no handler in the program may catch it."""
+
+
+@contextlib.contextmanager
+def _killed_at(n: int | None, tear: bool):
+    """Number every checkpoint/artifact write and replay-log record from 0 and
+    die at number n: before the write lands, or, with tear, after half of it
+    (a torn .tmp file, or a replay-log line cut in two). Yields [writes so far]."""
+    counter = [0]
+    atomic_write, log = orchestrator._atomic_write, Gateway._log
+
+    def dies() -> bool:
+        counter[0] += 1
+        return counter[0] - 1 == n
+
+    def killable_write(path, text):
+        if dies():
+            if tear:
+                path.with_suffix(path.suffix + ".tmp").write_text(text[:len(text) // 2])
+            raise _Killed()
+        atomic_write(path, text)
+
+    def killable_log(self, *args):
+        if not dies():
+            return log(self, *args)
+        if tear:
+            log(self, *args)
+            self.close()
+            blob = self._log_path.read_bytes()
+            last = blob.rstrip(b"\n").rfind(b"\n") + 1
+            self._log_path.write_bytes(blob[:(last + len(blob)) // 2])
+        raise _Killed()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orchestrator, "_atomic_write", killable_write)
+        patch.setattr(Gateway, "_log", killable_log)
+        yield counter
+
+
+def _tree(out: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def kill_runs(tmp_path_factory, profiles_path, fixtures_dir):
+    """Per intervention: a config factory, the uninterrupted run's files and its write count."""
+    base = tmp_path_factory.mktemp("kills")
+    dirs = itertools.count()
+
+    def config(intervention):
+        return RunConfig(seed=7, years=(2005, 2007), n_agents=2, reads_per_year=4, batch_size=2,
+                         intervention=intervention,
+                         corpus_path=str(fixtures_dir / "corpus_negative.jsonl"),
+                         profiles_path=str(profiles_path), out_dir=str(base / str(next(dirs))))
+
+    straight = {}
+    for intervention in INTERVENTIONS:
+        reference = config(intervention)
+        with _killed_at(None, False) as writes:
+            run(reference)
+        straight[intervention] = (_tree(Path(reference.out_dir)), writes[0])
+    return config, straight
+
+
+@settings(max_examples=20, deadline=None)
+@given(intervention=st.sampled_from(INTERVENTIONS),
+       point=st.floats(0, 1, exclude_max=True), tear=st.booleans())
+@example(intervention="baseline", point=0.0, tear=True)
+def test_a_kill_at_any_write_resumes_to_the_uninterrupted_run(kill_runs, intervention,
+                                                               point, tear):
+    config, straight = kill_runs
+    files, writes = straight[intervention]
+    n = int(point * writes)
+    killed = config(intervention)
+    with _killed_at(n, tear), pytest.raises(_Killed):
+        run(killed)
+    if n == 0:
+        # Deliberate: write 0 is run()'s first checkpoint, so nothing of this
+        # run is on disk yet and there is nothing to resume; run it again.
+        with pytest.raises(ResumeError, match="no checkpoint found"):
+            resume(killed.out_dir)
+        return
+    resume(killed.out_dir)
+    assert _tree(Path(killed.out_dir)) == files
 
 
 # --- command line ---

@@ -10,7 +10,6 @@ from newsdrift.corpus import ingest
 from newsdrift.distribution import Payload, retrieve_full_text
 from newsdrift.errors import SchemaError, ValidationError
 from newsdrift.gateway import BackendConfig, Gateway, MockLexicon
-from newsdrift.modes import AblationFlags
 from newsdrift.reflection import (
     OpinionState,
     apply_updates,
@@ -18,8 +17,6 @@ from newsdrift.reflection import (
     format_opinions,
     reflect_batch,
 )
-
-NONE = AblationFlags()
 
 # weights chosen so one-word texts hit exact sentiment targets after the x2 scaling
 LEX = MockLexicon({"up": 0.75}, {"down": 0.75, "dip": 0.25, "blip": 0.05})
@@ -47,7 +44,7 @@ def _state(taxonomy, **valences):
     return state
 
 
-def _reflect(taxonomy, state, payloads, ablation=NONE, critique=None, gateway=None):
+def _reflect(taxonomy, state, payloads, ablation="none", critique=None, gateway=None):
     gw = gateway or Gateway(BackendConfig(mode="mock"))
     return reflect_batch(FakeProfile, payloads, state, gw, taxonomy, LEX,
                          ablation, batch_id="2010:agent-0000:b0", tag="reflect:t",
@@ -129,7 +126,7 @@ def test_batch_averages_sentiment_within_domain(taxonomy):
 def test_no_cognitive_records_plain_shift(taxonomy):
     state = _state(taxonomy, economics=1.0)
     outcome = _reflect(taxonomy, state, [_econ("a dip in markets")],
-                       ablation=AblationFlags.from_name("no_cognitive"))
+                       ablation="no_cognitive")
     entry = outcome.domains["economics"]
     assert entry["action"] == "none"
     assert entry["new_valence"] == pytest.approx(0.5)
@@ -256,7 +253,7 @@ def test_categorize_prefers_stored_category(taxonomy, tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(row) + "\n")
     index, _ = ingest(path)
-    (payload,) = retrieve_full_text(index, ["a1"], NONE)
+    (payload,) = retrieve_full_text(index, ["a1"], "none")
     assert categorize_payload(payload, taxonomy) == "sports"
     uncategorized = dataclasses.replace(payload, category="")
     assert categorize_payload(uncategorized, taxonomy) == "economics"

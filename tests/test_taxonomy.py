@@ -121,6 +121,17 @@ def test_load_from_explicit_path(tmp_path, taxonomy):
     assert loaded.names == taxonomy.names
 
 
+@pytest.mark.parametrize("keywords", [["economy", 7], "economy"],
+                         ids=["non-string-keyword", "keywords-not-a-list"])
+def test_load_refuses_mistyped_keywords(tmp_path, taxonomy, keywords):
+    doc = {"topics": [{"name": t.name, "keywords": list(t.keywords)} for t in taxonomy.topics]}
+    doc["topics"][0]["keywords"] = keywords
+    path = tmp_path / "tax.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="taxonomy topic 'economics'"):
+        load_taxonomy(path)
+
+
 def test_vocab_validation(taxonomy):
     assert taxonomy.validate_vocab("gender", "female")
     assert not taxonomy.validate_vocab("gender", "xyz")
