@@ -116,9 +116,6 @@ class MockLexicon:
         # mock_sentiment's per-run memo, keyed by the scored text
         self._scores: dict[str, float] = {}
 
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self.signed
-
 
 def load_lexicon(path: str | Path | None = None) -> MockLexicon:
     """Load a lexicon file, or the packaged default when path is None."""
@@ -289,15 +286,16 @@ class Gateway:
     """
 
     def __init__(self, config: BackendConfig, log_path: str | Path | None = None,
-                 resume_seq: int = 0, initial_counts: dict[str, int] | None = None,
-                 initial_fallbacks: dict[str, int] | None = None):
+                 counters: dict | None = None):
+        # counters: a mapping holding what counters() returned, e.g. a checkpoint
+        counters = counters or {}
         self.config = config
         self._log_path = Path(log_path) if log_path else None
         self._log_fh = None
-        self._seq = resume_seq
+        self._seq = counters.get("replay_lines", 0)
         self._seen_tags: set[str] = set()
-        self.request_counts: dict[str, int] = dict(initial_counts or {})
-        self.fallback_counts: dict[str, int] = dict(initial_fallbacks or {})
+        self.request_counts: dict[str, int] = dict(counters.get("request_counts", {}))
+        self.fallback_counts: dict[str, int] = dict(counters.get("fallback_counts", {}))
         # tag -> (raw answer served on replay, digest of its recorded prompts)
         self._replay_index: dict[str, tuple[str, bytes]] = {}
         if config.mode == "replay":
@@ -321,21 +319,27 @@ class Gateway:
             raise ReplayError(f"replay log not found: {path}")
         answered: set[str] = set()
         with path.open("r", encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                record = json.loads(line)
-                tag = record["tag"]
+                try:
+                    record = json.loads(line)
+                    tag, raw, ok = record["tag"], record["raw_response"], record["ok"]
+                    digest = _prompt_digest(record["system"], record["user"])
+                except (ValueError, LookupError, TypeError) as exc:
+                    raise ReplayError(f"{path} line {number} is not a replay record: "
+                                      f"{type(exc).__name__}: {exc}") from None
                 if tag not in answered:
-                    self._replay_index[tag] = (
-                        record["raw_response"], _prompt_digest(record["system"], record["user"]))
-                    if record["ok"]:
+                    self._replay_index[tag] = (raw, digest)
+                    if ok:
                         answered.add(tag)
 
-    @property
-    def log_lines(self) -> int:
-        return self._seq
+    def counters(self) -> dict:
+        """The exchange counts a checkpoint saves and ``Gateway(counters=)`` restores."""
+        return {"request_counts": dict(self.request_counts),
+                "fallback_counts": dict(self.fallback_counts),
+                "replay_lines": self._seq}
 
     # -- logging -----------------------------------------------------------
 

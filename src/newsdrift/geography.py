@@ -32,8 +32,6 @@ STATE_TO_REGION = {
     state: region for region, states in _REGION_STATES.items() for state in states
 }
 
-STATES = tuple(sorted(STATE_TO_REGION))
-
 
 def state_to_region(state: str) -> str:
     """Return the census region containing a two-letter state code."""

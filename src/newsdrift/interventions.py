@@ -26,25 +26,9 @@ def mock_debias_text(text: str, lexicon: MockLexicon) -> str:
     return re.sub(r"\s+", " ", stripped).strip()
 
 
-class DebiasCache:
-    """One rewrite per article per run, shared across agents."""
-
-    def __init__(self, entries: dict[str, list] | None = None):
-        # entries in the as_dict form restore a checkpointed cache
-        self._by_id = {k: (text, failed) for k, (text, failed) in (entries or {}).items()}
-
-    def get(self, article_id: str):
-        return self._by_id.get(article_id)
-
-    def put(self, article_id: str, text: str, failed: bool):
-        self._by_id[article_id] = (text, failed)
-
-    def as_dict(self) -> dict[str, list]:
-        return {k: [text, failed] for k, (text, failed) in self._by_id.items()}
-
-
 def debias_payload(payload: Payload, gateway, lexicon: MockLexicon,
-                   cache: DebiasCache) -> Payload:
+                   cache: dict[str, list]) -> Payload:
+    """Rewrite one read; cache maps article id -> [text, failed], one rewrite per run."""
     cached = cache.get(payload.article_id)
     if cached is None:
         mock = mock_debias_text(payload.full_text, lexicon)
@@ -53,8 +37,8 @@ def debias_payload(payload: Payload, gateway, lexicon: MockLexicon,
                                     f"debias:{payload.article_id}")
         text = gateway.generate(request, mock_value=mock, fallback=None)
         # None is the failed rewrite: the reader gets the original text
-        cached = (payload.full_text, True) if text is None else (text, False)
-        cache.put(payload.article_id, *cached)
+        cached = cache[payload.article_id] = (
+            [payload.full_text, True] if text is None else [text, False])
     text, failed = cached
     return dataclasses.replace(payload, full_text=text,
                                debiased=not failed, debias_failed=failed)
@@ -86,7 +70,7 @@ def devils_advocate_critique(payloads, gateway, lexicon: MockLexicon,
 
 
 def apply_intervention(mode: str, payloads, gateway, lexicon: MockLexicon,
-                       cache: DebiasCache, tag: str):
+                       cache: dict[str, list], tag: str):
     """Return (payloads', critique or None) for the active run mode."""
     validate_intervention(mode)
     if mode == "baseline":

@@ -24,7 +24,7 @@ from .corpus import CorpusIndex, IngestReport, articles_for_year, ingest
 from .distribution import retrieve_full_text, sample_headlines, select_articles
 from .errors import ConfigError, ResumeError
 from .gateway import BackendConfig, Gateway, MockLexicon, load_lexicon
-from .interventions import DebiasCache, apply_intervention
+from .interventions import apply_intervention
 from .modes import validate_ablation, validate_intervention
 from .profiles import AgentProfile, load_profiles, sample_agents
 from .reflection import OpinionState, apply_updates, reflect_batch
@@ -137,7 +137,10 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        kwargs = json.loads(Path(path).read_text("utf-8"))
+        try:
+            kwargs = json.loads(Path(path).read_text("utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"run config {path} is not a readable JSON file: {exc}") from None
         paths = kwargs.pop("paths", {}) if isinstance(kwargs, dict) else None
         if not isinstance(paths, dict):
             raise ConfigError(f"{path}: a run config is a JSON object whose paths are an object")
@@ -224,14 +227,13 @@ class RunState:
     """Everything the year loop carries from one year to the next.
 
     A checkpoint is this object serialised next to the run's header and the
-    gateway's log position; yearly aggregates live in the per-year traces.
+    gateway's counters. Yearly aggregates and counts live in the per-year
+    traces; a year of the range still not completed at the end had no articles.
     """
     states: dict[str, OpinionState]
     completed_years: list[int] = field(default_factory=list)
-    skipped_years: list[int] = field(default_factory=list)
-    cache: DebiasCache = field(default_factory=DebiasCache)
-    offer_count: int = 0
-    payload_count: int = 0
+    # debias rewrites: article id -> [text, failed]
+    cache: dict[str, list] = field(default_factory=dict)
 
     @classmethod
     def initial(cls, env: RunEnv) -> "RunState":
@@ -242,10 +244,7 @@ class RunState:
         return {
             "states": {agent_id: state.to_dict() for agent_id, state in self.states.items()},
             "completed_years": list(self.completed_years),
-            "skipped_years": list(self.skipped_years),
-            "debias_cache": self.cache.as_dict(),
-            "offer_count": self.offer_count,
-            "payload_count": self.payload_count,
+            "debias_cache": self.cache,
         }
 
     @classmethod
@@ -253,10 +252,7 @@ class RunState:
         return cls(
             states={agent_id: OpinionState.from_dict(d) for agent_id, d in doc["states"].items()},
             completed_years=list(doc["completed_years"]),
-            skipped_years=list(doc["skipped_years"]),
-            cache=DebiasCache(doc["debias_cache"]),
-            offer_count=doc["offer_count"],
-            payload_count=doc["payload_count"],
+            cache=doc["debias_cache"],
         )
 
 
@@ -276,14 +272,12 @@ def _process_year(config: RunConfig, env: RunEnv, gateway: Gateway,
         agent_id = profile.agent_id
         offer = sample_headlines(env.index, year, agent_id,
                                  config.headlines_per_agent, config.seed)
-        state.offer_count += len(offer.offers)
         m_eff = min(config.reads_per_year, len(offer.offers))
         selected = select_articles(
             profile, offer, m_eff, gateway, env.taxonomy, env.lexicon,
             config.ablation, tag=f"select:{year}:{agent_id}",
         )
         payloads = retrieve_full_text(env.index, selected, config.ablation)
-        state.payload_count += len(payloads)
 
         opinion = state.states[agent_id]
         critique_chars = []
@@ -308,7 +302,6 @@ def _process_year(config: RunConfig, env: RunEnv, gateway: Gateway,
             )
             opinion, updates = apply_updates(opinion, outcome, year)
             updates_all.extend(updates)
-        opinion.year_cursor = year
         response = survey_response(profile, opinion, gateway, env.taxonomy,
                                    tag=f"survey:{year}:{agent_id}")
         opinion.last_response = response
@@ -356,14 +349,7 @@ def _trace_path(out_dir: Path, year: int) -> Path:
 
 def _write_checkpoint(out_dir: Path, header: dict, gateway: Gateway,
                       state: RunState, complete: bool):
-    doc = {
-        **header,
-        **state.to_dict(),
-        "request_counts": gateway.request_counts,
-        "fallback_counts": gateway.fallback_counts,
-        "replay_lines": gateway.log_lines,
-        "complete": complete,
-    }
+    doc = {**header, **state.to_dict(), **gateway.counters(), "complete": complete}
     _write_json(out_dir / CHECKPOINT_NAME, doc)
 
 
@@ -374,17 +360,18 @@ def read_update_logs(out_dir: Path) -> list[dict]:
     return updates
 
 
-def _year_result(out_dir: Path, year: int, agent_ids: list[str]) -> dict:
-    """Rebuild one completed year's aggregate from its trace rows, in file order."""
+def _year_result(out_dir: Path, year: int, agent_ids: list[str]) -> tuple[dict, int, int]:
+    """Rebuild one completed year's aggregate, offers and reads from its trace rows."""
     path = _trace_path(out_dir, year)
     if not path.exists():
         raise ResumeError(f"year {year} is complete but {path} is missing")
-    per_agent = {row["agent_id"]: (row["overall_valence"], row["response"])
-                 for row in _read_jsonl(path)}
+    rows = _read_jsonl(path)
+    per_agent = {row["agent_id"]: (row["overall_valence"], row["response"]) for row in rows}
     missing = [a for a in agent_ids if a not in per_agent]
     if missing:
         raise ResumeError(f"year {year} is complete but {path} lacks agents {missing}")
-    return aggregate_year(year, per_agent, agent_ids)
+    return (aggregate_year(year, per_agent, agent_ids),
+            sum(len(row["offer_ids"]) for row in rows), sum(len(row["reads"]) for row in rows))
 
 
 def _truncate_replay_log(path: Path, keep_lines: int):
@@ -463,15 +450,11 @@ def resume(out_dir: str | Path, config: RunConfig | None = None,
 
     _truncate_replay_log(out_dir / REPLAY_NAME, ck["replay_lines"])
     state = RunState.from_dict(ck)
-    done = set(state.completed_years) | set(state.skipped_years)
     for path in [*out_dir.glob("updates_*.jsonl"), *out_dir.glob("trace/year_*.jsonl")]:
-        if int(path.stem.split("_")[1]) not in done:
+        if int(path.stem.split("_")[1]) not in state.completed_years:
             path.unlink()
 
-    gateway = Gateway(config.backend, log_path=out_dir / REPLAY_NAME,
-                      resume_seq=ck["replay_lines"],
-                      initial_counts=ck["request_counts"],
-                      initial_fallbacks=ck.get("fallback_counts"))
+    gateway = Gateway(config.backend, log_path=out_dir / REPLAY_NAME, counters=ck)
     try:
         return _drive(config, env, gateway, state, stop_after_year)
     finally:
@@ -490,12 +473,10 @@ def _drive(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState,
            stop_after_year: int | None) -> dict:
     out_dir = Path(config.out_dir)
     for year in range(config.years[0], config.years[1] + 1):
-        if year in state.completed_years or year in state.skipped_years:
+        if year in state.completed_years:
             continue
         if not articles_for_year(env.index, year):
             log.warning("year %d has no articles; skipping", year)
-            state.skipped_years.append(year)
-            _write_checkpoint(out_dir, env.header, gateway, state, False)
             continue
         updates, trace = _process_year(config, env, gateway, state, year)
         _write_jsonl(out_dir / f"updates_{year}.jsonl", updates)
@@ -511,8 +492,14 @@ def _drive(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState,
 def _finalize(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState) -> dict:
     out_dir = Path(config.out_dir)
     updates = read_update_logs(out_dir)
-    results = [_year_result(out_dir, year, env.header["agent_ids"])
-               for year in sorted(state.completed_years)]
+    results, offer_count, payload_count = [], 0, 0
+    for year in sorted(state.completed_years):
+        result, offers, reads = _year_result(out_dir, year, env.header["agent_ids"])
+        results.append(result)
+        offer_count += offers
+        payload_count += reads
+    years = range(config.years[0], config.years[1] + 1)
+    skipped = [year for year in years if year not in state.completed_years]
     influence = domain_influence(updates)
 
     error = None
@@ -528,7 +515,7 @@ def _finalize(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState)
         "intervention": config.intervention,
         "ablation": config.ablation,
         "years": results,
-        "skipped_years": sorted(state.skipped_years),
+        "skipped_years": skipped,
         "mae": error,
     }
     _write_json(out_dir / "results.json", bundle)
@@ -540,12 +527,10 @@ def _finalize(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState)
     report = {
         "agents": len(env.agents),
         "years_completed": [r["year"] for r in results],
-        "years_skipped": sorted(state.skipped_years),
-        "offer_count": state.offer_count,
-        "payload_count": state.payload_count,
-        "request_counts": dict(sorted(gateway.request_counts.items())),
-        "fallback_counts": dict(sorted(gateway.fallback_counts.items())),
-        "replay_lines": gateway.log_lines,
+        "years_skipped": skipped,
+        "offer_count": offer_count,
+        "payload_count": payload_count,
+        **gateway.counters(),
         "corpus_accepted": env.ingest_report.accepted,
         "corpus_rejected": env.ingest_report.rejected,
     }

@@ -373,9 +373,8 @@ def build_profiles(social_path, survey_path, taxonomy: TopicTaxonomy, gateway,
         validate_profile(profile, taxonomy)
         profiles.append(profile)
 
-    report = _matching_report(profiles, unmatched)
-    report["fallback_counts"] = dict(gateway.fallback_counts)
-    report["interest_rule_fallbacks"] = rule_fallbacks
+    report = {**_matching_report(profiles, unmatched), **gateway.counters(),
+              "interest_rule_fallbacks": rule_fallbacks}
     with out_path.open("w", encoding="utf-8") as fh:
         json.dump([p.to_dict() for p in profiles], fh, indent=2, ensure_ascii=False)
         fh.write("\n")
@@ -407,11 +406,21 @@ def _matching_report(profiles: list[AgentProfile], unmatched: list[str]) -> dict
 
 
 def load_profiles(path, taxonomy: TopicTaxonomy) -> list[AgentProfile]:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        docs = json.load(fh)
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            docs = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"profile file {path} is not a readable JSON file: {exc}") from None
     if not isinstance(docs, list) or not docs:
         raise ValidationError(f"profile file {path} must hold a non-empty JSON array")
-    return [AgentProfile.from_dict(doc, taxonomy) for doc in docs]
+    profiles = []
+    for number, doc in enumerate(docs, 1):
+        try:
+            profiles.append(AgentProfile.from_dict(doc, taxonomy))
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ValidationError(f"profile file {path} entry {number} is not a profile: "
+                                  f"{type(exc).__name__}: {exc}") from None
+    return profiles
 
 
 def sample_agents(profiles: list[AgentProfile], n: int, seed) -> list[AgentProfile]:

@@ -37,7 +37,6 @@ class OpinionState:
     valences: dict[str, float]
     exposures: dict[str, int]
     last_response: int | None = None
-    year_cursor: int | None = None
 
     @classmethod
     def initial(cls, agent_id: str, taxonomy: TopicTaxonomy) -> "OpinionState":
@@ -53,7 +52,6 @@ class OpinionState:
             "valences": dict(self.valences),
             "exposures": dict(self.exposures),
             "last_response": self.last_response,
-            "year_cursor": self.year_cursor,
         }
 
     @classmethod
@@ -63,7 +61,6 @@ class OpinionState:
             valences={k: float(v) for k, v in doc["valences"].items()},
             exposures={k: int(v) for k, v in doc["exposures"].items()},
             last_response=doc.get("last_response"),
-            year_cursor=doc.get("year_cursor"),
         )
 
 
@@ -177,7 +174,6 @@ def apply_updates(state: OpinionState, outcome: ReflectionOutcome,
         valences=dict(state.valences),
         exposures=dict(state.exposures),
         last_response=state.last_response,
-        year_cursor=state.year_cursor,
     )
     updates = []
     for domain, entry in outcome.domains.items():

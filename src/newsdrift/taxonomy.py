@@ -89,9 +89,6 @@ class TopicTaxonomy:
         self._hits: dict[str, tuple[int, ...]] = {}
         self._best: dict[str, str] = {}
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.names
-
     def _scan(self, text: str, distinct: bool = False) -> list[int]:
         """Keyword occurrences, or distinct keywords, per topic: one pass over text."""
         found = self._scanner.findall(text.lower())

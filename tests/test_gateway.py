@@ -265,6 +265,26 @@ def test_replay_missing_log_file(tmp_path):
         Gateway(BackendConfig(mode="replay", replay_log=str(tmp_path / "nope.jsonl")))
 
 
+@pytest.mark.parametrize("damage", ["torn_line", "record_without_tag"])
+def test_replay_names_the_line_of_a_damaged_log(tmp_path, damage):
+    log = tmp_path / "replay.jsonl"
+    gw = Gateway(BackendConfig(mode="mock"), log_path=log)
+    for n in range(3):
+        gw.generate(_req(f"s:{n}"), mock_value=4, fallback=None)
+    gw.close()
+    lines = log.read_text().splitlines(keepends=True)
+    if damage == "torn_line":
+        lines[2] = lines[2][:len(lines[2]) // 2]
+    else:
+        record = json.loads(lines[2])
+        del record["tag"]
+        lines[2] = json.dumps(record) + "\n"
+    log.write_text("".join(lines))
+    with pytest.raises(ReplayError) as caught:
+        Gateway(BackendConfig(mode="replay", replay_log=str(log)))
+    assert f"{log} line 3 is not a replay record" in str(caught.value)
+
+
 # ---------------------------------------------------------------------------
 # remote backend against a local HTTP server
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from newsdrift.distribution import Payload
 from newsdrift.errors import ConfigError, ValidationError
 from newsdrift.gateway import BackendConfig, Gateway, mock_sentiment
 from newsdrift.interventions import (
-    DebiasCache,
     apply_intervention,
     debias_payload,
     devils_advocate_critique,
@@ -84,7 +83,7 @@ def test_mock_debias_respects_word_boundaries(lexicon):
 
 
 def test_debias_payload_flags_and_rewrites(mock_gateway, lexicon):
-    out = debias_payload(_payload(), mock_gateway, lexicon, DebiasCache())
+    out = debias_payload(_payload(), mock_gateway, lexicon, {})
     assert out.full_text == "China's markets"
     assert out.debiased and not out.debias_failed
     assert out.article_id == "art-000" and out.headline == "China report 0"
@@ -92,51 +91,41 @@ def test_debias_payload_flags_and_rewrites(mock_gateway, lexicon):
 
 def test_debias_payload_neutral_text_still_flagged(mock_gateway, lexicon):
     text = "The delegation met again on Tuesday"
-    out = debias_payload(_payload(text=text), mock_gateway, lexicon, DebiasCache())
+    out = debias_payload(_payload(text=text), mock_gateway, lexicon, {})
     assert out.full_text == text
     assert out.debiased and not out.debias_failed
 
 
 def test_debias_payload_keeps_input_frozen(mock_gateway, lexicon):
     payload = _payload()
-    debias_payload(payload, mock_gateway, lexicon, DebiasCache())
+    debias_payload(payload, mock_gateway, lexicon, {})
     assert payload.full_text == LOADED and not payload.debiased
 
 
 def test_debias_failure_keeps_original_text(lexicon):
     gateway = BrokenGateway()
-    out = debias_payload(_payload(), gateway, lexicon, DebiasCache())
+    out = debias_payload(_payload(), gateway, lexicon, {})
     assert out.full_text == LOADED
     assert out.debias_failed and not out.debiased
 
 
 def test_debias_cache_one_exchange_per_article(lexicon):
     gateway = CountingGateway()
-    cache = DebiasCache()
+    cache = {}
     first = debias_payload(_payload(), gateway, lexicon, cache)
     second = debias_payload(_payload(), gateway, lexicon, cache)
     assert gateway.calls == 1
     assert second.full_text == first.full_text == "China's markets"
-    assert cache.get("art-000") == ("China's markets", False)
+    assert cache == {"art-000": ["China's markets", False]}
 
 
 def test_debias_cache_remembers_failures(lexicon):
     gateway = BrokenGateway()
-    cache = DebiasCache()
+    cache = {}
     debias_payload(_payload(), gateway, lexicon, cache)
     out = debias_payload(_payload(), gateway, lexicon, cache)
     assert gateway.calls == 1
     assert out.debias_failed and out.full_text == LOADED
-
-
-def test_debias_cache_round_trips_as_dict(lexicon):
-    cache = DebiasCache()
-    cache.put("art-000", "China's markets", False)
-    cache.put("art-001", LOADED, True)
-    assert cache.as_dict() == {
-        "art-000": ["China's markets", False],
-        "art-001": [LOADED, True],
-    }
 
 
 # --- devil's advocate critique ---
@@ -183,7 +172,7 @@ def test_critique_failure_returns_empty_string(lexicon):
 def test_baseline_passes_payloads_through(lexicon):
     payloads = [_payload(i) for i in range(3)]
     out, critique = apply_intervention(
-        "baseline", payloads, ForbiddenGateway(), lexicon, DebiasCache(), "iv:t")
+        "baseline", payloads, ForbiddenGateway(), lexicon, {}, "iv:t")
     assert out == tuple(payloads)
     assert critique is None
 
@@ -192,7 +181,7 @@ def test_debias_flags_every_payload(mock_gateway, lexicon):
     texts = [LOADED, "The delegation met again on Tuesday"] * 5
     payloads = [_payload(i, text=t) for i, t in enumerate(texts)]
     out, critique = apply_intervention(
-        "debias", payloads, mock_gateway, lexicon, DebiasCache(), "iv:t")
+        "debias", payloads, mock_gateway, lexicon, {}, "iv:t")
     assert len(out) == 10
     assert all(p.debiased and not p.debias_failed for p in out)
     assert critique is None
@@ -205,7 +194,7 @@ def test_debias_flags_every_payload(mock_gateway, lexicon):
 def test_devils_advocate_leaves_texts_bit_identical(mock_gateway, lexicon):
     payloads = [_payload(i) for i in range(4)]
     out, critique = apply_intervention(
-        "devils_advocate", payloads, mock_gateway, lexicon, DebiasCache(), "iv:t")
+        "devils_advocate", payloads, mock_gateway, lexicon, {}, "iv:t")
     assert [p.full_text for p in out] == [p.full_text for p in payloads]
     assert out == tuple(payloads)
     assert critique and len(critique.splitlines()) == 6
@@ -213,11 +202,11 @@ def test_devils_advocate_leaves_texts_bit_identical(mock_gateway, lexicon):
 
 def test_hyphenated_mode_name_accepted(mock_gateway, lexicon):
     out, critique = apply_intervention(
-        "devils-advocate", [_payload()], mock_gateway, lexicon, DebiasCache(), "iv:t")
+        "devils-advocate", [_payload()], mock_gateway, lexicon, {}, "iv:t")
     assert critique
 
 
 def test_unknown_mode_rejected(mock_gateway, lexicon):
     with pytest.raises(ConfigError):
         apply_intervention(
-            "propaganda", [_payload()], mock_gateway, lexicon, DebiasCache(), "iv:t")
+            "propaganda", [_payload()], mock_gateway, lexicon, {}, "iv:t")

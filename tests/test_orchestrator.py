@@ -219,6 +219,17 @@ def test_empty_leading_year_is_skipped(make_config):
     assert bundle["skipped_years"] == [2004]
     assert [r["year"] for r in bundle["years"]] == [2005]
 
+    # empty years before and after a stop are derived again at the end
+    straight = make_config(n_agents=2, years=(2004, 2015))
+    bundle = run(straight)
+    assert bundle["skipped_years"] == [2004, 2015]
+    cut = dataclasses.replace(straight, out_dir=straight.out_dir + "-cut")
+    run(cut, stop_after_year=2005)
+    assert resume(cut.out_dir) == bundle
+    assert json.loads((Path(cut.out_dir) / "run_report.json").read_text())["years_skipped"] == [
+        2004, 2015]
+    assert _tree(Path(cut.out_dir)) == _tree(Path(straight.out_dir))
+
 
 def test_mae_reported_when_truth_overlaps(make_config, fixtures_dir):
     config = make_config(
@@ -393,6 +404,26 @@ def test_checkpoint_holds_live_state_not_results(make_config):
     final = json.loads(ck_path.read_text())
     assert "results" not in final and final["complete"] is True
     assert set(final["states"]) == set(final["agent_ids"])
+    # counts and skipped years are derived from the traces and the corpus
+    assert not {"offer_count", "payload_count", "skipped_years"} & set(final)
+    assert all(set(state) == {"agent_id", "valences", "exposures", "last_response"}
+               for state in final["states"].values())
+
+
+def test_a_checkpoint_with_derived_keys_resumes_to_the_straight_run(make_config):
+    # checkpoints written before the counts and skipped years were derived
+    straight = make_config(n_agents=2, years=(2004, 2006), intervention="debias")
+    run(straight)
+    cut = dataclasses.replace(straight, out_dir=straight.out_dir + "-cut")
+    run(cut, stop_after_year=2005)
+    ck_path = Path(cut.out_dir) / "checkpoint.json"
+    ck = json.loads(ck_path.read_text())
+    ck.update(offer_count=2 * 50, payload_count=2 * 10, skipped_years=[2004])
+    for state in ck["states"].values():
+        state["year_cursor"] = 2005
+    ck_path.write_text(json.dumps(ck))
+    resume(cut.out_dir)
+    assert _tree(Path(cut.out_dir)) == _tree(Path(straight.out_dir))
 
 
 @pytest.mark.parametrize("damage", ["delete", "drop_agent"])
@@ -617,6 +648,51 @@ def test_cli_build_profiles(tmp_path, fixtures_dir, capsys):
                    out.with_suffix(".replay.jsonl").read_text("utf-8").splitlines()]
         assert [r["seq"] for r in records] == list(range(1, 28))
         assert {r["schema"] for r in records} == {"interest_list"}
+
+
+def test_cli_replayed_profile_build_writes_the_recorded_profiles(tmp_path, fixtures_dir,
+                                                                 capsys):
+    def build(name, *extra):
+        assert cli.main(["build-profiles",
+                         "--social", str(fixtures_dir / "social_records.jsonl"),
+                         "--survey", str(fixtures_dir / "survey_records.jsonl"),
+                         "--out", str(tmp_path / name), *extra]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    recorded = build("recorded.json")
+    assert recorded["request_counts"] == {"interest_list": 27}
+    assert recorded["replay_lines"] == 27
+    config = tmp_path / "replay-config.json"
+    config.write_text(json.dumps({"backend": {
+        "mode": "replay", "replay_log": str(tmp_path / "recorded.replay.jsonl")}}))
+    assert build("replayed.json", "--config", str(config)) == recorded
+    for suffix in (".json", ".report.json", ".replay.jsonl"):
+        assert (_read(tmp_path / f"replayed{suffix}")
+                == _read(tmp_path / f"recorded{suffix}")), suffix
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("config_missing", "cli-config.json is not a readable JSON file"),
+    ("config_not_json", "cli-config.json is not a readable JSON file"),
+    ("profiles_not_json", "profiles.json is not a readable JSON file"),
+    ("profile_without_demographics", "entry 1 is not a profile: KeyError: 'demographics'"),
+], ids=["config_missing", "config_not_json", "profiles_not_json",
+        "profile_without_demographics"])
+def test_cli_reports_a_bad_input_file(tmp_path, make_config, caplog, damage, message):
+    # a run over a profile file whose first entry lacks its demographics
+    config_path = _cli_config(tmp_path, make_config)
+    doc = json.loads(config_path.read_text())
+    profiles = json.loads(Path(doc["paths"]["profiles"]).read_text())
+    del profiles[0]["demographics"]
+    broken = json.dumps(profiles)
+    (tmp_path / "profiles.json").write_text(
+        broken[:-1] if damage == "profiles_not_json" else broken)
+    doc["paths"]["profiles"] = str(tmp_path / "profiles.json")
+    config_path.write_text(json.dumps(doc)[:-1] if damage == "config_not_json" else json.dumps(doc))
+    if damage == "config_missing":
+        config_path.unlink()
+    assert cli.main(["run", "--config", str(config_path)]) == 1
+    assert message in caplog.text
 
 
 def test_cli_reports_domain_errors_as_exit_code(tmp_path, make_config):

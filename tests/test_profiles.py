@@ -127,6 +127,9 @@ class StubGateway:
             return fallback
         return item
 
+    def counters(self):
+        return {"fallback_counts": dict(self.fallback_counts)}
+
 
 def _pair(posts):
     return MatchedPair(_soc(posts=posts), _gss(), None)

@@ -63,7 +63,7 @@ def test_packaged_taxonomy_shape(taxonomy):
     assert len(taxonomy.topics) == 15
     for required in ("economics", "politics", "health", "technology",
                      "lifestyle", "sports", "entertainment"):
-        assert required in taxonomy
+        assert required in taxonomy.names
 
 
 def test_keyword_tagging_finds_economics(taxonomy):
