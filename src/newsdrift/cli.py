@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 from .corpus import corpus_stats, ingest
-from .errors import NewsdriftError
+from . import inputs
+from .errors import ConfigError, NewsdriftError
 from .gateway import BackendConfig, Gateway
 from .modes import ABLATIONS, INTERVENTIONS
 from .orchestrator import RunConfig, read_update_logs, resume, run
@@ -150,7 +151,7 @@ def _cmd_resume(args) -> int:
 
 def _cmd_report(args) -> int:
     out_dir = Path(args.out)
-    results = json.loads((out_dir / "results.json").read_text("utf-8"))
+    results = inputs.read_json(out_dir / "results.json", "results", ConfigError)
     doc = {
         "years": len(results["years"]),
         "final": results["years"][-1]["favorable_pct"] if results["years"] else None,
@@ -166,7 +167,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_charts(args) -> int:
     out_dir = Path(args.out)
-    results = json.loads((out_dir / "results.json").read_text("utf-8"))
+    results = inputs.read_json(out_dir / "results.json", "results", ConfigError)
     truth = GroundTruthSeries.from_csv(args.ground_truth) if args.ground_truth else None
     influence = domain_influence(read_update_logs(out_dir))
     written = charts_mod.write_charts(out_dir, results["years"], truth, influence)

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import inputs
 from .errors import CorpusError
 
 log = logging.getLogger(__name__)
@@ -80,41 +81,35 @@ def satisfies_criterion(headline: str, subheader: str) -> bool:
 def ingest(path: str | Path) -> tuple[CorpusIndex, IngestReport]:
     report = IngestReport()
     store: dict[str, Article] = {}
-    if not Path(path).is_file():
-        raise CorpusError(f"corpus file not found: {path}")
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                article = Article(
-                    article_id=str(doc["article_id"]),
-                    year=int(doc["year"]),
-                    source=str(doc["source"]),
-                    headline=str(doc["headline"]),
-                    subheader=str(doc.get("subheader") or ""),
-                    category=str(doc.get("category") or ""),
-                    full_text=str(doc.get("full_text") or ""),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                report.rejected["malformed"] += 1
-                log.warning("skipping corpus line %d (%s)", lineno, exc)
-                continue
-            if article.article_id in store:
-                raise CorpusError(f"duplicate article_id {article.article_id!r} at line {lineno}")
-            if not satisfies_criterion(article.headline, article.subheader):
-                report.rejected["criterion"] += 1
-                continue
-            if not (YEAR_MIN <= article.year <= YEAR_MAX):
-                report.rejected["year_out_of_range"] += 1
-                continue
-            if not article.full_text.strip():
-                report.rejected["empty_full_text"] += 1
-                continue
-            store[article.article_id] = article
-            report.accepted += 1
+    for lineno, line in inputs.read_lines(path, "corpus", CorpusError):
+        try:
+            doc = json.loads(line)
+            article = Article(
+                article_id=str(doc["article_id"]),
+                year=int(doc["year"]),
+                source=str(doc["source"]),
+                headline=str(doc["headline"]),
+                subheader=str(doc.get("subheader") or ""),
+                category=str(doc.get("category") or ""),
+                full_text=str(doc.get("full_text") or ""),
+            )
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            report.rejected["malformed"] += 1
+            log.warning("skipping corpus line %d (%s)", lineno, exc)
+            continue
+        if article.article_id in store:
+            raise CorpusError(f"duplicate article_id {article.article_id!r} at line {lineno}")
+        if not satisfies_criterion(article.headline, article.subheader):
+            report.rejected["criterion"] += 1
+            continue
+        if not (YEAR_MIN <= article.year <= YEAR_MAX):
+            report.rejected["year_out_of_range"] += 1
+            continue
+        if not article.full_text.strip():
+            report.rejected["empty_full_text"] += 1
+            continue
+        store[article.article_id] = article
+        report.accepted += 1
     if report.total and sum(report.rejected.values()) > REJECT_WARN_FRACTION * report.total:
         log.warning(
             "corpus rejects exceed %.0f%%: %s of %s rows",

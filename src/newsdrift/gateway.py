@@ -17,11 +17,11 @@ import os
 import re
 import time
 from dataclasses import dataclass, fields
-from importlib import resources
 from pathlib import Path
 
 import requests
 
+from . import inputs
 from .errors import ConfigError, ReplayError, SchemaError, TransportError, ValidationError
 
 SCHEMAS = (
@@ -105,8 +105,8 @@ class MockLexicon:
         if overlap:
             raise ValidationError(f"lexicon word sets must be disjoint: {sorted(overlap)}")
         for word, weight in {**positive, **negative}.items():
-            if not (0.0 < weight <= 2.0):
-                raise ValidationError(f"lexicon weight for {word!r} outside (0, 2]: {weight}")
+            if not (isinstance(weight, (int, float)) and 0.0 < weight <= 2.0):
+                raise ValidationError(f"lexicon weight for {word!r} outside (0, 2]: {weight!r}")
         self.positive = {w.lower(): float(x) for w, x in positive.items()}
         self.negative = {w.lower(): float(x) for w, x in negative.items()}
         self.signed = {**self.positive, **{w: -x for w, x in self.negative.items()}}
@@ -119,12 +119,12 @@ class MockLexicon:
 
 def load_lexicon(path: str | Path | None = None) -> MockLexicon:
     """Load a lexicon file, or the packaged default when path is None."""
-    if path is None:
-        raw = resources.files("newsdrift").joinpath("data/lexicon.json").read_text("utf-8")
-    else:
-        raw = Path(path).read_text("utf-8")
-    doc = json.loads(raw)
-    return MockLexicon(doc["positive"], doc["negative"])
+    doc = inputs.read_json(path, "lexicon", ValidationError)
+    try:
+        return MockLexicon(doc["positive"], doc["negative"])
+    except (LookupError, TypeError, ValidationError) as exc:
+        raise ValidationError(f"lexicon {path} is not a lexicon: "
+                              f"{type(exc).__name__}: {exc}") from None
 
 
 def mock_sentiment(text: str, lexicon: MockLexicon) -> float:
@@ -315,25 +315,19 @@ class Gateway:
 
     def _load_replay_index(self, path: Path):
         """Keep each tag's first ok record, or its last record when none is ok."""
-        if not path.exists():
-            raise ReplayError(f"replay log not found: {path}")
         answered: set[str] = set()
-        with path.open("r", encoding="utf-8") as fh:
-            for number, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    tag, raw, ok = record["tag"], record["raw_response"], record["ok"]
-                    digest = _prompt_digest(record["system"], record["user"])
-                except (ValueError, LookupError, TypeError) as exc:
-                    raise ReplayError(f"{path} line {number} is not a replay record: "
-                                      f"{type(exc).__name__}: {exc}") from None
-                if tag not in answered:
-                    self._replay_index[tag] = (raw, digest)
-                    if ok:
-                        answered.add(tag)
+        for number, line in inputs.read_lines(path, "replay log", ReplayError):
+            try:
+                record = json.loads(line)
+                tag, raw, ok = record["tag"], record["raw_response"], record["ok"]
+                digest = _prompt_digest(record["system"], record["user"])
+            except (ValueError, LookupError, TypeError) as exc:
+                raise ReplayError(f"{path} line {number} is not a replay record: "
+                                  f"{type(exc).__name__}: {exc}") from None
+            if tag not in answered:
+                self._replay_index[tag] = (raw, digest)
+                if ok:
+                    answered.add(tag)
 
     def counters(self) -> dict:
         """The exchange counts a checkpoint saves and ``Gateway(counters=)`` restores."""

@@ -16,13 +16,12 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
-from . import charts, prompts
+from . import charts, inputs, prompts
 from .corpus import CorpusIndex, IngestReport, articles_for_year, ingest
 from .distribution import retrieve_full_text, sample_headlines, select_articles
-from .errors import ConfigError, ResumeError
+from .errors import ConfigError, CorpusError, ResumeError
 from .gateway import BackendConfig, Gateway, MockLexicon, load_lexicon
 from .interventions import apply_intervention
 from .modes import validate_ablation, validate_intervention
@@ -47,9 +46,8 @@ FINAL_ARTIFACTS = ("results.json", "results.csv", "run_report.json",
 # Configuration
 # ---------------------------------------------------------------------------
 
-# run config file: top-level keys, and each `paths` key with the field it sets
-_FILE_KEYS = ("seed", "years", "n_agents", "headlines_per_agent", "reads_per_year",
-              "batch_size", "intervention", "ablation", "backend", "paths")
+# run config file: each `paths` key with the field it sets; every other field
+# is a top-level key
 _PATH_FIELDS = {
     "corpus": "corpus_path",
     "profiles": "profiles_path",
@@ -101,25 +99,10 @@ class RunConfig:
             raise ConfigError("corpus_path and profiles_path are required")
 
     def canonical(self) -> dict:
-        backend = dataclasses.asdict(self.backend)
-        backend.pop("replay_log", None)
-        backend["backoff_seconds"] = list(self.backend.backoff_seconds)
-        return {
-            "seed": self.seed,
-            "years": list(self.years),
-            "n_agents": self.n_agents,
-            "headlines_per_agent": self.headlines_per_agent,
-            "reads_per_year": self.reads_per_year,
-            "batch_size": self.effective_batch,
-            "intervention": self.intervention,
-            "ablation": self.ablation,
-            "backend": backend,
-            "corpus_path": str(self.corpus_path),
-            "profiles_path": str(self.profiles_path),
-            "ground_truth_path": None if self.ground_truth_path is None else str(self.ground_truth_path),
-            "taxonomy_path": None if self.taxonomy_path is None else str(self.taxonomy_path),
-            "lexicon_path": None if self.lexicon_path is None else str(self.lexicon_path),
-        }
+        doc = dataclasses.asdict(self)
+        del doc["out_dir"], doc["backend"]["replay_log"]
+        doc["backend"]["backoff_seconds"] = list(self.backend.backoff_seconds)
+        return {**doc, "years": list(self.years), "batch_size": self.effective_batch}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True)
@@ -137,14 +120,12 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            kwargs = json.loads(Path(path).read_text("utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"run config {path} is not a readable JSON file: {exc}") from None
+        kwargs = inputs.read_json(path, "run config", ConfigError)
         paths = kwargs.pop("paths", {}) if isinstance(kwargs, dict) else None
         if not isinstance(paths, dict):
             raise ConfigError(f"{path}: a run config is a JSON object whose paths are an object")
-        unknown = ([key for key in kwargs if key not in _FILE_KEYS]
+        file_keys = {f.name for f in dataclasses.fields(cls)} - set(_PATH_FIELDS.values())
+        unknown = ([key for key in kwargs if key not in file_keys]
                    + [f"paths.{key}" for key in paths if key not in _PATH_FIELDS])
         if unknown:
             raise ConfigError(f"unknown config keys in {path}: {', '.join(sorted(unknown))}")
@@ -167,22 +148,11 @@ class RunConfig:
 
     def fingerprints(self) -> dict:
         entries = {}
-        roles = {
-            "corpus": self.corpus_path,
-            "profiles": self.profiles_path,
-            "ground_truth": self.ground_truth_path,
-            "taxonomy": self.taxonomy_path,
-            "lexicon": self.lexicon_path,
-        }
-        packaged = {"taxonomy": "data/taxonomy.json", "lexicon": "data/lexicon.json"}
-        for role, path in roles.items():
-            if path:
-                blob = Path(path).read_bytes()
-            elif role in packaged:
-                blob = resources.files("newsdrift").joinpath(packaged[role]).read_bytes()
-            else:
-                continue
-            entries[role] = hashlib.sha256(blob).hexdigest()
+        for role, attr in _PATH_FIELDS.items():
+            path = getattr(self, attr)
+            if role != "out_dir" and (path or role in inputs.PACKAGED):
+                blob = inputs.read_bytes(path or None, role, ConfigError)
+                entries[role] = hashlib.sha256(blob).hexdigest()
         entries["prompts"] = hashlib.sha256(prompts.template_bytes()).hexdigest()
         return entries
 
@@ -206,6 +176,8 @@ def _load_environment(config: RunConfig, fingerprints: dict | None = None) -> Ru
     taxonomy = load_taxonomy(config.taxonomy_path)
     lexicon = load_lexicon(config.lexicon_path)
     index, ingest_report = ingest(config.corpus_path)
+    if not len(index):
+        raise CorpusError(f"corpus {config.corpus_path} holds no accepted article")
     profiles = load_profiles(config.profiles_path, taxonomy)
     agents = sample_agents(profiles, config.n_agents, config.seed)
     truth = None
@@ -339,8 +311,10 @@ def _write_jsonl(path: Path, rows: list[dict]):
 
 
 def _read_jsonl(path: Path) -> list[dict]:
-    with path.open("r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    try:
+        return [json.loads(line) for _, line in inputs.read_lines(path, "run output", ResumeError)]
+    except ValueError as exc:
+        raise ResumeError(f"run output {path} is not JSON lines: {exc}") from None
 
 
 def _trace_path(out_dir: Path, year: int) -> Path:
@@ -363,8 +337,6 @@ def read_update_logs(out_dir: Path) -> list[dict]:
 def _year_result(out_dir: Path, year: int, agent_ids: list[str]) -> tuple[dict, int, int]:
     """Rebuild one completed year's aggregate, offers and reads from its trace rows."""
     path = _trace_path(out_dir, year)
-    if not path.exists():
-        raise ResumeError(f"year {year} is complete but {path} is missing")
     rows = _read_jsonl(path)
     per_agent = {row["agent_id"]: (row["overall_valence"], row["response"]) for row in rows}
     missing = [a for a in agent_ids if a not in per_agent]
@@ -425,7 +397,7 @@ def resume(out_dir: str | Path, config: RunConfig | None = None,
     ck_path = out_dir / CHECKPOINT_NAME
     if not ck_path.exists():
         raise ResumeError(f"no checkpoint found in {out_dir}")
-    ck = json.loads(ck_path.read_text("utf-8"))
+    ck = inputs.read_json(ck_path, "checkpoint", ResumeError)
 
     if config is not None:
         drift = _config_drift(config.canonical(), ck["config"])
@@ -442,7 +414,7 @@ def resume(out_dir: str | Path, config: RunConfig | None = None,
 
     if ck.get("complete") and (out_dir / "results.json").exists():
         log.info("run already complete; nothing to resume")
-        return json.loads((out_dir / "results.json").read_text("utf-8"))
+        return inputs.read_json(out_dir / "results.json", "results", ResumeError)
 
     env = _load_environment(config, current)
     if env.header["agent_ids"] != ck["agent_ids"]:

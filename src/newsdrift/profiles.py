@@ -13,10 +13,9 @@ import json
 import logging
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 
-from . import prompts
+from . import inputs, prompts
 from .errors import ConfigError, MatchingError, ValidationError
 from .gateway import GenerationRequest
 from .geography import REGIONS, state_to_region
@@ -30,8 +29,7 @@ MATCH_FIELDS = ("gender", "race", "party")
 
 @lru_cache(maxsize=None)
 def load_profile_schema() -> dict[str, tuple[str, ...]]:
-    raw = resources.files("newsdrift").joinpath("data/profile_schema.json").read_text("utf-8")
-    doc = json.loads(raw)
+    doc = inputs.read_json(None, "profile schema", ValidationError)
     return {section: tuple(names) for section, names in doc.items()}
 
 
@@ -147,19 +145,10 @@ def _check_vocab(taxonomy: TopicTaxonomy, field: str, value: str):
         raise ValidationError(f"{field} value {value!r} outside taxonomy vocabulary")
 
 
-def _read_jsonl(path: str | Path):
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            yield lineno, line
-
-
 def load_social_records(path: str | Path, taxonomy: TopicTaxonomy) -> list[SocialMediaRecord]:
     records = []
     seen = set()
-    for lineno, line in _read_jsonl(path):
+    for lineno, line in inputs.read_lines(path, "social records", ValidationError):
         try:
             doc = json.loads(line)
             record = SocialMediaRecord(
@@ -193,7 +182,7 @@ def load_survey_records(path: str | Path, taxonomy: TopicTaxonomy) -> list[Surve
     )
     records = []
     seen = set()
-    for lineno, line in _read_jsonl(path):
+    for lineno, line in inputs.read_lines(path, "survey records", ValidationError):
         try:
             doc = json.loads(line)
             if doc["region"] not in REGIONS:
@@ -406,18 +395,14 @@ def _matching_report(profiles: list[AgentProfile], unmatched: list[str]) -> dict
 
 
 def load_profiles(path, taxonomy: TopicTaxonomy) -> list[AgentProfile]:
-    try:
-        with Path(path).open("r", encoding="utf-8") as fh:
-            docs = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ValidationError(f"profile file {path} is not a readable JSON file: {exc}") from None
+    docs = inputs.read_json(path, "profile file", ValidationError)
     if not isinstance(docs, list) or not docs:
         raise ValidationError(f"profile file {path} must hold a non-empty JSON array")
     profiles = []
     for number, doc in enumerate(docs, 1):
         try:
             profiles.append(AgentProfile.from_dict(doc, taxonomy))
-        except (LookupError, TypeError, ValueError) as exc:
+        except (LookupError, TypeError, ValueError, ValidationError) as exc:
             raise ValidationError(f"profile file {path} entry {number} is not a profile: "
                                   f"{type(exc).__name__}: {exc}") from None
     return profiles

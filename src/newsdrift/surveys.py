@@ -8,10 +8,9 @@ every agent must answer.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
-from . import prompts
+from . import inputs, prompts
 from .errors import ConfigError, ValidationError
 from .gateway import GenerationRequest
 from .reflection import OpinionState, format_opinions
@@ -103,19 +102,17 @@ class GroundTruthSeries:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "GroundTruthSeries":
+        header = "year,favorable_pct,unfavorable_pct"
+        lines = inputs.read_lines(path, "ground truth", ValidationError)
+        if next(lines, (0, None))[1] != header:
+            raise ValidationError(f"ground truth {path}: the header must be {header}")
         by_year = {}
-        with Path(path).open("r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            expected = ["year", "favorable_pct", "unfavorable_pct"]
-            if reader.fieldnames != expected:
-                raise ValidationError(
-                    f"ground truth header must be {','.join(expected)}"
-                )
-            for row in reader:
-                by_year[int(row["year"])] = (
-                    float(row["favorable_pct"]),
-                    float(row["unfavorable_pct"]),
-                )
+        for number, line in lines:
+            try:
+                year, favorable, unfavorable = line.split(",")
+                by_year[int(year)] = (float(favorable), float(unfavorable))
+            except ValueError as exc:
+                raise ValidationError(f"ground truth {path} line {number}: {exc}") from None
         return cls(by_year)
 
 

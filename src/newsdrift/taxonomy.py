@@ -6,13 +6,12 @@ validate social-media and survey records.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
-from importlib import resources
 from itertools import combinations
 from pathlib import Path
 
+from . import inputs
 from .errors import ValidationError
 
 # Topics that must be present in any taxonomy (the analysis pipeline
@@ -130,16 +129,15 @@ class TopicTaxonomy:
 
 def load_taxonomy(path: str | Path | None = None) -> TopicTaxonomy:
     """Load a taxonomy file, or the packaged default when path is None."""
-    if path is None:
-        raw = resources.files("newsdrift").joinpath("data/taxonomy.json").read_text("utf-8")
-    else:
-        raw = Path(path).read_text("utf-8")
-    doc = json.loads(raw)
-    for t in doc["topics"]:
-        keywords = t["keywords"]
-        if not (isinstance(t["name"], str) and isinstance(keywords, list)
-                and all(isinstance(kw, str) for kw in keywords)):
-            raise ValidationError(f"taxonomy topic {t['name']!r}: the name must be a string "
-                                  f"and keywords a list of strings, got {keywords!r}")
-    topics = [Topic(t["name"], t["keywords"]) for t in doc["topics"]]
-    return TopicTaxonomy(topics, doc.get("demographics", {}))
+    doc = inputs.read_json(path, "taxonomy", ValidationError)
+    try:
+        for t in doc["topics"]:
+            if not (isinstance(t["name"], str) and isinstance(t["keywords"], list)
+                    and all(isinstance(kw, str) for kw in t["keywords"])):
+                raise ValidationError(f"taxonomy topic {t['name']!r}: the name must be a string "
+                                      f"and keywords a list of strings, got {t['keywords']!r}")
+        topics = [Topic(t["name"], t["keywords"]) for t in doc["topics"]]
+        return TopicTaxonomy(topics, doc.get("demographics", {}))
+    except (LookupError, TypeError, ValidationError) as exc:
+        raise ValidationError(f"taxonomy {path} is not a taxonomy: "
+                              f"{type(exc).__name__}: {exc}") from None

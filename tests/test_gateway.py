@@ -571,6 +571,27 @@ def test_schema_errors_are_caught_only_in_the_gateway():
     assert catchers == []
 
 
+def test_input_files_are_read_only_in_the_inputs_module():
+    """inputs.py resolves and reads every input file; prompts.py reads its own templates."""
+    package = Path(__file__).resolve().parents[1] / "src" / "newsdrift"
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "inputs.py":
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        if path.name == "prompts.py":
+            tree.body = [node for node in tree.body
+                         if getattr(node, "name", None) not in ("_template", "template_bytes")]
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            owner, attr = getattr(node.func.value, "id", None), node.func.attr
+            if (attr in ("read_text", "read_bytes") and owner != "inputs"
+                    or (owner, attr) in (("resources", "files"), ("json", "load"))):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------

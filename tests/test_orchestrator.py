@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import newsdrift
 from newsdrift import cli, orchestrator, prompts
 from newsdrift.errors import ConfigError, ResumeError
 from newsdrift.gateway import BackendConfig, Gateway
@@ -411,7 +413,8 @@ def test_checkpoint_holds_live_state_not_results(make_config):
 
 
 def test_a_checkpoint_with_derived_keys_resumes_to_the_straight_run(make_config):
-    # checkpoints written before the counts and skipped years were derived
+    # a checkpoint as written before the counts and skipped years were derived,
+    # its config listed field by field and its inputs hashed role by role
     straight = make_config(n_agents=2, years=(2004, 2006), intervention="debias")
     run(straight)
     cut = dataclasses.replace(straight, out_dir=straight.out_dir + "-cut")
@@ -421,20 +424,41 @@ def test_a_checkpoint_with_derived_keys_resumes_to_the_straight_run(make_config)
     ck.update(offer_count=2 * 50, payload_count=2 * 10, skipped_years=[2004])
     for state in ck["states"].values():
         state["year_cursor"] = 2005
+    backend = {"mode": "mock", "base_url": "", "model_name": "",
+               "api_key_env_var": "NEWSDRIFT_API_KEY", "max_attempts": 3,
+               "backoff_seconds": [1.0, 2.0, 4.0], "timeout_seconds": 60.0,
+               "temperature": 0.7, "max_tokens": 1024}
+    ck["config"] = {"seed": 7, "years": [2004, 2006], "n_agents": 2, "headlines_per_agent": 50,
+                    "reads_per_year": 10, "batch_size": 10, "intervention": "debias",
+                    "ablation": "none", "backend": backend, "corpus_path": straight.corpus_path,
+                    "profiles_path": straight.profiles_path, "ground_truth_path": None,
+                    "taxonomy_path": None, "lexicon_path": None}
+    ck["config_hash"] = hashlib.sha256(
+        json.dumps(ck["config"], sort_keys=True).encode("utf-8")).hexdigest()
+    data = Path(newsdrift.__file__).parent / "data"
+    files = {"corpus": straight.corpus_path, "profiles": straight.profiles_path,
+             "taxonomy": data / "taxonomy.json", "lexicon": data / "lexicon.json"}
+    ck["fingerprints"] = {role: hashlib.sha256(_read(path)).hexdigest()
+                          for role, path in files.items()}
+    ck["fingerprints"]["prompts"] = hashlib.sha256(prompts.template_bytes()).hexdigest()
     ck_path.write_text(json.dumps(ck))
-    resume(cut.out_dir)
+    resume(cut.out_dir, dataclasses.replace(straight, out_dir=cut.out_dir))
     assert _tree(Path(cut.out_dir)) == _tree(Path(straight.out_dir))
+    results = json.loads((Path(cut.out_dir) / "results.json").read_text())
+    assert results["config_hash"] == ck["config_hash"]
 
 
-@pytest.mark.parametrize("damage", ["delete", "drop_agent"])
+@pytest.mark.parametrize("damage", ["delete", "drop_agent", "torn_line"])
 def test_resume_refuses_a_damaged_trace_of_a_completed_year(make_config, damage):
     config = make_config(n_agents=2)
     run(config, stop_after_year=2005)
     trace = Path(config.out_dir) / "trace" / "year_2005.jsonl"
     if damage == "delete":
         trace.unlink()
-    else:
+    elif damage == "drop_agent":
         trace.write_text(trace.read_text().splitlines()[0] + "\n")
+    else:
+        trace.write_text(trace.read_text()[:-9])
     with pytest.raises(ResumeError, match="2005"):
         resume(config.out_dir)
     assert not (Path(config.out_dir) / "results.json").exists()
@@ -671,28 +695,72 @@ def test_cli_replayed_profile_build_writes_the_recorded_profiles(tmp_path, fixtu
                 == _read(tmp_path / f"recorded{suffix}")), suffix
 
 
-@pytest.mark.parametrize("damage, message", [
-    ("config_missing", "cli-config.json is not a readable JSON file"),
-    ("config_not_json", "cli-config.json is not a readable JSON file"),
-    ("profiles_not_json", "profiles.json is not a readable JSON file"),
-    ("profile_without_demographics", "entry 1 is not a profile: KeyError: 'demographics'"),
-], ids=["config_missing", "config_not_json", "profiles_not_json",
-        "profile_without_demographics"])
-def test_cli_reports_a_bad_input_file(tmp_path, make_config, caplog, damage, message):
-    # a run over a profile file whose first entry lacks its demographics
+_TRUTH_HEADER = "year,favorable_pct,unfavorable_pct\n"
+
+# damage -> (command, the input it damages, that file's text or None for a
+# missing file, what the logged error says besides the file's name). The
+# input is a `paths` key of the run config or the config itself for `run`,
+# --social for build-profiles, and a file of a run stopped after 2005 for
+# report and resume.
+_BAD_INPUTS = {
+    "config_missing": ("run", "config", None, "is not a readable JSON file"),
+    "config_not_json": ("run", "config", "{", "is not a readable JSON file"),
+    "profiles_not_json": ("run", "profiles", "[", "is not a readable JSON file"),
+    "profile_without_demographics": ("run", "profiles", '[{"agent_id": "a"}]',
+                                     "entry 1 is not a profile: KeyError: 'demographics'"),
+    "taxonomy_missing": ("run", "taxonomy", None, "is not a readable JSON file"),
+    "taxonomy_not_json": ("run", "taxonomy", "{", "is not a readable JSON file"),
+    "taxonomy_without_topics": ("run", "taxonomy", "{}", "KeyError: 'topics'"),
+    "topic_without_keywords": ("run", "taxonomy", '{"topics": [{"name": "economics"}]}',
+                               "KeyError: 'keywords'"),
+    "lexicon_not_json": ("run", "lexicon", "{", "is not a readable JSON file"),
+    "lexicon_without_negative": ("run", "lexicon", '{"positive": {"good": 1.0}}',
+                                 "KeyError: 'negative'"),
+    "lexicon_weight_not_a_number": ("run", "lexicon",
+                                    '{"positive": {"good": "high"}, "negative": {}}',
+                                    "lexicon weight for 'good'"),
+    "corpus_without_articles": ("run", "corpus", "{\n", "holds no accepted article"),
+    "ground_truth_missing": ("run", "ground_truth", None, "is not readable"),
+    "ground_truth_cell_not_a_number": ("run", "ground_truth", _TRUTH_HEADER + "2005,x,50\n",
+                                       "line 2: could not convert string to float: 'x'"),
+    "ground_truth_row_short": ("run", "ground_truth", _TRUTH_HEADER + "2005,40,50\n2006,40\n",
+                               "line 3: not enough values to unpack"),
+    "social_missing": ("build-profiles", "social", None, "is not readable"),
+    "results_missing": ("report", "results.json", None, "is not a readable JSON file"),
+    "checkpoint_not_json": ("resume", "checkpoint.json", '{"config": ',
+                            "is not a readable JSON file"),
+}
+
+
+@pytest.mark.parametrize("damage", list(_BAD_INPUTS))
+def test_cli_reports_a_bad_input_file(tmp_path, make_config, fixtures_dir, caplog, damage):
+    command, role, text, message = _BAD_INPUTS[damage]
     config_path = _cli_config(tmp_path, make_config)
-    doc = json.loads(config_path.read_text())
-    profiles = json.loads(Path(doc["paths"]["profiles"]).read_text())
-    del profiles[0]["demographics"]
-    broken = json.dumps(profiles)
-    (tmp_path / "profiles.json").write_text(
-        broken[:-1] if damage == "profiles_not_json" else broken)
-    doc["paths"]["profiles"] = str(tmp_path / "profiles.json")
-    config_path.write_text(json.dumps(doc)[:-1] if damage == "config_not_json" else json.dumps(doc))
-    if damage == "config_missing":
+    out_dir = tmp_path / "cli-out"
+    if command in ("report", "resume"):
+        run(RunConfig.from_file(config_path), stop_after_year=2005)
+        bad = out_dir / role
+        bad.unlink(missing_ok=True)
+    elif role == "config":
+        bad = config_path
         config_path.unlink()
-    assert cli.main(["run", "--config", str(config_path)]) == 1
-    assert message in caplog.text
+    else:
+        bad = tmp_path / f"{damage}.input"
+        doc = json.loads(config_path.read_text())
+        doc["paths"][role] = str(bad)
+        config_path.write_text(json.dumps(doc))
+    if text is not None:
+        bad.write_text(text)
+    argv = {
+        "run": ["run", "--config", str(config_path)],
+        "build-profiles": ["build-profiles", "--social", str(bad),
+                           "--survey", str(fixtures_dir / "survey_records.jsonl"),
+                           "--out", str(tmp_path / "profiles.json")],
+        "report": ["report", "--out", str(out_dir)],
+        "resume": ["resume", "--out", str(out_dir)],
+    }[command]
+    assert cli.main(argv) == 1
+    assert str(bad) in caplog.text and message in caplog.text
 
 
 def test_cli_reports_domain_errors_as_exit_code(tmp_path, make_config):
