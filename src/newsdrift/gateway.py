@@ -15,7 +15,9 @@ import json
 import logging
 import os
 import re
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -71,6 +73,8 @@ class BackendConfig:
     temperature: float = 0.7
     max_tokens: int = 1024
     replay_log: str | None = None
+    # remote requests in flight at once in Gateway.map; 1 runs them one by one
+    max_in_flight: int = 8
 
     def __post_init__(self):
         if self.mode not in ("remote", "mock", "replay"):
@@ -81,6 +85,8 @@ class BackendConfig:
             raise ConfigError("replay mode requires replay_log path")
         if self.max_attempts < 1:
             raise ConfigError(f"max_attempts must be at least 1: {self.max_attempts}")
+        if self.max_in_flight < 1:
+            raise ConfigError(f"max_in_flight must be at least 1: {self.max_in_flight}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BackendConfig":
@@ -279,10 +285,12 @@ class Gateway:
     """Single entry point for all backend exchanges in a run.
 
     Each backend only supplies raw answers; ``generate`` parses, logs and
-    returns them the same way whatever the mode. A ``Gateway`` is used from
-    one thread. The replay log is append-only, through one line-buffered
-    handle opened on the first record; request tags must be unique per run so
-    a recorded log can drive an exact replay. ``close`` releases the handle.
+    returns them the same way whatever the mode. ``map`` runs independent
+    chains of exchanges, at most ``max_in_flight`` at once on the remote
+    backend, and keeps the replay log in the order a sequential run writes.
+    The replay log is append-only, through one line-buffered handle opened on
+    the first record; request tags must be unique per run so a recorded log
+    can drive an exact replay. ``close`` releases the handle and the workers.
     """
 
     def __init__(self, config: BackendConfig, log_path: str | Path | None = None,
@@ -293,6 +301,11 @@ class Gateway:
         self._log_path = Path(log_path) if log_path else None
         self._log_fh = None
         self._seq = counters.get("replay_lines", 0)
+        # guards _seen_tags and the counts against concurrent exchanges
+        self._lock = threading.Lock()
+        # .records: where this thread's exchanges go; unset writes to the log
+        self._local = threading.local()
+        self._pool: ThreadPoolExecutor | None = None
         self._seen_tags: set[str] = set()
         self.request_counts: dict[str, int] = dict(counters.get("request_counts", {}))
         self.fallback_counts: dict[str, int] = dict(counters.get("fallback_counts", {}))
@@ -306,10 +319,66 @@ class Gateway:
                 raise ConfigError(f"remote mode requires API key in ${config.api_key_env_var}")
 
     def close(self):
-        """Close the replay-log handle; a later record opens it again."""
+        """Wait for running workers and close the replay-log handle; a later
+        ``map`` or record opens them again."""
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None
         if self._log_fh is not None:
             self._log_fh.close()
             self._log_fh = None
+
+    # -- concurrency ---------------------------------------------------------
+
+    def capture(self, fn, *args):
+        """Run fn(*args) and return (its result, the log records it made).
+
+        The records are held back, not written; ``emit`` places them later.
+        """
+        outer = getattr(self._local, "records", None)
+        self._local.records = records = []
+        try:
+            return fn(*args), records
+        finally:
+            self._local.records = outer
+
+    def emit(self, records: list):
+        """Write records held by ``capture``, or hold them in an enclosing capture."""
+        held = getattr(self._local, "records", None)
+        if held is not None:
+            held.extend(records)
+            return
+        for record in records:
+            self._log(*record)
+
+    def map(self, fn, items) -> list:
+        """Return [fn(item) for item in items], each call a chain of exchanges.
+
+        Each item's records are emitted once every earlier item's are, so the
+        log reads as if the items ran one after another. The remote backend
+        runs up to ``max_in_flight`` items at once; mock and replay answer in
+        this thread and run them in turn. The first failure in item order is
+        raised and items not yet started are cancelled.
+        """
+        futures = []
+        if self.config.mode == "remote" and self.config.max_in_flight > 1:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(self.config.max_in_flight,
+                                                thread_name_prefix="newsdrift-gateway")
+            futures = [self._pool.submit(self.capture, fn, item) for item in items]
+            outcomes = (future.result() for future in futures)
+        else:
+            outcomes = (self.capture(fn, item) for item in items)
+        results = []
+        try:
+            for result, records in outcomes:
+                self.emit(records)
+                results.append(result)
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
+        return results
 
     # -- replay ------------------------------------------------------------
 
@@ -421,20 +490,22 @@ class Gateway:
         ``fallback_counts`` under its schema and ``fallback`` is returned;
         transport, replay and config errors still raise.
         """
-        if request.request_tag in self._seen_tags:
-            raise ConfigError(f"duplicate request tag in run: {request.request_tag!r}")
-        self._seen_tags.add(request.request_tag)
         schema = request.expected_schema
-        self.request_counts[schema] = self.request_counts.get(schema, 0) + 1
+        with self._lock:
+            if request.request_tag in self._seen_tags:
+                raise ConfigError(f"duplicate request tag in run: {request.request_tag!r}")
+            self._seen_tags.add(request.request_tag)
+            self.request_counts[schema] = self.request_counts.get(schema, 0) + 1
 
         for raw, t_start, t_end in self._answers(request, mock_value):
             try:
                 parsed = parse_structured(schema, raw)
             except SchemaError:
-                self._log(request, raw, None, False, t_start, t_end)
+                self.emit([(request, raw, None, False, t_start, t_end)])
                 continue
-            self._log(request, raw, parsed, True, t_start, t_end)
+            self.emit([(request, raw, parsed, True, t_start, t_end)])
             return parsed
-        self.fallback_counts[schema] = self.fallback_counts.get(schema, 0) + 1
+        with self._lock:
+            self.fallback_counts[schema] = self.fallback_counts.get(schema, 0) + 1
         log.warning("no answer for %s matched %s; using the fallback", request.request_tag, schema)
         return fallback

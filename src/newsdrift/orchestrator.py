@@ -23,7 +23,7 @@ from .corpus import CorpusIndex, IngestReport, articles_for_year, ingest
 from .distribution import retrieve_full_text, sample_headlines, select_articles
 from .errors import ConfigError, CorpusError, ResumeError
 from .gateway import BackendConfig, Gateway, MockLexicon, load_lexicon
-from .interventions import apply_intervention
+from .interventions import apply_intervention, debias_payload
 from .modes import validate_ablation, validate_intervention
 from .profiles import AgentProfile, load_profiles, sample_agents
 from .reflection import OpinionState, apply_updates, reflect_batch
@@ -35,6 +35,9 @@ from .taxonomy import TopicTaxonomy, load_taxonomy
 log = logging.getLogger(__name__)
 
 CHECKPOINT_NAME = "checkpoint.json"
+# the checkpoint keys resume reads without a default
+_CHECKPOINT_KEYS = ("config", "fingerprints", "agent_ids", "replay_lines", "states",
+                   "completed_years", "debias_cache")
 REPLAY_NAME = "replay.jsonl"
 # written by _finalize; a new run removes them so a reused directory never
 # shows an earlier run's results
@@ -100,7 +103,8 @@ class RunConfig:
 
     def canonical(self) -> dict:
         doc = dataclasses.asdict(self)
-        del doc["out_dir"], doc["backend"]["replay_log"]
+        # where files go and how many requests overlap change no result
+        del doc["out_dir"], doc["backend"]["replay_log"], doc["backend"]["max_in_flight"]
         doc["backend"]["backoff_seconds"] = list(self.backend.backoff_seconds)
         return {**doc, "years": list(self.years), "batch_size": self.effective_batch}
 
@@ -238,23 +242,54 @@ def _chunk(items, size):
 
 def _process_year(config: RunConfig, env: RunEnv, gateway: Gateway,
                   state: RunState, year: int) -> tuple[list[dict], list[dict]]:
-    updates_all: list[dict] = []
-    trace: list[dict] = []
-    for profile in env.agents:
-        agent_id = profile.agent_id
-        offer = sample_headlines(env.index, year, agent_id,
+    """One year in three phases, each a ``gateway.map`` over independent work.
+
+    Agents share nothing within a year but the debias cache, so each agent's
+    chain of exchanges may run beside the others'. The replay log still reads
+    as the sequential run wrote it: an agent's records, its selection first,
+    each debias rewrite just before the batch of the article's first reader.
+    """
+    agents = env.agents
+
+    def choose(profile):
+        offer = sample_headlines(env.index, year, profile.agent_id,
                                  config.headlines_per_agent, config.seed)
         m_eff = min(config.reads_per_year, len(offer.offers))
         selected = select_articles(
             profile, offer, m_eff, gateway, env.taxonomy, env.lexicon,
-            config.ablation, tag=f"select:{year}:{agent_id}",
+            config.ablation, tag=f"select:{year}:{profile.agent_id}",
         )
         payloads = retrieve_full_text(env.index, selected, config.ablation)
+        return offer, selected, _chunk(list(payloads), config.effective_batch)
 
+    chosen = gateway.map(lambda profile: gateway.capture(choose, profile), agents)
+
+    # (agent index, batch index) -> records of the rewrites that batch reads first
+    rewrites: dict[tuple[int, int], list] = {}
+    if config.intervention == "debias":
+        first_reader = {}
+        for i, ((_, _, batches), _) in enumerate(chosen):
+            for j, batch in enumerate(batches):
+                for payload in batch:
+                    if payload.article_id not in state.cache:
+                        first_reader.setdefault(payload.article_id, (payload, (i, j)))
+        readers = list(first_reader.values())
+        held = gateway.map(lambda entry: gateway.capture(
+            debias_payload, entry[0], gateway, env.lexicon, state.cache), readers)
+        for (_, reader), (_, records) in zip(readers, held):
+            rewrites.setdefault(reader, []).extend(records)
+
+    def read_and_survey(i):
+        profile = agents[i]
+        agent_id = profile.agent_id
+        (offer, selected, batches), selection_records = chosen[i]
+        gateway.emit(selection_records)
         opinion = state.states[agent_id]
         critique_chars = []
         read_meta = []
-        for j, batch in enumerate(_chunk(list(payloads), config.effective_batch)):
+        updates_all = []
+        for j, batch in enumerate(batches):
+            gateway.emit(rewrites.get((i, j), []))
             batch_payloads, critique = apply_intervention(
                 config.intervention, batch, gateway, env.lexicon, state.cache,
                 tag=f"critique:{year}:{agent_id}:b{j}",
@@ -277,8 +312,7 @@ def _process_year(config: RunConfig, env: RunEnv, gateway: Gateway,
         response = survey_response(profile, opinion, gateway, env.taxonomy,
                                    tag=f"survey:{year}:{agent_id}")
         opinion.last_response = response
-        state.states[agent_id] = opinion
-        trace.append({
+        return opinion, updates_all, {
             "agent_id": agent_id,
             "offer_ids": list(offer.ids),
             "selected_ids": list(selected),
@@ -286,7 +320,14 @@ def _process_year(config: RunConfig, env: RunEnv, gateway: Gateway,
             "critique_chars": critique_chars,
             "overall_valence": overall_valence(opinion),
             "response": response,
-        })
+        }
+
+    updates_all: list[dict] = []
+    trace: list[dict] = []
+    for opinion, updates, row in gateway.map(read_and_survey, range(len(agents))):
+        state.states[opinion.agent_id] = opinion
+        updates_all.extend(updates)
+        trace.append(row)
     return updates_all, trace
 
 
@@ -398,6 +439,9 @@ def resume(out_dir: str | Path, config: RunConfig | None = None,
     if not ck_path.exists():
         raise ResumeError(f"no checkpoint found in {out_dir}")
     ck = inputs.read_json(ck_path, "checkpoint", ResumeError)
+    missing = [key for key in _CHECKPOINT_KEYS if not isinstance(ck, dict) or key not in ck]
+    if missing:
+        raise ResumeError(f"checkpoint {ck_path} lacks keys: {', '.join(missing)}")
 
     if config is not None:
         drift = _config_drift(config.canonical(), ck["config"])

@@ -89,12 +89,12 @@ class GroundTruthSeries:
     def __init__(self, by_year: dict[int, tuple[float, float]]):
         years = sorted(by_year)
         if years and years != list(range(years[0], years[-1] + 1)):
-            raise ValidationError("ground truth years must be contiguous")
+            raise ValidationError("years must be contiguous")
         for year, (fav, unfav) in by_year.items():
             if not (0.0 <= fav <= 100.0 and 0.0 <= unfav <= 100.0):
-                raise ValidationError(f"ground truth {year}: percentages out of range")
+                raise ValidationError(f"year {year}: percentages out of range")
             if fav + unfav > 100.0 + 1e-9:
-                raise ValidationError(f"ground truth {year}: favorable + unfavorable > 100")
+                raise ValidationError(f"year {year}: favorable + unfavorable > 100")
         self.by_year = dict(by_year)
 
     def __len__(self) -> int:
@@ -113,7 +113,10 @@ class GroundTruthSeries:
                 by_year[int(year)] = (float(favorable), float(unfavorable))
             except ValueError as exc:
                 raise ValidationError(f"ground truth {path} line {number}: {exc}") from None
-        return cls(by_year)
+        try:
+            return cls(by_year)
+        except ValidationError as exc:
+            raise ValidationError(f"ground truth {path}: {exc}") from None
 
 
 def mae(sim_results: list[dict], truth: GroundTruthSeries,

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from newsdrift.gateway import (
     parse_structured,
     serialize_for_log,
 )
-from newsdrift.orchestrator import run
+from newsdrift.orchestrator import resume, run
 
 
 # ---------------------------------------------------------------------------
@@ -292,24 +294,41 @@ def test_replay_names_the_line_of_a_damaged_log(tmp_path, damage):
 class _CannedServer:
     """Serves a scripted sequence of responses and records requests.
 
-    Once the script runs out, every request is answered with the content
-    ``answer`` returns for its JSON body.
+    Once the script runs out, every request is answered with what ``answer``
+    returns for its JSON body: the content, or a script entry. Each request is
+    held ``hold`` seconds; ``max_in_flight`` is the most held at once.
     """
 
     def __init__(self):
         self.script: list = []
         self.requests: list = []
         self.answer = lambda body: "1"
+        self.hold = 0.0
+        self.in_flight = self.max_in_flight = 0
+        lock = threading.Lock()
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
+                with lock:
+                    outer.in_flight += 1
+                    outer.max_in_flight = max(outer.max_in_flight, outer.in_flight)
+                try:
+                    self._answer()
+                finally:
+                    with lock:
+                        outer.in_flight -= 1
+
+            def _answer(self):
                 body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 outer.requests.append({
                     "auth": self.headers.get("Authorization"),
                     "json": body,
                 })
-                kind, *rest = outer.script.pop(0) if outer.script else ("ok", outer.answer(body))
+                if outer.hold:  # tests that count the client's back-off patch time.sleep
+                    time.sleep(outer.hold)
+                reply = outer.script.pop(0) if outer.script else outer.answer(body)
+                kind, *rest = reply if isinstance(reply, tuple) else ("ok", reply)
                 if kind in ("ok", "json"):
                     doc = rest[0]  # "json" sends its document as the whole body
                     if kind == "ok":
@@ -521,6 +540,8 @@ def _schema_answer(body):
     if system.startswith("You are the reasoning core"):
         return json.dumps({"themes": [], "reasoning": "", "domains": {
             "economics": {"action": "confirm", "new_valence": 0.0, "cognitions": []}}})
+    if system.startswith("You are a news editor"):
+        return json.dumps({"debiased_text": "A rewritten report."})
     return "3"
 
 
@@ -546,6 +567,118 @@ def test_replay_of_remote_run_reproduces_it(canned_server, make_config, monkeypa
     assert results[0] == results[1]
 
 
+def _without_times(log: Path) -> list[dict]:
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    for record in records:
+        del record["t_start"], record["t_end"]
+    return records
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    names = ["results.json", "run_report.json", *(p.name for p in out.glob("updates_*.jsonl"))]
+    files = {name: (out / name).read_bytes() for name in names}
+    files.update({f"trace/{p.name}": p.read_bytes() for p in out.glob("trace/*.jsonl")})
+    return files
+
+
+def _sequential_tags(out: Path, year: int, intervention: str) -> list[str]:
+    """The first year's tags in the order a one-agent-at-a-time run makes them."""
+    tags = []
+    for row in (json.loads(line) for line in
+                (out / "trace" / f"year_{year}.jsonl").read_text().splitlines()):
+        agent = row["agent_id"]
+        tags.append(f"select:{year}:{agent}")
+        for j in range(0, len(row["reads"]), 2):
+            if intervention == "debias":
+                tags.extend(f"debias:{read['article_id']}" for read in row["reads"][j:j + 2]
+                            if f"debias:{read['article_id']}" not in tags)
+            if intervention == "devils_advocate":
+                tags.append(f"critique:{year}:{agent}:b{j // 2}")
+            tags.append(f"reflect:{year}:{agent}:b{j // 2}")
+        tags.append(f"survey:{year}:{agent}")
+    return tags
+
+
+@pytest.mark.parametrize("intervention", ["baseline", "debias", "devils_advocate"])
+def test_concurrent_remote_run_equals_the_sequential_one(canned_server, make_config,
+                                                         monkeypatch, intervention):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.answer = _schema_answer
+    canned_server.hold = 0.005
+    runs = {}
+    for in_flight in (1, 8):
+        canned_server.max_in_flight = 0
+        config = make_config(reads_per_year=4, batch_size=2, intervention=intervention,
+                             backend=_remote_config(canned_server, max_in_flight=in_flight))
+        run(config)
+        runs[in_flight] = Path(config.out_dir)
+        assert (canned_server.max_in_flight > 1) == (in_flight > 1)
+    sequential, concurrent = runs[1], runs[8]
+    tags = [r["tag"] for r in _without_times(concurrent / "replay.jsonl")]
+    first_year = tags[:tags.index(f"select:2006:{tags[0].split(':')[2]}")]
+    assert list(dict.fromkeys(first_year)) == _sequential_tags(concurrent, 2005, intervention)
+    assert _without_times(concurrent / "replay.jsonl") == _without_times(sequential / "replay.jsonl")
+    assert _outputs(concurrent) == _outputs(sequential)
+
+
+def test_a_failure_inside_a_concurrent_year_resumes_to_the_uninterrupted_run(
+        canned_server, make_config, monkeypatch):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.answer = _schema_answer
+    straight = make_config(intervention="debias", reads_per_year=4, batch_size=2,
+                           backend=_remote_config(canned_server))
+    run(straight)
+    # the third agent's survey in the second year answers HTTP 500 to every attempt
+    surveys = [r for r in _without_times(Path(straight.out_dir) / "replay.jsonl")
+               if r["tag"].startswith("survey:2006:")]
+    survey = surveys[2]["user"]
+    canned_server.answer = lambda body: (
+        ("http_error", 500) if body["messages"][1]["content"] == survey else _schema_answer(body))
+    cut = dataclasses.replace(straight, out_dir=str(Path(straight.out_dir).parent / "cut"))
+    with pytest.raises(TransportError):
+        run(cut)
+
+    out = Path(cut.out_dir)
+    blob = (out / "replay.jsonl").read_bytes()
+    assert blob.endswith(b"\n")
+    written = [json.loads(line) for line in blob.splitlines()]
+    checkpoint = json.loads((out / "checkpoint.json").read_text())
+    assert checkpoint["completed_years"] == [2005]
+    assert len(written) > checkpoint["replay_lines"]  # the agents before the third one
+
+    canned_server.answer = _schema_answer
+    resume(cut.out_dir)
+    assert _without_times(out / "replay.jsonl") == _without_times(
+        Path(straight.out_dir) / "replay.jsonl")
+    assert _outputs(out) == _outputs(Path(straight.out_dir))
+
+
+@pytest.mark.parametrize("mode", ["mock", "remote"])
+def test_map_raises_the_first_failure_in_item_order(canned_server, monkeypatch, mode):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    config = _remote_config(canned_server, max_in_flight=2) if mode == "remote" \
+        else BackendConfig(mode="mock")
+    gw = Gateway(config)
+    started = []
+
+    def work(item):
+        started.append(item)
+        if item == 1:
+            time.sleep(0.05)
+            raise KeyError("first in item order")
+        if item == 2:
+            raise ReplayError("first in time")
+        time.sleep(0.01)
+        return item
+
+    with pytest.raises(KeyError, match="first in item order"):
+        gw.map(work, range(40))
+    gw.close()
+    assert len(started) < 40  # the items not started were cancelled
+    assert gw.map(lambda item: item * 2, range(3)) == [0, 2, 4]
+    gw.close()
+
+
 def test_log_records_reach_the_file_as_written(tmp_path):
     path = tmp_path / "r.jsonl"
     gw = Gateway(BackendConfig(mode="mock"), log_path=path)
@@ -569,6 +702,24 @@ def test_schema_errors_are_caught_only_in_the_gateway():
                 if "SchemaError" in names and path.name != "gateway.py":
                     catchers.append(f"{path.name}:{node.lineno}")
     assert catchers == []
+
+
+def test_threads_are_started_only_in_the_gateway():
+    """Concurrency lives in Gateway.map; call sites never branch on backend mode."""
+    package = Path(__file__).resolve().parents[1] / "src" / "newsdrift"
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] in ("threading", "concurrent") for m in modules) \
+                    and path.name != "gateway.py":
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
 
 
 def test_input_files_are_read_only_in_the_inputs_module():
@@ -605,6 +756,8 @@ def test_backend_config_validation():
         BackendConfig(mode="replay")  # missing replay_log
     with pytest.raises(ConfigError, match="max_attempts"):
         BackendConfig(max_attempts=0)
+    with pytest.raises(ConfigError, match="max_in_flight"):
+        BackendConfig(max_in_flight=0)
 
 
 def test_unknown_schema_rejected():
@@ -618,5 +771,5 @@ def test_backend_config_from_dict_round_trip():
 
 
 def test_backend_config_from_dict_names_unknown_keys():
-    with pytest.raises(ConfigError, match="max_in_flight, typo"):
-        BackendConfig.from_dict({"mode": "mock", "typo": 1, "max_in_flight": 4})
+    with pytest.raises(ConfigError, match="concurrency, typo"):
+        BackendConfig.from_dict({"mode": "mock", "typo": 1, "concurrency": 4})

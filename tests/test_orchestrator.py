@@ -608,9 +608,9 @@ def test_cli_run_and_report(tmp_path, make_config, capsys):
 
 def test_cli_reports_unknown_backend_key_as_an_error(tmp_path, make_config, caplog):
     config_path = _cli_config(tmp_path, make_config,
-                              backend={"mode": "mock", "max_in_flight": 4})
+                              backend={"mode": "mock", "concurrency": 4})
     assert cli.main(["run", "--config", str(config_path)]) == 1
-    assert "unknown backend keys: max_in_flight" in caplog.text
+    assert "unknown backend keys: concurrency" in caplog.text
 
 
 def test_cli_run_overrides_out_dir_and_seed(tmp_path, make_config):
@@ -725,10 +725,20 @@ _BAD_INPUTS = {
                                        "line 2: could not convert string to float: 'x'"),
     "ground_truth_row_short": ("run", "ground_truth", _TRUTH_HEADER + "2005,40,50\n2006,40\n",
                                "line 3: not enough values to unpack"),
+    "ground_truth_years_not_contiguous": ("run", "ground_truth",
+                                          _TRUTH_HEADER + "2005,40,50\n2007,40,50\n",
+                                          "years must be contiguous"),
+    "ground_truth_percentage_out_of_range": ("run", "ground_truth", _TRUTH_HEADER + "2005,101,0\n",
+                                             "year 2005: percentages out of range"),
+    "ground_truth_percentages_over_100": ("run", "ground_truth", _TRUTH_HEADER + "2005,60,50\n",
+                                          "year 2005: favorable + unfavorable > 100"),
     "social_missing": ("build-profiles", "social", None, "is not readable"),
     "results_missing": ("report", "results.json", None, "is not a readable JSON file"),
     "checkpoint_not_json": ("resume", "checkpoint.json", '{"config": ',
                             "is not a readable JSON file"),
+    "checkpoint_without_keys": ("resume", "checkpoint.json", "{}",
+                                "lacks keys: config, fingerprints, agent_ids, replay_lines, "
+                                "states, completed_years, debias_cache"),
 }
 
 
@@ -760,6 +770,7 @@ def test_cli_reports_a_bad_input_file(tmp_path, make_config, fixtures_dir, caplo
         "resume": ["resume", "--out", str(out_dir)],
     }[command]
     assert cli.main(argv) == 1
+    assert [r.levelname for r in caplog.records].count("ERROR") == 1
     assert str(bad) in caplog.text and message in caplog.text
 
 
