@@ -11,17 +11,19 @@ a remote completion, which keeps the two paths byte-compatible.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
 import re
+import ssl
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
-
-import requests
+from urllib.parse import urlsplit
 
 from . import inputs
 from .errors import ConfigError, ReplayError, SchemaError, TransportError, ValidationError
@@ -87,6 +89,19 @@ class BackendConfig:
             raise ConfigError(f"max_attempts must be at least 1: {self.max_attempts}")
         if self.max_in_flight < 1:
             raise ConfigError(f"max_in_flight must be at least 1: {self.max_in_flight}")
+        if not self.timeout_seconds > 0:
+            raise ConfigError(f"timeout_seconds must be positive: {self.timeout_seconds}")
+        if any(not delay >= 0 for delay in self.backoff_seconds):
+            raise ConfigError(f"backoff_seconds must not be negative: {self.backoff_seconds}")
+        if self.mode == "remote":
+            try:
+                url = urlsplit(self.base_url)
+                usable = url.scheme in ("http", "https") and url.hostname and url.port != 0
+            except ValueError:  # an unclosed [ in the host, or a port that is no number in range
+                usable = False
+            if not usable:
+                raise ConfigError(f"base_url must be an http:// or https:// URL with a host and "
+                                  f"a port from 1 to 65535, if any: {self.base_url!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BackendConfig":
@@ -314,9 +329,20 @@ class Gateway:
         if config.mode == "replay":
             self._load_replay_index(Path(config.replay_log))
         if config.mode == "remote":
-            self._api_key = os.environ.get(config.api_key_env_var, "")
-            if not self._api_key:
+            api_key = os.environ.get(config.api_key_env_var, "")
+            if not api_key:
                 raise ConfigError(f"remote mode requires API key in ${config.api_key_env_var}")
+            self._headers = {"Authorization": f"Bearer {api_key}",
+                             "Content-Type": "application/json", "Connection": "close"}
+            url = urlsplit(config.base_url)
+            self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+            # _post opens one connection per POST and closes it. The port is always given:
+            # http.client would take the end of a bare IPv6 host for one.
+            if url.scheme == "https":
+                self._connect = partial(http.client.HTTPSConnection, url.hostname,
+                                        url.port or 443, context=ssl.create_default_context())
+            else:
+                self._connect = partial(http.client.HTTPConnection, url.hostname, url.port or 80)
 
     def close(self):
         """Wait for running workers and close the replay-log handle; a later
@@ -436,15 +462,19 @@ class Gateway:
         """Send one request to the remote endpoint and return the answer text."""
         messages = [{"role": "system", "content": request.role_preamble},
                     {"role": "user", "content": request.user_text}]
-        response = requests.post(
-            self.config.base_url,
-            json={"model": self.config.model_name, "messages": messages,
-                  "temperature": self.config.temperature, "max_tokens": self.config.max_tokens},
-            headers={"Authorization": f"Bearer {self._api_key}"},
-            timeout=self.config.timeout_seconds,
-        )
-        response.raise_for_status()
-        content = response.json()["choices"][0]["message"]["content"]
+        body = json.dumps({"model": self.config.model_name, "messages": messages,
+                           "temperature": self.config.temperature,
+                           "max_tokens": self.config.max_tokens}).encode("utf-8")
+        connection = self._connect(timeout=self.config.timeout_seconds)
+        try:
+            connection.request("POST", self._path, body, self._headers)
+            response = connection.getresponse()
+            reply = response.read()
+        finally:
+            connection.close()
+        if response.status >= 300:  # redirects are not followed
+            raise http.client.HTTPException(f"HTTP {response.status} {response.reason}")
+        content = json.loads(reply)["choices"][0]["message"]["content"]
         if not isinstance(content, str):
             raise TypeError(f"reply carries no answer text: {content!r}")
         return content
@@ -471,7 +501,8 @@ class Gateway:
                 t_start = time.time()
                 try:
                     raw = self._post(request)
-                except (requests.RequestException, LookupError, TypeError, ValueError) as exc:
+                except (OSError, http.client.HTTPException,
+                        LookupError, TypeError, ValueError) as exc:
                     if attempt == attempts - 1:
                         raise TransportError(
                             f"last of {attempts} attempts failed in transport: {exc}") from exc

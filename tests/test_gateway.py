@@ -3,6 +3,12 @@ from __future__ import annotations
 import ast
 import dataclasses
 import json
+import os
+import re
+import socket
+import ssl
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -296,7 +302,8 @@ class _CannedServer:
 
     Once the script runs out, every request is answered with what ``answer``
     returns for its JSON body: the content, or a script entry. Each request is
-    held ``hold`` seconds; ``max_in_flight`` is the most held at once.
+    held ``hold`` seconds, and a ``("held", seconds, content)`` entry that much
+    longer; ``max_in_flight`` is the most held at once.
     """
 
     def __init__(self):
@@ -324,11 +331,15 @@ class _CannedServer:
                 outer.requests.append({
                     "auth": self.headers.get("Authorization"),
                     "json": body,
+                    "path": self.path,
                 })
                 if outer.hold:  # tests that count the client's back-off patch time.sleep
                     time.sleep(outer.hold)
                 reply = outer.script.pop(0) if outer.script else outer.answer(body)
                 kind, *rest = reply if isinstance(reply, tuple) else ("ok", reply)
+                if kind == "held":  # an Event's wait, as tests may patch time.sleep
+                    threading.Event().wait(rest.pop(0))
+                    kind = "ok"
                 if kind in ("ok", "json"):
                     doc = rest[0]  # "json" sends its document as the whole body
                     if kind == "ok":
@@ -517,6 +528,111 @@ def test_remote_only_transport_failures_back_off(canned_server, tmp_path, monkey
     canned_server.script = [("http_error", 500), ("ok", "2")]
     assert gw.generate(_req("s:2"), fallback=None) == 2
     assert slept == [0.25]
+
+
+def test_remote_refused_connection_exhausts_the_budget(tmp_path, monkeypatch):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    slept = []
+    monkeypatch.setattr("newsdrift.gateway.time.sleep", slept.append)
+    with socket.socket() as probe:  # a port that was bound and is closed again
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    config = BackendConfig(mode="remote", base_url=f"http://127.0.0.1:{port}/v1/chat/completions",
+                           model_name="m", max_attempts=3, backoff_seconds=(0.25, 0.5))
+    gw = Gateway(config, log_path=tmp_path / "r.jsonl")
+    with pytest.raises(TransportError, match="last of 3 attempts"):
+        gw.generate(_req("s:1"), fallback=None)
+    assert slept == [0.25, 0.5]
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+def test_remote_reply_later_than_the_timeout_is_retried(canned_server, tmp_path, monkeypatch):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    slept = []
+    monkeypatch.setattr("newsdrift.gateway.time.sleep", slept.append)
+    canned_server.script = [("held", 0.45, "1"), ("ok", "2")]
+    gw = Gateway(_remote_config(canned_server, timeout_seconds=0.25, backoff_seconds=(0.5,)),
+                 log_path=tmp_path / "r.jsonl")
+    assert gw.generate(_req("s:1"), fallback=None) == 2
+    assert slept == [0.5]
+    assert len(canned_server.requests) == 2
+    records = [json.loads(l) for l in (tmp_path / "r.jsonl").read_text().splitlines()]
+    assert [(r["raw_response"], r["ok"]) for r in records] == [("2", True)]
+
+
+def test_remote_client_errors_are_retried_like_server_errors(canned_server, tmp_path,
+                                                             monkeypatch):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    slept = []
+    monkeypatch.setattr("newsdrift.gateway.time.sleep", slept.append)
+    canned_server.script = [("http_error", 404), ("http_error", 500), ("ok", "2")]
+    gw = Gateway(_remote_config(canned_server, backoff_seconds=(0.25,)),
+                 log_path=tmp_path / "r.jsonl")
+    assert gw.generate(_req("s:1"), fallback=None) == 2
+    assert slept == [0.25, 0.25]
+
+
+def test_remote_base_url_path_and_query_reach_the_server(canned_server, tmp_path, monkeypatch):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    gw = Gateway(_remote_config(canned_server, base_url=canned_server.url + "?api-version=x"))
+    assert gw.generate(_req("s:1"), fallback=None) == 1
+    assert canned_server.requests[0]["path"] == "/v1/chat/completions?api-version=x"
+
+
+def test_https_base_urls_verify_certificates(monkeypatch):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    made = []
+
+    class Recorder:
+        """Stands in for HTTPSConnection and answers every POST with one completion."""
+
+        def __init__(self, *args, **kwargs):
+            made.append({"args": args, "kwargs": kwargs})
+
+        def request(self, method, path, body, headers):
+            made[-1]["path"] = path
+
+        def getresponse(self):
+            blob = json.dumps({"choices": [{"message": {"content": "3"}}]}).encode()
+            return type("Reply", (), {"status": 200, "reason": "OK", "read": lambda _: blob})()
+
+        def close(self):
+            made[-1]["closed"] = True
+
+    monkeypatch.setattr("http.client.HTTPSConnection", Recorder)
+    monkeypatch.setattr("http.client.HTTPConnection", None)  # https must not fall back
+    for url in ("https://localhost/v1/chat/completions?api-version=x",
+                "https://127.0.0.1:8443/v1/chat/completions"):
+        gw = Gateway(BackendConfig(mode="remote", base_url=url, model_name="m"))
+        assert gw.generate(_req(url), fallback=None) == 3
+    assert [(m["args"], m["path"], m["closed"]) for m in made] == [
+        (("localhost", 443), "/v1/chat/completions?api-version=x", True),
+        (("127.0.0.1", 8443), "/v1/chat/completions", True)]
+    for m in made:
+        context = m["kwargs"].get("context")  # None: http.client's default, verifying context
+        if context is not None:
+            assert context.verify_mode == ssl.CERT_REQUIRED and context.check_hostname
+
+
+def test_nothing_turns_certificate_verification_off():
+    package = Path(__file__).resolve().parents[1] / "src" / "newsdrift"
+    offenders = [f"{path.name}:{number}"
+                 for path in sorted(package.glob("*.py"))
+                 for number, line in enumerate(path.read_text("utf-8").splitlines(), 1)
+                 if re.search(r"_create_unverified_context|CERT_NONE|check_hostname\s*=\s*False",
+                              line)]
+    assert offenders == []
+
+
+def test_the_cli_imports_no_third_party_http_library():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, newsdrift.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True).stdout
+    assert loaded.strip() == "[]"
 
 
 def test_remote_sends_and_logs_the_backend_generation_parameters(canned_server, tmp_path,
@@ -758,6 +874,28 @@ def test_backend_config_validation():
         BackendConfig(max_attempts=0)
     with pytest.raises(ConfigError, match="max_in_flight"):
         BackendConfig(max_in_flight=0)
+
+
+@pytest.mark.parametrize("base_url", [
+    "localhost:8000/v1/chat/completions",  # no scheme: "localhost" is taken as one
+    "ftp://llm.example.org/v1",
+    "http:///v1/chat/completions",
+    "http://llm.example.org:99999/v1",
+])
+def test_backend_config_refuses_an_unusable_remote_base_url(base_url):
+    with pytest.raises(ConfigError, match="base_url"):
+        BackendConfig(mode="remote", base_url=base_url, model_name="m")
+
+
+@pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+def test_backend_config_refuses_a_timeout_that_is_not_positive(timeout):
+    with pytest.raises(ConfigError, match="timeout_seconds"):
+        BackendConfig(timeout_seconds=timeout)
+
+
+def test_backend_config_refuses_a_negative_backoff():
+    with pytest.raises(ConfigError, match="backoff_seconds"):
+        BackendConfig.from_dict({"mode": "mock", "backoff_seconds": [1, -0.5]})
 
 
 def test_unknown_schema_rejected():
