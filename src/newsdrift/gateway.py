@@ -75,7 +75,7 @@ class BackendConfig:
     temperature: float = 0.7
     max_tokens: int = 1024
     replay_log: str | None = None
-    # remote requests in flight at once in Gateway.map; 1 runs them one by one
+    # remote requests in flight at once in Gateway.start; 1 runs them one by one
     max_in_flight: int = 8
 
     def __post_init__(self):
@@ -85,14 +85,17 @@ class BackendConfig:
             raise ConfigError("remote mode requires base_url and model_name")
         if self.mode == "replay" and not self.replay_log:
             raise ConfigError("replay mode requires replay_log path")
-        if self.max_attempts < 1:
-            raise ConfigError(f"max_attempts must be at least 1: {self.max_attempts}")
-        if self.max_in_flight < 1:
-            raise ConfigError(f"max_in_flight must be at least 1: {self.max_in_flight}")
-        if not self.timeout_seconds > 0:
-            raise ConfigError(f"timeout_seconds must be positive: {self.timeout_seconds}")
-        if any(not delay >= 0 for delay in self.backoff_seconds):
-            raise ConfigError(f"backoff_seconds must not be negative: {self.backoff_seconds}")
+        for name in ("max_attempts", "max_in_flight"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
+                raise ConfigError(f"{name} must be an integer of at least 1: {value!r}")
+        if not (_is_real(self.timeout_seconds) and self.timeout_seconds > 0):
+            raise ConfigError(f"timeout_seconds must be a positive number: {self.timeout_seconds!r}")
+        if not (isinstance(self.backoff_seconds, (list, tuple))
+                and all(_is_real(delay) and delay >= 0 for delay in self.backoff_seconds)):
+            raise ConfigError(f"backoff_seconds must be numbers, none negative: "
+                              f"{self.backoff_seconds!r}")
+        object.__setattr__(self, "backoff_seconds", tuple(map(float, self.backoff_seconds)))
         if self.mode == "remote":
             try:
                 url = urlsplit(self.base_url)
@@ -108,10 +111,11 @@ class BackendConfig:
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown backend keys: {', '.join(unknown)}")
-        kwargs = dict(doc)
-        if "backoff_seconds" in kwargs:
-            kwargs["backoff_seconds"] = tuple(float(x) for x in kwargs["backoff_seconds"])
-        return cls(**kwargs)
+        return cls(**doc)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +304,11 @@ class Gateway:
     """Single entry point for all backend exchanges in a run.
 
     Each backend only supplies raw answers; ``generate`` parses, logs and
-    returns them the same way whatever the mode. ``map`` runs independent
-    chains of exchanges, at most ``max_in_flight`` at once on the remote
-    backend, and keeps the replay log in the order a sequential run writes.
+    returns them the same way whatever the mode. ``start`` and ``map`` run
+    independent chains of exchanges, at most ``max_in_flight`` at once on the
+    remote backend, and keep the replay log in the order a sequential run
+    writes. An exchange is counted as its record is written, so the counts
+    always describe the log as far as it is written.
     The replay log is append-only, through one line-buffered handle opened on
     the first record; request tags must be unique per run so a recorded log
     can drive an exact replay. ``close`` releases the handle and the workers.
@@ -316,7 +322,7 @@ class Gateway:
         self._log_path = Path(log_path) if log_path else None
         self._log_fh = None
         self._seq = counters.get("replay_lines", 0)
-        # guards _seen_tags and the counts against concurrent exchanges
+        # guards _seen_tags against concurrent exchanges
         self._lock = threading.Lock()
         # .records: where this thread's exchanges go; unset writes to the log
         self._local = threading.local()
@@ -377,14 +383,17 @@ class Gateway:
         for record in records:
             self._log(*record)
 
-    def map(self, fn, items) -> list:
-        """Return [fn(item) for item in items], each call a chain of exchanges.
+    def start(self, fn, items):
+        """Start fn(item) for each item, each call a chain of exchanges, and
+        return a call that waits for them and returns their results in order.
 
-        Each item's records are emitted once every earlier item's are, so the
-        log reads as if the items ran one after another. The remote backend
-        runs up to ``max_in_flight`` items at once; mock and replay answer in
-        this thread and run them in turn. The first failure in item order is
-        raised and items not yet started are cancelled.
+        The remote backend submits the items to its pool at once, where they
+        queue behind items started earlier and run up to ``max_in_flight`` at
+        a time; mock and replay run them in turn, in the thread that makes the
+        call, when it is made. Each item's records are emitted once every
+        earlier item's are, so the log reads as if the items ran one after
+        another. The call raises the first failure in item order and cancels
+        the items not yet started.
         """
         futures = []
         if self.config.mode == "remote" and self.config.max_in_flight > 1:
@@ -395,16 +404,23 @@ class Gateway:
             outcomes = (future.result() for future in futures)
         else:
             outcomes = (self.capture(fn, item) for item in items)
-        results = []
-        try:
-            for result, records in outcomes:
-                self.emit(records)
-                results.append(result)
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
-        return results
+
+        def wait() -> list:
+            results = []
+            try:
+                for result, records in outcomes:
+                    self.emit(records)
+                    results.append(result)
+            except BaseException:
+                for future in futures:
+                    future.cancel()
+                raise
+            return results
+        return wait
+
+    def map(self, fn, items) -> list:
+        """Return [fn(item) for item in items], run as ``start`` runs them."""
+        return self.start(fn, items)()
 
     # -- replay ------------------------------------------------------------
 
@@ -432,8 +448,18 @@ class Gateway:
 
     # -- logging -----------------------------------------------------------
 
-    def _log(self, request: GenerationRequest, raw: str, parsed, ok: bool,
+    def _log(self, request: GenerationRequest, raw: str | None, parsed, ok: bool,
              t_start: float, t_end: float):
+        """Write one record. The exchange is counted at its ok record, or at
+        its fallback, which has ``raw`` None and writes no line."""
+        schema = request.expected_schema
+        if ok or raw is None:
+            self.request_counts[schema] = self.request_counts.get(schema, 0) + 1
+        if raw is None:
+            self.fallback_counts[schema] = self.fallback_counts.get(schema, 0) + 1
+            log.warning("no answer for %s matched %s; using the fallback",
+                        request.request_tag, schema)
+            return
         self._seq += 1
         if self._log_path is None:
             return
@@ -517,16 +543,15 @@ class Gateway:
 
         ``mock_value`` is the deterministic result the mock backend returns.
         An answer that fails its schema is logged as failed, and the next
-        answer is tried. When none matches, the exchange is counted in
-        ``fallback_counts`` under its schema and ``fallback`` is returned;
-        transport, replay and config errors still raise.
+        answer is tried. When none matches, ``fallback`` is returned, and the
+        exchange is counted in ``fallback_counts`` under its schema once its
+        records are emitted; transport, replay and config errors still raise.
         """
         schema = request.expected_schema
         with self._lock:
             if request.request_tag in self._seen_tags:
                 raise ConfigError(f"duplicate request tag in run: {request.request_tag!r}")
             self._seen_tags.add(request.request_tag)
-            self.request_counts[schema] = self.request_counts.get(schema, 0) + 1
 
         for raw, t_start, t_end in self._answers(request, mock_value):
             try:
@@ -536,7 +561,5 @@ class Gateway:
                 continue
             self.emit([(request, raw, parsed, True, t_start, t_end)])
             return parsed
-        with self._lock:
-            self.fallback_counts[schema] = self.fallback_counts.get(schema, 0) + 1
-        log.warning("no answer for %s matched %s; using the fallback", request.request_tag, schema)
+        self.emit([(request, None, None, False, 0.0, 0.0)])
         return fallback

@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -135,12 +136,15 @@ class RunConfig:
             raise ConfigError(f"unknown config keys in {path}: {', '.join(sorted(unknown))}")
         if "years" in kwargs:
             kwargs["years"] = tuple(kwargs["years"])
-        if "backend" in kwargs:
-            kwargs["backend"] = BackendConfig.from_dict(kwargs["backend"])
         for key, attr in _PATH_FIELDS.items():
             if paths.get(key) is not None:
                 kwargs[attr] = paths[key]
-        return cls(**kwargs)
+        try:
+            if "backend" in kwargs:
+                kwargs["backend"] = BackendConfig.from_dict(kwargs["backend"])
+            return cls(**kwargs)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def with_overrides(self, *, seed=None, backend_mode=None, intervention=None,
                        ablation=None, out_dir=None) -> "RunConfig":
@@ -240,17 +244,13 @@ def _chunk(items, size):
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-def _process_year(config: RunConfig, env: RunEnv, gateway: Gateway,
-                  state: RunState, year: int) -> tuple[list[dict], list[dict]]:
-    """One year in three phases, each a ``gateway.map`` over independent work.
+def _choose(config: RunConfig, env: RunEnv, gateway: Gateway, year: int):
+    """Start every agent's offer and selection for a year; return the call that
+    waits for them, each an ((offer, selected, batches), selection records).
 
-    Agents share nothing within a year but the debias cache, so each agent's
-    chain of exchanges may run beside the others'. The replay log still reads
-    as the sequential run wrote it: an agent's records, its selection first,
-    each debias rewrite just before the batch of the article's first reader.
+    A selection reads only the static profile, the seed and the corpus, never
+    an opinion, so it may run before the years ahead of it are done.
     """
-    agents = env.agents
-
     def choose(profile):
         offer = sample_headlines(env.index, year, profile.agent_id,
                                  config.headlines_per_agent, config.seed)
@@ -262,7 +262,23 @@ def _process_year(config: RunConfig, env: RunEnv, gateway: Gateway,
         payloads = retrieve_full_text(env.index, selected, config.ablation)
         return offer, selected, _chunk(list(payloads), config.effective_batch)
 
-    chosen = gateway.map(lambda profile: gateway.capture(choose, profile), agents)
+    return gateway.start(lambda profile: gateway.capture(choose, profile), env.agents)
+
+
+def _process_year(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState,
+                  year: int, selections, next_year: int | None):
+    """One year in three phases, each run by the gateway over independent work:
+    the started ``selections`` (see ``_choose``), the debias rewrites, and the
+    reading and survey, behind which ``next_year``'s selections are started
+    and returned with the year's updates and trace rows.
+
+    Agents share nothing within a year but the debias cache, so each agent's
+    chain of exchanges may run beside the others'. The replay log still reads
+    as the sequential run wrote it: an agent's records, its selection first,
+    each debias rewrite just before the batch of the article's first reader.
+    """
+    agents = env.agents
+    chosen = selections()
 
     # (agent index, batch index) -> records of the rewrites that batch reads first
     rewrites: dict[tuple[int, int], list] = {}
@@ -322,13 +338,15 @@ def _process_year(config: RunConfig, env: RunEnv, gateway: Gateway,
             "response": response,
         }
 
+    read = gateway.start(read_and_survey, range(len(agents)))
+    following = _choose(config, env, gateway, next_year) if next_year is not None else None
     updates_all: list[dict] = []
     trace: list[dict] = []
-    for opinion, updates, row in gateway.map(read_and_survey, range(len(agents))):
+    for opinion, updates, row in read():
         state.states[opinion.agent_id] = opinion
         updates_all.extend(updates)
         trace.append(row)
-    return updates_all, trace
+    return updates_all, trace, following
 
 
 # ---------------------------------------------------------------------------
@@ -488,17 +506,28 @@ def _config_drift(proposed: dict, recorded: dict) -> list[str]:
 def _drive(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState,
            stop_after_year: int | None) -> dict:
     out_dir = Path(config.out_dir)
+    years = []  # the years this call runs, up to stop_after_year
     for year in range(config.years[0], config.years[1] + 1):
         if year in state.completed_years:
             continue
         if not articles_for_year(env.index, year):
             log.warning("year %d has no articles; skipping", year)
             continue
-        updates, trace = _process_year(config, env, gateway, state, year)
+        years.append(year)
+        if year == stop_after_year:
+            break
+    chosen = _choose(config, env, gateway, years[0]) if years else None
+    for year, next_year in zip(years, [*years[1:], None]):
+        began = time.perf_counter()
+        updates, trace, chosen = _process_year(config, env, gateway, state, year,
+                                               chosen, next_year)
         _write_jsonl(out_dir / f"updates_{year}.jsonl", updates)
         _write_jsonl(_trace_path(out_dir, year), trace)
         state.completed_years.append(year)
         _write_checkpoint(out_dir, env.header, gateway, state, False)
+        log.info("year %d done in %.2f s: %d exchanges and %d fallbacks so far", year,
+                 time.perf_counter() - began, sum(gateway.request_counts.values()),
+                 sum(gateway.fallback_counts.values()))
         if stop_after_year == year:
             log.info("stopping after year %d as requested", year)
             return {"interrupted_after": year, "out_dir": str(out_dir)}

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
+import itertools
 import json
 import os
+import random
 import re
 import socket
 import ssl
@@ -15,8 +18,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from newsdrift import orchestrator
 from newsdrift.errors import ConfigError, ReplayError, SchemaError, TransportError, ValidationError
 from newsdrift.gateway import (
     BackendConfig,
@@ -302,8 +306,9 @@ class _CannedServer:
 
     Once the script runs out, every request is answered with what ``answer``
     returns for its JSON body: the content, or a script entry. Each request is
-    held ``hold`` seconds, and a ``("held", seconds, content)`` entry that much
-    longer; ``max_in_flight`` is the most held at once.
+    held ``hold`` seconds, or what a callable ``hold`` returns, and a
+    ``("held", seconds, content)`` entry that much longer; ``max_in_flight`` is
+    the most held at once.
     """
 
     def __init__(self):
@@ -321,25 +326,32 @@ class _CannedServer:
                     outer.in_flight += 1
                     outer.max_in_flight = max(outer.max_in_flight, outer.in_flight)
                 try:
-                    self._answer()
+                    kind, rest = self._hold()
                 finally:
+                    # before the reply is written: a client that has read it
+                    # may post again at once, and is then still one request
                     with lock:
                         outer.in_flight -= 1
+                self._answer(kind, rest)
 
-            def _answer(self):
+            def _hold(self):
                 body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 outer.requests.append({
                     "auth": self.headers.get("Authorization"),
                     "json": body,
                     "path": self.path,
                 })
-                if outer.hold:  # tests that count the client's back-off patch time.sleep
-                    time.sleep(outer.hold)
+                hold = outer.hold() if callable(outer.hold) else outer.hold
+                if hold:  # tests that count the client's back-off patch time.sleep
+                    time.sleep(hold)
                 reply = outer.script.pop(0) if outer.script else outer.answer(body)
                 kind, *rest = reply if isinstance(reply, tuple) else ("ok", reply)
                 if kind == "held":  # an Event's wait, as tests may patch time.sleep
                     threading.Event().wait(rest.pop(0))
                     kind = "ok"
+                return kind, rest
+
+            def _answer(self, kind, rest):
                 if kind in ("ok", "json"):
                     doc = rest[0]  # "json" sends its document as the whole body
                     if kind == "ok":
@@ -364,8 +376,11 @@ class _CannedServer:
             def log_message(self, *args):
                 pass
 
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # a backlog deeper than socketserver's 5: a burst of connects that
+        # overflows it waits for the client's one-second SYN retransmit
+        self.server = type("Server", (ThreadingHTTPServer,), {"request_queue_size": 64})(
+            ("127.0.0.1", 0), Handler)
+        self.thread = threading.Thread(target=self.server.serve_forever, args=(0.01,), daemon=True)
         self.thread.start()
 
     @property
@@ -769,6 +784,165 @@ def test_a_failure_inside_a_concurrent_year_resumes_to_the_uninterrupted_run(
     assert _outputs(out) == _outputs(Path(straight.out_dir))
 
 
+def _artifacts(out: Path) -> dict[str, bytes]:
+    """Every file of a run but its replay log, by path in the output directory."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "replay.jsonl"}
+
+
+def _small_remote(make_config, server, intervention, **backend):
+    """2 agents x 3 years, two batches a year: each run starts the next
+    year's selections twice."""
+    return make_config(n_agents=2, years=(2005, 2007), reads_per_year=2, batch_size=1,
+                       intervention=intervention, backend=_remote_config(server, **backend))
+
+
+@pytest.mark.parametrize("intervention", ["baseline", "debias", "devils_advocate"])
+def test_reorder_anywhere(canned_server, make_config, monkeypatch, intervention):
+    """Completions come back in a drawn order; nothing but the times may show it."""
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.answer = _schema_answer
+    sequential = _small_remote(make_config, canned_server, intervention, max_in_flight=1)
+    run(sequential)
+    expected_log = _without_times(Path(sequential.out_dir) / "replay.jsonl")
+    expected = _artifacts(Path(sequential.out_dir))
+
+    @settings(max_examples=7, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def check(seed):
+        canned_server.hold = functools.partial(random.Random(seed).uniform, 0.0, 0.005)
+        concurrent = _small_remote(make_config, canned_server, intervention, max_in_flight=8)
+        run(concurrent)
+        assert _without_times(Path(concurrent.out_dir) / "replay.jsonl") == expected_log
+        assert _artifacts(Path(concurrent.out_dir)) == expected
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads trade the interpreter every few bytecodes
+    try:
+        check()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_fail_anywhere(canned_server, make_config, monkeypatch):
+    """The k-th POST answers HTTP 500 with no attempt left; resume mends the run."""
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.answer = _schema_answer
+    straight = _small_remote(make_config, canned_server, "debias", max_attempts=1)
+    run(straight)
+    straight_log = _without_times(Path(straight.out_dir) / "replay.jsonl")
+    posts = len(canned_server.requests)
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(1, posts))
+    def check(k):
+        arrivals = itertools.count(1)
+        failed = []
+
+        def answer(body):
+            if next(arrivals) == k:
+                failed.append([m["content"] for m in body["messages"]])
+                return ("http_error", 500)
+            return _schema_answer(body)
+
+        canned_server.answer = answer
+        cut = _small_remote(make_config, canned_server, "debias", max_attempts=1)
+        with pytest.raises(TransportError):
+            run(cut)
+        out = Path(cut.out_dir)
+        blob = (out / "replay.jsonl").read_bytes() if (out / "replay.jsonl").exists() else b""
+        assert blob == b"" or blob.endswith(b"\n")
+        written = _without_times(out / "replay.jsonl") if blob else []
+        # whole records, all of them before the failed exchange in log order
+        # (a survey may repeat an earlier year's prompt, so look past the prefix)
+        assert written == straight_log[:len(written)]
+        assert failed[0] in ([r["system"], r["user"]] for r in straight_log[len(written):])
+
+        canned_server.answer = _schema_answer
+        resume(cut.out_dir)
+        assert _without_times(out / "replay.jsonl") == straight_log
+        assert _artifacts(out) == _artifacts(Path(straight.out_dir))
+
+    check()
+
+
+def _hold_surveys(body):
+    """``_schema_answer``, with every survey held 50 ms: a year's reading then
+    outlasts the next year's selections."""
+    answer = _schema_answer(body)
+    if body["messages"][0]["content"].startswith("You are answering a yearly opinion survey"):
+        return ("held", 0.05, answer)
+    return answer
+
+
+@pytest.mark.parametrize("mode", ["remote", "mock", "replay"])
+def test_next_years_selections_start_before_the_checkpoint_only_on_remote(
+        canned_server, make_config, monkeypatch, mode):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.answer = _hold_surveys
+    recorded = make_config(n_agents=2)
+    run(recorded)
+    backend = {"remote": _remote_config(canned_server), "mock": BackendConfig(mode="mock"),
+               "replay": BackendConfig(mode="replay",
+                                       replay_log=str(Path(recorded.out_dir) / "replay.jsonl"))}
+    events = []
+    select, checkpoint = orchestrator.select_articles, orchestrator._write_checkpoint
+
+    def selected(*args, tag, **kwargs):
+        picks = select(*args, tag=tag, **kwargs)
+        events.append(tag.rsplit(":", 1)[0])  # its POST has been answered
+        return picks
+
+    def checkpointed(out_dir, header, gateway, state, complete):
+        events.append(f"checkpoint:{state.completed_years}")
+        checkpoint(out_dir, header, gateway, state, complete)
+
+    monkeypatch.setattr(orchestrator, "select_articles", selected)
+    monkeypatch.setattr(orchestrator, "_write_checkpoint", checkpointed)
+    run(make_config(n_agents=2, backend=backend[mode]))
+    if mode == "remote":
+        assert events.index("select:2006") < events.index("checkpoint:[2005]")
+    else:
+        assert events == ["checkpoint:[]", "select:2005", "select:2005", "checkpoint:[2005]",
+                          "select:2006", "select:2006", "checkpoint:[2005, 2006]",
+                          "checkpoint:[2005, 2006]"]
+
+
+class _CutInside2006(Exception):
+    pass
+
+
+def test_a_cut_while_next_years_selections_ran_resumes_to_the_uninterrupted_run(
+        canned_server, make_config, monkeypatch):
+    """The 2006 selections run before 2005's checkpoint, so counting them in
+    that checkpoint would count them twice on resume."""
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.answer = _hold_surveys
+    straight = make_config(n_agents=2, backend=_remote_config(canned_server))
+    run(straight)
+    reflect = orchestrator.reflect_batch
+
+    def reflect_until_2006(*args, batch_id, **kwargs):
+        if batch_id.startswith("2006:"):
+            raise _CutInside2006(batch_id)
+        return reflect(*args, batch_id=batch_id, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "reflect_batch", reflect_until_2006)
+    cut = make_config(n_agents=2, backend=_remote_config(canned_server))
+    with pytest.raises(_CutInside2006):
+        run(cut)
+    monkeypatch.setattr(orchestrator, "reflect_batch", reflect)
+
+    out = Path(cut.out_dir)
+    checkpoint = json.loads((out / "checkpoint.json").read_text())
+    assert checkpoint["completed_years"] == [2005]
+    prefix = _without_times(out / "replay.jsonl")[:checkpoint["replay_lines"]]
+    assert sum(checkpoint["request_counts"].values()) == sum(r["ok"] for r in prefix)
+    resume(cut.out_dir)
+    for name in ("results.json", "run_report.json"):
+        assert (out / name).read_bytes() == (Path(straight.out_dir) / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("mode", ["mock", "remote"])
 def test_map_raises_the_first_failure_in_item_order(canned_server, monkeypatch, mode):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
@@ -838,6 +1012,35 @@ def test_threads_are_started_only_in_the_gateway():
     assert importers == []
 
 
+def test_exchanges_are_counted_only_as_the_log_writes_them():
+    """request_counts and fallback_counts change only in Gateway.__init__ and
+    Gateway._log, so a checkpoint's counts match its replay_lines."""
+    package = Path(__file__).resolve().parents[1] / "src" / "newsdrift"
+    counted = {"request_counts", "fallback_counts"}
+    writers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        allowed = set()
+        if path.name == "gateway.py":
+            gateway = next(node for node in tree.body if getattr(node, "name", None) == "Gateway")
+            allowed = {id(node) for method in gateway.body
+                       if getattr(method, "name", None) in ("__init__", "_log")
+                       for node in ast.walk(method)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = getattr(node, "targets", None) or [node.target]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("update", "setdefault", "pop", "popitem", "clear")):
+                targets = [node.func.value]
+            else:
+                continue
+            for target in targets:
+                names = {n.attr for n in ast.walk(target) if isinstance(n, ast.Attribute)}
+                if names & counted and id(node) not in allowed:
+                    writers.append(f"{path.name}:{node.lineno}")
+    assert writers == []
+
+
 def test_input_files_are_read_only_in_the_inputs_module():
     """inputs.py resolves and reads every input file; prompts.py reads its own templates."""
     package = Path(__file__).resolve().parents[1] / "src" / "newsdrift"
@@ -891,6 +1094,17 @@ def test_backend_config_refuses_an_unusable_remote_base_url(base_url):
 def test_backend_config_refuses_a_timeout_that_is_not_positive(timeout):
     with pytest.raises(ConfigError, match="timeout_seconds"):
         BackendConfig(timeout_seconds=timeout)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_attempts", "3"), ("max_attempts", True), ("max_attempts", 2.0),
+    ("max_in_flight", 2.5), ("max_in_flight", True), ("max_in_flight", None),
+    ("timeout_seconds", "60"), ("timeout_seconds", True),
+    ("backoff_seconds", ["1"]), ("backoff_seconds", [False]), ("backoff_seconds", "12"),
+])
+def test_backend_config_refuses_a_number_of_the_wrong_type(field, value):
+    with pytest.raises(ConfigError, match=field):
+        BackendConfig.from_dict({"mode": "mock", field: value})
 
 
 def test_backend_config_refuses_a_negative_backoff():

@@ -5,6 +5,8 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -332,6 +334,20 @@ def test_fallbacks_are_counted_and_survive_resume(make_config, tmp_path):
     assert report["fallback_counts"] == {"survey_answer": 1}
     for name in ("run_report.json", "results.json"):
         assert _read(a / name) == _read(b / name), name
+
+
+def test_each_finished_year_logs_one_progress_line(make_config, caplog):
+    caplog.set_level(logging.INFO, logger="newsdrift.orchestrator")
+    config = make_config(n_agents=2)
+    run(config)
+    lines = [re.fullmatch(r"year (\d+) done in [\d.]+ s: (\d+) exchanges and (\d+) fallbacks "
+                          r"so far", record.getMessage())
+             for record in caplog.records if record.name == "newsdrift.orchestrator"]
+    done = [tuple(map(int, line.groups())) for line in lines if line]
+    report = json.loads((Path(config.out_dir) / "run_report.json").read_text())
+    # 2 agents, each one selection, one reflection and one survey a year
+    assert done == [(2005, 6, 0), (2006, 12, 0)]
+    assert sum(report["request_counts"].values()) == 12
 
 
 def test_resume_without_checkpoint_fails(tmp_path):
@@ -705,6 +721,8 @@ _TRUTH_HEADER = "year,favorable_pct,unfavorable_pct\n"
 _BAD_INPUTS = {
     "config_missing": ("run", "config", None, "is not a readable JSON file"),
     "config_not_json": ("run", "config", "{", "is not a readable JSON file"),
+    "config_attempts_not_a_number": ("run", "config", '{"backend": {"max_attempts": "3"}}',
+                                     "max_attempts must be an integer of at least 1: '3'"),
     "profiles_not_json": ("run", "profiles", "[", "is not a readable JSON file"),
     "profile_without_demographics": ("run", "profiles", '[{"agent_id": "a"}]',
                                      "entry 1 is not a profile: KeyError: 'demographics'"),
