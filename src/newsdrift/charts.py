@@ -10,6 +10,8 @@ from __future__ import annotations
 import logging
 from pathlib import Path
 
+from . import outputs
+
 log = logging.getLogger(__name__)
 
 WIDTH = 860
@@ -173,16 +175,9 @@ CHART_NAMES = ("attitudes.svg", "mean_score.svg", "domain_influence.svg")
 
 
 def write_charts(out_dir, results: list[dict], truth, influence: dict) -> list[Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    svgs = (
-        attitude_chart(results, truth),
-        mean_score_chart(results),
-        domain_influence_chart(influence),
-    )
-    written = []
-    for name, svg in zip(CHART_NAMES, svgs):
-        path = out_dir / name
-        path.write_text(svg, encoding="utf-8")
-        written.append(path)
+    svgs = (attitude_chart(results, truth), mean_score_chart(results),
+            domain_influence_chart(influence))
+    written = [Path(out_dir) / name for name in CHART_NAMES]
+    for path, svg in zip(written, svgs):
+        outputs.write_text(path, svg)
     return written

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .corpus import corpus_stats, ingest
-from . import inputs
+from . import inputs, outputs
 from .errors import ConfigError, NewsdriftError
 from .gateway import BackendConfig, Gateway
 from .modes import ABLATIONS, INTERVENTIONS
@@ -86,6 +86,7 @@ def _cmd_build_profiles(args) -> int:
     out = Path(args.out)
     report_path = args.report or str(out.with_suffix(".report.json"))
     log_path = out.with_suffix(".replay.jsonl")
+    outputs.make_dir(out.parent)  # the gateway appends its log there
     gateway = Gateway(_backend_from_args(args), log_path=log_path)
     # after a replay gateway has read its log, so the log holds this build only
     log_path.unlink(missing_ok=True)
@@ -110,7 +111,7 @@ def _cmd_ingest_corpus(args) -> int:
     blob = json.dumps(doc, indent=2, sort_keys=True)
     print(blob)
     if args.out:
-        Path(args.out).write_text(blob + "\n", encoding="utf-8")
+        outputs.write_text(Path(args.out), blob + "\n")
     return 0
 
 
@@ -149,9 +150,17 @@ def _cmd_resume(args) -> int:
     return 0
 
 
+def _read_results(out_dir: Path) -> dict:
+    path = out_dir / "results.json"
+    results = inputs.read_json(path, "results", ConfigError)
+    if not isinstance(results, dict) or not isinstance(results.get("years"), list):
+        raise ConfigError(f"results {path} holds no list of years")
+    return results
+
+
 def _cmd_report(args) -> int:
     out_dir = Path(args.out)
-    results = inputs.read_json(out_dir / "results.json", "results", ConfigError)
+    results = _read_results(out_dir)
     doc = {
         "years": len(results["years"]),
         "final": results["years"][-1]["favorable_pct"] if results["years"] else None,
@@ -167,7 +176,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_charts(args) -> int:
     out_dir = Path(args.out)
-    results = inputs.read_json(out_dir / "results.json", "results", ConfigError)
+    results = _read_results(out_dir)
     truth = GroundTruthSeries.from_csv(args.ground_truth) if args.ground_truth else None
     influence = domain_influence(read_update_logs(out_dir))
     written = charts_mod.write_charts(out_dir, results["years"], truth, influence)

@@ -14,12 +14,11 @@ import dataclasses
 import hashlib
 import json
 import logging
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import charts, inputs, prompts
+from . import charts, inputs, outputs, prompts
 from .corpus import CorpusIndex, IngestReport, articles_for_year, ingest
 from .distribution import retrieve_full_text, sample_headlines, select_articles
 from .errors import ConfigError, CorpusError, ResumeError
@@ -28,7 +27,7 @@ from .interventions import apply_intervention, debias_payload
 from .modes import validate_ablation, validate_intervention
 from .profiles import AgentProfile, load_profiles, sample_agents
 from .reflection import OpinionState, apply_updates, reflect_batch
-from .surveys import (GroundTruthSeries, MAE_BASES, aggregate_year,
+from .surveys import (BREAKDOWN_FIELDS, GroundTruthSeries, MAE_BASES, aggregate_year,
                       demographic_breakdown, domain_influence, mae,
                       overall_valence, survey_response)
 from .taxonomy import TopicTaxonomy, load_taxonomy
@@ -353,22 +352,6 @@ def _process_year(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunSt
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: Path, text: str):
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _write_json(path: Path, doc):
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
-
-
-def _write_jsonl(path: Path, rows: list[dict]):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps(row, sort_keys=True, ensure_ascii=False) for row in rows]
-    _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
 def _read_jsonl(path: Path) -> list[dict]:
     try:
         return [json.loads(line) for _, line in inputs.read_lines(path, "run output", ResumeError)]
@@ -383,7 +366,7 @@ def _trace_path(out_dir: Path, year: int) -> Path:
 def _write_checkpoint(out_dir: Path, header: dict, gateway: Gateway,
                       state: RunState, complete: bool):
     doc = {**header, **state.to_dict(), **gateway.counters(), "complete": complete}
-    _write_json(out_dir / CHECKPOINT_NAME, doc)
+    outputs.write_json(out_dir / CHECKPOINT_NAME, doc)
 
 
 def read_update_logs(out_dir: Path) -> list[dict]:
@@ -405,21 +388,6 @@ def _year_result(out_dir: Path, year: int, agent_ids: list[str]) -> tuple[dict, 
             sum(len(row["offer_ids"]) for row in rows), sum(len(row["reads"]) for row in rows))
 
 
-def _truncate_replay_log(path: Path, keep_lines: int):
-    if not path.exists():
-        if keep_lines:
-            raise ResumeError(f"replay log missing but checkpoint expects {keep_lines} lines")
-        return
-    with path.open("rb") as fh:
-        for n in range(keep_lines):
-            if not fh.readline():
-                raise ResumeError(
-                    f"replay log has {n} lines, checkpoint expects {keep_lines}"
-                )
-        offset = fh.tell()
-    os.truncate(path, offset)
-
-
 # ---------------------------------------------------------------------------
 # Run / resume / finalize
 # ---------------------------------------------------------------------------
@@ -432,7 +400,7 @@ def run(config: RunConfig, stop_after_year: int | None = None) -> dict:
     """
     config.validate()
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs.make_dir(out_dir / "trace")  # both folders exist before any year is written
     for name in (CHECKPOINT_NAME, REPLAY_NAME) + FINAL_ARTIFACTS:
         (out_dir / name).unlink(missing_ok=True)
     for stale in [*out_dir.glob("updates_*.jsonl"), *out_dir.glob("trace/year_*.jsonl")]:
@@ -482,7 +450,7 @@ def resume(out_dir: str | Path, config: RunConfig | None = None,
     if env.header["agent_ids"] != ck["agent_ids"]:
         raise ResumeError("agent sample no longer matches checkpoint")
 
-    _truncate_replay_log(out_dir / REPLAY_NAME, ck["replay_lines"])
+    outputs.truncate_replay_log(out_dir / REPLAY_NAME, ck["replay_lines"])
     state = RunState.from_dict(ck)
     for path in [*out_dir.glob("updates_*.jsonl"), *out_dir.glob("trace/year_*.jsonl")]:
         if int(path.stem.split("_")[1]) not in state.completed_years:
@@ -521,8 +489,8 @@ def _drive(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState,
         began = time.perf_counter()
         updates, trace, chosen = _process_year(config, env, gateway, state, year,
                                                chosen, next_year)
-        _write_jsonl(out_dir / f"updates_{year}.jsonl", updates)
-        _write_jsonl(_trace_path(out_dir, year), trace)
+        outputs.write_jsonl(out_dir / f"updates_{year}.jsonl", updates)
+        outputs.write_jsonl(_trace_path(out_dir, year), trace)
         state.completed_years.append(year)
         _write_checkpoint(out_dir, env.header, gateway, state, False)
         log.info("year %d done in %.2f s: %d exchanges and %d fallbacks so far", year,
@@ -563,10 +531,17 @@ def _finalize(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState)
         "skipped_years": skipped,
         "mae": error,
     }
-    _write_json(out_dir / "results.json", bundle)
-    _write_results_csv(out_dir / "results.csv", results)
-    _write_influence_csv(out_dir / "domain_influence.csv", influence)
-    _write_demographics_csv(out_dir / "demographics.csv", results, env.agents)
+    outputs.write_json(out_dir / "results.json", bundle)
+    columns = ("year", "favorable_pct", "unfavorable_pct", "mean_response", "mean_valence")
+    outputs.write_csv(out_dir / "results.csv", columns, [[r[c] for c in columns] for r in results])
+    outputs.write_csv(out_dir / "domain_influence.csv", ("domain", "year", "mean_new_valence"),
+                      [(domain, year, value) for domain, cell in sorted(influence.items())
+                       for year, value in [*sorted(cell["by_year"].items()), ("all", cell["all"])]])
+    last = results[-1]["agents"] if results else {}
+    responses = {agent_id: entry["response"] for agent_id, entry in last.items()}
+    outputs.write_csv(out_dir / "demographics.csv", ("group_by", "group", "favorable_pct"),
+                      [(by, group, pct) for by in BREAKDOWN_FIELDS
+                       for group, pct in demographic_breakdown(responses, env.agents, by).items()])
     charts.write_charts(out_dir, results, env.truth, influence)
 
     report = {
@@ -579,39 +554,7 @@ def _finalize(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState)
         "corpus_accepted": env.ingest_report.accepted,
         "corpus_rejected": env.ingest_report.rejected,
     }
-    _write_json(out_dir / "run_report.json", report)
+    outputs.write_json(out_dir / "run_report.json", report)
     _write_checkpoint(out_dir, env.header, gateway, state, True)
     return bundle
 
-
-def _write_results_csv(path: Path, results: list[dict]):
-    lines = ["year,favorable_pct,unfavorable_pct,mean_response,mean_valence"]
-    for r in results:
-        lines.append(
-            f"{r['year']},{r['favorable_pct']:.6f},{r['unfavorable_pct']:.6f},"
-            f"{r['mean_response']:.6f},{r['mean_valence']:.6f}"
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _write_influence_csv(path: Path, influence: dict):
-    lines = ["domain,year,mean_new_valence"]
-    for domain, cell in sorted(influence.items()):
-        for year, value in sorted(cell["by_year"].items()):
-            lines.append(f"{domain},{year},{value:.6f}")
-        lines.append(f"{domain},all,{cell['all']:.6f}")
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _write_demographics_csv(path: Path, results: list[dict], agents):
-    lines = ["group_by,group,favorable_pct"]
-    if results:
-        final = results[-1]
-        responses = {
-            agent_id: entry["response"] for agent_id, entry in final["agents"].items()
-        }
-        for group_by in ("gender", "race", "party", "region", "age-band"):
-            breakdown = demographic_breakdown(responses, agents, group_by)
-            for group, pct in breakdown.items():
-                lines.append(f"{group_by},{group},{pct:.6f}")
-    _atomic_write(path, "\n".join(lines) + "\n")

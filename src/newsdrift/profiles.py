@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
-from . import inputs, prompts
+from . import inputs, outputs, prompts
 from .errors import ConfigError, MatchingError, ValidationError
 from .gateway import GenerationRequest
 from .geography import REGIONS, state_to_region
@@ -140,80 +140,69 @@ def validate_profile(profile: AgentProfile, taxonomy: TopicTaxonomy):
 # Record loading
 # ---------------------------------------------------------------------------
 
-def _check_vocab(taxonomy: TopicTaxonomy, field: str, value: str):
-    if not taxonomy.validate_vocab(field, value):
-        raise ValidationError(f"{field} value {value!r} outside taxonomy vocabulary")
-
-
-def load_social_records(path: str | Path, taxonomy: TopicTaxonomy) -> list[SocialMediaRecord]:
+def _load_records(path, taxonomy: TopicTaxonomy, what: str, build) -> list:
+    """The records build makes of a JSONL file's lines. A line that does not parse
+    or build, breaks the vocabulary or repeats a record id is skipped with a warning."""
     records = []
     seen = set()
-    for lineno, line in inputs.read_lines(path, "social records", ValidationError):
+    for lineno, line in inputs.read_lines(path, f"{what} records", ValidationError):
         try:
-            doc = json.loads(line)
-            record = SocialMediaRecord(
-                record_id=str(doc["record_id"]),
-                state=doc["state"],
-                gender=doc["gender"],
-                race=doc["race"],
-                party=doc["party"],
-                bio=doc.get("bio", ""),
-                posts=tuple(doc.get("posts", [])),
-            )
-            state_to_region(record.state)
-            _check_vocab(taxonomy, "gender", record.gender)
-            _check_vocab(taxonomy, "race", record.race)
-            _check_vocab(taxonomy, "party", record.party)
+            record = build(json.loads(line))
+            for name in MATCH_FIELDS:
+                value = getattr(record, name)
+                if not taxonomy.validate_vocab(name, value):
+                    raise ValidationError(f"{name} value {value!r} outside taxonomy vocabulary")
             if record.record_id in seen:
                 raise ValidationError(f"duplicate record_id {record.record_id}")
             seen.add(record.record_id)
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
-            log.warning("skipping social record at %s:%d (%s)", path, lineno, exc)
+        except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as exc:
+            log.warning("skipping %s record at %s:%d (%s)", what, path, lineno, exc)
             continue
         records.append(record)
     return records
+
+
+def load_social_records(path: str | Path, taxonomy: TopicTaxonomy) -> list[SocialMediaRecord]:
+    def build(doc) -> SocialMediaRecord:
+        record = SocialMediaRecord(
+            record_id=str(doc["record_id"]),
+            state=doc["state"],
+            gender=doc["gender"],
+            race=doc["race"],
+            party=doc["party"],
+            bio=doc.get("bio", ""),
+            posts=tuple(doc.get("posts", [])),
+        )
+        state_to_region(record.state)
+        return record
+
+    return _load_records(path, taxonomy, "social", build)
 
 
 def load_survey_records(path: str | Path, taxonomy: TopicTaxonomy) -> list[SurveyRespondentRecord]:
     schema = load_profile_schema()
-    extra_fields = tuple(
-        name for name in schema["demographics"]
-        if name not in ("gender", "race", "party", "state", "region")
-    )
-    records = []
-    seen = set()
-    for lineno, line in inputs.read_lines(path, "survey records", ValidationError):
-        try:
-            doc = json.loads(line)
-            if doc["region"] not in REGIONS:
-                raise ValidationError(f"unknown region {doc['region']!r}")
-            record = SurveyRespondentRecord(
-                record_id=str(doc["record_id"]),
-                region=doc["region"],
-                gender=doc["gender"],
-                race=doc["race"],
-                party=doc["party"],
-                extra_demographics={
-                    name: doc.get(name, "unknown") for name in extra_fields
-                },
-                media_preferences=_fixed_arity(doc.get("media_preferences"),
-                                               schema["media_preferences"]),
-                political_preferences=_fixed_arity(doc.get("political_preferences"),
-                                                   schema["political_preferences"]),
-                domestic_views=_fixed_arity(doc.get("domestic_views"),
-                                            schema["domestic_views"]),
-            )
-            _check_vocab(taxonomy, "gender", record.gender)
-            _check_vocab(taxonomy, "race", record.race)
-            _check_vocab(taxonomy, "party", record.party)
-            if record.record_id in seen:
-                raise ValidationError(f"duplicate record_id {record.record_id}")
-            seen.add(record.record_id)
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
-            log.warning("skipping survey record at %s:%d (%s)", path, lineno, exc)
-            continue
-        records.append(record)
-    return records
+    extra_fields = [name for name in schema["demographics"]
+                    if name not in ("gender", "race", "party", "state", "region")]
+
+    def build(doc) -> SurveyRespondentRecord:
+        if doc["region"] not in REGIONS:
+            raise ValidationError(f"unknown region {doc['region']!r}")
+        return SurveyRespondentRecord(
+            record_id=str(doc["record_id"]),
+            region=doc["region"],
+            gender=doc["gender"],
+            race=doc["race"],
+            party=doc["party"],
+            extra_demographics={name: doc.get(name, "unknown") for name in extra_fields},
+            media_preferences=_fixed_arity(doc.get("media_preferences"),
+                                           schema["media_preferences"]),
+            political_preferences=_fixed_arity(doc.get("political_preferences"),
+                                               schema["political_preferences"]),
+            domestic_views=_fixed_arity(doc.get("domestic_views"),
+                                        schema["domestic_views"]),
+        )
+
+    return _load_records(path, taxonomy, "survey", build)
 
 
 def _fixed_arity(values, names: tuple[str, ...]) -> dict:
@@ -349,8 +338,6 @@ def build_profiles(social_path, survey_path, taxonomy: TopicTaxonomy, gateway,
     if not pairs:
         raise MatchingError("no record pairs could be matched")
 
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     profiles = []
     rule_fallbacks = 0
     for i, pair in enumerate(pairs):
@@ -364,13 +351,10 @@ def build_profiles(social_path, survey_path, taxonomy: TopicTaxonomy, gateway,
 
     report = {**_matching_report(profiles, unmatched), **gateway.counters(),
               "interest_rule_fallbacks": rule_fallbacks}
-    with out_path.open("w", encoding="utf-8") as fh:
-        json.dump([p.to_dict() for p in profiles], fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
+    # unsorted keys: validate_profile checks each section's field order
+    outputs.write_json(Path(out_path), [p.to_dict() for p in profiles], sort_keys=False)
     if report_path is not None:
-        with Path(report_path).open("w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, ensure_ascii=False, sort_keys=True)
-            fh.write("\n")
+        outputs.write_json(Path(report_path), report)
     return profiles, report
 
 

@@ -8,6 +8,7 @@ import json
 import os
 import random
 import re
+import signal
 import socket
 import ssl
 import subprocess
@@ -34,7 +35,7 @@ from newsdrift.gateway import (
     parse_structured,
     serialize_for_log,
 )
-from newsdrift.orchestrator import resume, run
+from newsdrift.orchestrator import RunConfig, resume, run
 
 
 # ---------------------------------------------------------------------------
@@ -866,6 +867,59 @@ def test_fail_anywhere(canned_server, make_config, monkeypatch):
     check()
 
 
+# the command line, run in a child process; prints a line once it is imported
+_CHILD = ("import sys; from newsdrift import cli; print(flush=True); "
+          "sys.exit(cli.main(sys.argv[1:]))")
+
+
+def test_kill_anywhere(canned_server, make_config, monkeypatch, tmp_path):
+    """A concurrent remote run in a child process, killed at a drawn share of an
+    uninterrupted run's time, resumes to the uninterrupted run."""
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.answer = _schema_answer
+    canned_server.hold = functools.partial(random.Random(0).uniform, 0.0, 0.005)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(orchestrator.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    files = itertools.count()
+
+    def config_file(intervention) -> Path:
+        config = _small_remote(make_config, canned_server, intervention, max_in_flight=8)
+        doc = dataclasses.asdict(config)
+        doc["paths"] = {role: doc.pop(attr) for role, attr in orchestrator._PATH_FIELDS.items()}
+        path = tmp_path / f"config{next(files)}.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    straight = {}  # intervention -> (its output directory, its run's seconds)
+    for intervention in ("baseline", "debias", "devils_advocate"):
+        config = RunConfig.from_file(config_file(intervention))
+        began = time.perf_counter()
+        run(config)
+        straight[intervention] = (Path(config.out_dir), time.perf_counter() - began)
+
+    @settings(max_examples=12, deadline=None)
+    @given(intervention=st.sampled_from(sorted(straight)), point=st.floats(0, 1))
+    def check(intervention, point):
+        expected, seconds = straight[intervention]
+        path = config_file(intervention)
+        child = subprocess.Popen([sys.executable, "-c", _CHILD, "run", "--config", str(path)],
+                                 env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        child.stdout.readline()  # it has imported the program
+        time.sleep(point * seconds)
+        os.kill(child.pid, signal.SIGKILL)  # our own child, not yet reaped
+        child.wait(timeout=10)
+        config = RunConfig.from_file(path)
+        out = Path(config.out_dir)
+        if (out / "checkpoint.json").exists():
+            resume(out, config)
+        else:  # killed before its first checkpoint: nothing to resume, so run again
+            run(config)
+        assert _without_times(out / "replay.jsonl") == _without_times(expected / "replay.jsonl")
+        assert _artifacts(out) == _artifacts(expected)
+
+    check()
+
+
 def _hold_surveys(body):
     """``_schema_answer``, with every survey held 50 ms: a year's reading then
     outlasts the next year's selections."""
@@ -1060,6 +1114,34 @@ def test_input_files_are_read_only_in_the_inputs_module():
                     or (owner, attr) in (("resources", "files"), ("json", "load"))):
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+def test_output_files_are_written_only_in_the_outputs_module():
+    """outputs.py writes every output file; Gateway._log appends to the replay log."""
+    package = Path(__file__).resolve().parents[1] / "src" / "newsdrift"
+    writers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "outputs.py":
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        for node in tree.body:
+            if path.name == "gateway.py" and getattr(node, "name", None) == "Gateway":
+                node.body = [item for item in node.body if getattr(item, "name", None) != "_log"]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            owner = getattr(getattr(func, "value", None), "id", None)
+            attr = getattr(func, "attr", None)
+            # open(file, mode) or path.open(mode), or a mode= keyword
+            modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            modes = [*modes, *(k.value for k in node.keywords if k.arg == "mode")]
+            writes_a_file = (getattr(func, "id", attr) == "open" and any(
+                isinstance(m, ast.Constant) and set(str(m.value)) & set("wax") for m in modes))
+            if (writes_a_file or attr in ("write_text", "write_bytes") and owner != "outputs"
+                    or (owner, attr) in (("json", "dump"), ("os", "replace"), ("os", "truncate"))):
+                writers.append(f"{path.name}:{node.lineno}")
+    assert writers == []
 
 
 # ---------------------------------------------------------------------------

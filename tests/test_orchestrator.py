@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import newsdrift
-from newsdrift import cli, orchestrator, prompts
+from newsdrift import cli, orchestrator, outputs, prompts
 from newsdrift.errors import ConfigError, ResumeError
 from newsdrift.gateway import BackendConfig, Gateway
 from newsdrift.modes import INTERVENTIONS
@@ -487,16 +487,16 @@ def test_replay_log_truncation_streams_whole_lines(tmp_path):
     path = tmp_path / "replay.jsonl"
 
     path.write_bytes(blob)
-    orchestrator._truncate_replay_log(path, 2)
+    outputs.truncate_replay_log(path, 2)
     assert path.read_bytes() == "".join(records[:2]).encode("utf-8")
 
     path.write_bytes(blob)
-    orchestrator._truncate_replay_log(path, 4)
+    outputs.truncate_replay_log(path, 4)
     assert path.read_bytes() == blob
 
     path.write_bytes(blob)
     with pytest.raises(ResumeError, match="4 lines, checkpoint expects 5"):
-        orchestrator._truncate_replay_log(path, 5)
+        outputs.truncate_replay_log(path, 5)
     assert path.read_bytes() == blob
 
 
@@ -513,7 +513,7 @@ def _killed_at(n: int | None, tear: bool):
     die at number n: before the write lands, or, with tear, after half of it
     (a torn .tmp file, or a replay-log line cut in two). Yields [writes so far]."""
     counter = [0]
-    atomic_write, log = orchestrator._atomic_write, Gateway._log
+    atomic_write, log = outputs.write_text, Gateway._log
 
     def dies() -> bool:
         counter[0] += 1
@@ -538,7 +538,7 @@ def _killed_at(n: int | None, tear: bool):
         raise _Killed()
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(orchestrator, "_atomic_write", killable_write)
+        patch.setattr(outputs, "write_text", killable_write)
         patch.setattr(Gateway, "_log", killable_log)
         yield counter
 
@@ -717,7 +717,7 @@ _TRUTH_HEADER = "year,favorable_pct,unfavorable_pct\n"
 # missing file, what the logged error says besides the file's name). The
 # input is a `paths` key of the run config or the config itself for `run`,
 # --social for build-profiles, and a file of a run stopped after 2005 for
-# report and resume.
+# report, charts and resume.
 _BAD_INPUTS = {
     "config_missing": ("run", "config", None, "is not a readable JSON file"),
     "config_not_json": ("run", "config", "{", "is not a readable JSON file"),
@@ -752,6 +752,8 @@ _BAD_INPUTS = {
                                           "year 2005: favorable + unfavorable > 100"),
     "social_missing": ("build-profiles", "social", None, "is not readable"),
     "results_missing": ("report", "results.json", None, "is not a readable JSON file"),
+    "results_without_years": ("report", "results.json", "{}", "holds no list of years"),
+    "charts_results_without_years": ("charts", "results.json", "{}", "holds no list of years"),
     "checkpoint_not_json": ("resume", "checkpoint.json", '{"config": ',
                             "is not a readable JSON file"),
     "checkpoint_without_keys": ("resume", "checkpoint.json", "{}",
@@ -765,7 +767,7 @@ def test_cli_reports_a_bad_input_file(tmp_path, make_config, fixtures_dir, caplo
     command, role, text, message = _BAD_INPUTS[damage]
     config_path = _cli_config(tmp_path, make_config)
     out_dir = tmp_path / "cli-out"
-    if command in ("report", "resume"):
+    if command in ("report", "charts", "resume"):
         run(RunConfig.from_file(config_path), stop_after_year=2005)
         bad = out_dir / role
         bad.unlink(missing_ok=True)
@@ -785,11 +787,34 @@ def test_cli_reports_a_bad_input_file(tmp_path, make_config, fixtures_dir, caplo
                            "--survey", str(fixtures_dir / "survey_records.jsonl"),
                            "--out", str(tmp_path / "profiles.json")],
         "report": ["report", "--out", str(out_dir)],
+        "charts": ["charts", "--out", str(out_dir)],
         "resume": ["resume", "--out", str(out_dir)],
     }[command]
     assert cli.main(argv) == 1
     assert [r.levelname for r in caplog.records].count("ERROR") == 1
     assert str(bad) in caplog.text and message in caplog.text
+
+
+@pytest.mark.parametrize("command", ["ingest-corpus", "build-profiles", "run"])
+def test_cli_reports_an_unwritable_output_path(tmp_path, make_config, fixtures_dir, caplog,
+                                               command):
+    folder, taken = tmp_path / "a-directory", tmp_path / "a-file"
+    folder.mkdir()
+    taken.write_text("a file, not a directory\n")
+    bad, argv = {
+        "ingest-corpus": (folder, ["ingest-corpus", "--corpus", make_config().corpus_path,
+                                   "--out", str(folder)]),
+        "build-profiles": (taken / "report.json", [
+            "build-profiles", "--social", str(fixtures_dir / "social_records.jsonl"),
+            "--survey", str(fixtures_dir / "survey_records.jsonl"),
+            "--out", str(tmp_path / "profiles.json"), "--report", str(taken / "report.json")]),
+        "run": (taken, ["run", "--config", str(_cli_config(tmp_path, make_config)),
+                        "--out", str(taken)]),
+    }[command]
+    assert cli.main(argv) == 1
+    assert [r.levelname for r in caplog.records].count("ERROR") == 1
+    assert str(bad) in caplog.text
+    assert not list(tmp_path.glob("*.tmp"))  # no temp file is left behind
 
 
 def test_cli_reports_domain_errors_as_exit_code(tmp_path, make_config):

@@ -247,6 +247,15 @@ def test_loader_skips_bad_vocab_rows(taxonomy, tmp_path, caplog):
     assert [r.record_id for r in records] == ["soc-000"]
 
 
+def test_loader_skips_a_state_that_is_not_a_string(taxonomy, tmp_path, caplog):
+    path = tmp_path / "soc.jsonl"
+    row = {"record_id": "soc-000", "state": 6, "gender": "female",
+           "race": "white", "party": "democrat", "posts": []}
+    path.write_text(json.dumps(row) + "\n")
+    assert load_social_records(path, taxonomy) == []
+    assert f"skipping social record at {path}:1" in caplog.text
+
+
 def test_loader_skips_duplicate_ids(taxonomy, tmp_path):
     path = tmp_path / "soc.jsonl"
     row = {"record_id": "soc-000", "state": "CA", "gender": "female",
