@@ -84,9 +84,10 @@ def _backend_from_args(args) -> BackendConfig:
 def _cmd_build_profiles(args) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
     out = Path(args.out)
-    report_path = args.report or str(out.with_suffix(".report.json"))
+    report_path = Path(args.report or out.with_suffix(".report.json"))
     log_path = out.with_suffix(".replay.jsonl")
-    outputs.make_dir(out.parent)  # the gateway appends its log there
+    for path in (out, report_path):  # a folder that cannot be made stops the build untouched
+        outputs.make_dir(path.parent, path)
     gateway = Gateway(_backend_from_args(args), log_path=log_path)
     # after a replay gateway has read its log, so the log holds this build only
     log_path.unlink(missing_ok=True)
@@ -150,11 +151,21 @@ def _cmd_resume(args) -> int:
     return 0
 
 
+# what report and charts read of each year in results.json, besides "year"
+_YEAR_NUMBERS = ("favorable_pct", "unfavorable_pct", "mean_response")
+
+
 def _read_results(out_dir: Path) -> dict:
     path = out_dir / "results.json"
     results = inputs.read_json(path, "results", ConfigError)
     if not isinstance(results, dict) or not isinstance(results.get("years"), list):
         raise ConfigError(f"results {path} holds no list of years")
+    for entry in results["years"]:
+        # JSON gives exact types, so these refuse true and false
+        if not (isinstance(entry, dict) and type(entry.get("year")) is int
+                and all(type(entry.get(key)) in (int, float) for key in _YEAR_NUMBERS)):
+            raise ConfigError(f"results {path} holds a year that is not an object with an "
+                              f"integer year and numbers {', '.join(_YEAR_NUMBERS)}: {entry!r}")
     return results
 
 

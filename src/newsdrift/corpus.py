@@ -64,9 +64,6 @@ class CorpusIndex:
     def __len__(self) -> int:
         return len(self.store)
 
-    def years(self) -> list[int]:
-        return sorted(self.by_year)
-
     def get(self, article_id: str) -> Article:
         try:
             return self.store[article_id]

@@ -34,7 +34,6 @@ class Payload:
     headline: str
     full_text: str
     debiased: bool = False
-    debias_failed: bool = False
     category: str = ""  # the corpus's stored category, "" when it has none
 
 

@@ -304,11 +304,12 @@ class Gateway:
     """Single entry point for all backend exchanges in a run.
 
     Each backend only supplies raw answers; ``generate`` parses, logs and
-    returns them the same way whatever the mode. ``start`` and ``map`` run
-    independent chains of exchanges, at most ``max_in_flight`` at once on the
-    remote backend, and keep the replay log in the order a sequential run
-    writes. An exchange is counted as its record is written, so the counts
-    always describe the log as far as it is written.
+    returns them the same way whatever the mode. ``start`` runs independent
+    chains of exchanges, at most ``max_in_flight`` at once on the remote
+    backend, and hands each chain's records back to be written in the order a
+    sequential run writes them. Records are written, counted and checked for a
+    repeated tag in ``_log``, only in the thread that collects them, so the
+    counts always describe the log as far as it is written.
     The replay log is append-only, through one line-buffered handle opened on
     the first record; request tags must be unique per run so a recorded log
     can drive an exact replay. ``close`` releases the handle and the workers.
@@ -322,9 +323,7 @@ class Gateway:
         self._log_path = Path(log_path) if log_path else None
         self._log_fh = None
         self._seq = counters.get("replay_lines", 0)
-        # guards _seen_tags against concurrent exchanges
-        self._lock = threading.Lock()
-        # .records: where this thread's exchanges go; unset writes to the log
+        # .records: where this thread's exchanges are held; unset writes to the log
         self._local = threading.local()
         self._pool: ThreadPoolExecutor | None = None
         self._seen_tags: set[str] = set()
@@ -352,7 +351,7 @@ class Gateway:
 
     def close(self):
         """Wait for running workers and close the replay-log handle; a later
-        ``map`` or record opens them again."""
+        ``start`` or record opens them again."""
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
@@ -362,20 +361,17 @@ class Gateway:
 
     # -- concurrency ---------------------------------------------------------
 
-    def capture(self, fn, *args):
-        """Run fn(*args) and return (its result, the log records it made).
-
-        The records are held back, not written; ``emit`` places them later.
-        """
-        outer = getattr(self._local, "records", None)
+    def _capture(self, fn, item):
+        """Run fn(item) and return (its result, the log records it made, held back)."""
         self._local.records = records = []
         try:
-            return fn(*args), records
+            return fn(item), records
         finally:
-            self._local.records = outer
+            self._local.records = None
 
     def emit(self, records: list):
-        """Write records held by ``capture``, or hold them in an enclosing capture."""
+        """Write records held back by ``start``; inside a ``start`` item, hold them
+        with that item's own records."""
         held = getattr(self._local, "records", None)
         if held is not None:
             held.extend(records)
@@ -385,42 +381,34 @@ class Gateway:
 
     def start(self, fn, items):
         """Start fn(item) for each item, each call a chain of exchanges, and
-        return a call that waits for them and returns their results in order.
+        return a call that yields each item's (result, held records) in item
+        order, as each item finishes. The caller emits the records, so the log
+        reads as if the items ran one after another.
 
         The remote backend submits the items to its pool at once, where they
         queue behind items started earlier and run up to ``max_in_flight`` at
-        a time; mock and replay run them in turn, in the thread that makes the
-        call, when it is made. Each item's records are emitted once every
-        earlier item's are, so the log reads as if the items ran one after
-        another. The call raises the first failure in item order and cancels
-        the items not yet started.
+        a time; mock and replay run them in turn, in the thread that iterates
+        the call, as it does. The call raises the first failure in item order
+        and cancels the items not yet started.
         """
         futures = []
         if self.config.mode == "remote" and self.config.max_in_flight > 1:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(self.config.max_in_flight,
                                                 thread_name_prefix="newsdrift-gateway")
-            futures = [self._pool.submit(self.capture, fn, item) for item in items]
+            futures = [self._pool.submit(self._capture, fn, item) for item in items]
             outcomes = (future.result() for future in futures)
         else:
-            outcomes = (self.capture(fn, item) for item in items)
+            outcomes = (self._capture(fn, item) for item in items)
 
-        def wait() -> list:
-            results = []
+        def wait():
             try:
-                for result, records in outcomes:
-                    self.emit(records)
-                    results.append(result)
+                yield from outcomes
             except BaseException:
                 for future in futures:
                     future.cancel()
                 raise
-            return results
         return wait
-
-    def map(self, fn, items) -> list:
-        """Return [fn(item) for item in items], run as ``start`` runs them."""
-        return self.start(fn, items)()
 
     # -- replay ------------------------------------------------------------
 
@@ -451,22 +439,25 @@ class Gateway:
     def _log(self, request: GenerationRequest, raw: str | None, parsed, ok: bool,
              t_start: float, t_end: float):
         """Write one record. The exchange is counted at its ok record, or at
-        its fallback, which has ``raw`` None and writes no line."""
-        schema = request.expected_schema
+        its fallback, which has ``raw`` None and writes no line; its tag is
+        then taken, and a later record with that tag is refused."""
+        schema, tag = request.expected_schema, request.request_tag
+        if tag in self._seen_tags:
+            raise ConfigError(f"duplicate request tag in run: {tag!r}")
         if ok or raw is None:
+            self._seen_tags.add(tag)
             self.request_counts[schema] = self.request_counts.get(schema, 0) + 1
         if raw is None:
             self.fallback_counts[schema] = self.fallback_counts.get(schema, 0) + 1
-            log.warning("no answer for %s matched %s; using the fallback",
-                        request.request_tag, schema)
+            log.warning("no answer for %s matched %s; using the fallback", tag, schema)
             return
         self._seq += 1
         if self._log_path is None:
             return
         record = {
             "seq": self._seq,
-            "tag": request.request_tag,
-            "schema": request.expected_schema,
+            "tag": tag,
+            "schema": schema,
             "system": request.role_preamble,
             "user": request.user_text,
             "temperature": self.config.temperature,
@@ -548,11 +539,6 @@ class Gateway:
         records are emitted; transport, replay and config errors still raise.
         """
         schema = request.expected_schema
-        with self._lock:
-            if request.request_tag in self._seen_tags:
-                raise ConfigError(f"duplicate request tag in run: {request.request_tag!r}")
-            self._seen_tags.add(request.request_tag)
-
         for raw, t_start, t_end in self._answers(request, mock_value):
             try:
                 parsed = parse_structured(schema, raw)

@@ -40,8 +40,7 @@ def debias_payload(payload: Payload, gateway, lexicon: MockLexicon,
         cached = cache[payload.article_id] = (
             [payload.full_text, True] if text is None else [text, False])
     text, failed = cached
-    return dataclasses.replace(payload, full_text=text,
-                               debiased=not failed, debias_failed=failed)
+    return dataclasses.replace(payload, full_text=text, debiased=not failed)
 
 
 def _mock_critique(payloads, lexicon: MockLexicon) -> str:

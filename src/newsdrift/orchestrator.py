@@ -61,6 +61,10 @@ _PATH_FIELDS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
@@ -83,12 +87,14 @@ class RunConfig:
         # every artifact stores the checked spelling of the run mode names
         object.__setattr__(self, "intervention", validate_intervention(self.intervention))
         object.__setattr__(self, "ablation", validate_ablation(self.ablation))
-
-    @property
-    def effective_batch(self) -> int:
-        return self.batch_size if self.batch_size is not None else self.reads_per_year
-
-    def validate(self):
+        if not (isinstance(self.years, (list, tuple)) and len(self.years) == 2
+                and all(map(_is_int, self.years))):
+            raise ConfigError(f"years must be two integers, first and last: {self.years!r}")
+        object.__setattr__(self, "years", tuple(self.years))
+        for name in ("seed", "n_agents", "headlines_per_agent", "reads_per_year", "batch_size"):
+            value = getattr(self, name)
+            if not (_is_int(value) or name == "batch_size" and value is None):
+                raise ConfigError(f"{name} must be an integer: {value!r}")
         lo, hi = self.years
         if lo > hi:
             raise ConfigError(f"year range {lo}-{hi} is empty")
@@ -98,6 +104,13 @@ class RunConfig:
             raise ConfigError("reads_per_year must lie in [1, headlines_per_agent]")
         if not (1 <= self.effective_batch <= self.reads_per_year):
             raise ConfigError("batch_size must lie in [1, reads_per_year]")
+
+    @property
+    def effective_batch(self) -> int:
+        return self.batch_size if self.batch_size is not None else self.reads_per_year
+
+    def validate(self):
+        """Check what only a run needs; build-profiles reads a config without paths."""
         if not self.corpus_path or not self.profiles_path:
             raise ConfigError("corpus_path and profiles_path are required")
 
@@ -114,13 +127,9 @@ class RunConfig:
 
     @classmethod
     def from_canonical(cls, doc: dict, out_dir: str) -> "RunConfig":
-        # canonical keys are field names; two fields need their types back
-        return cls(**{
-            **doc,
-            "years": tuple(doc["years"]),
-            "backend": BackendConfig.from_dict(doc["backend"]),
-            "out_dir": out_dir,
-        })
+        # canonical keys are field names; the backend needs its type back
+        return cls(**{**doc, "backend": BackendConfig.from_dict(doc["backend"]),
+                      "out_dir": out_dir})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -133,8 +142,6 @@ class RunConfig:
                    + [f"paths.{key}" for key in paths if key not in _PATH_FIELDS])
         if unknown:
             raise ConfigError(f"unknown config keys in {path}: {', '.join(sorted(unknown))}")
-        if "years" in kwargs:
-            kwargs["years"] = tuple(kwargs["years"])
         for key, attr in _PATH_FIELDS.items():
             if paths.get(key) is not None:
                 kwargs[attr] = paths[key]
@@ -245,7 +252,7 @@ def _chunk(items, size):
 
 def _choose(config: RunConfig, env: RunEnv, gateway: Gateway, year: int):
     """Start every agent's offer and selection for a year; return the call that
-    waits for them, each an ((offer, selected, batches), selection records).
+    yields them, each an ((offer, selected, batches), selection records).
 
     A selection reads only the static profile, the seed and the corpus, never
     an opinion, so it may run before the years ahead of it are done.
@@ -261,15 +268,14 @@ def _choose(config: RunConfig, env: RunEnv, gateway: Gateway, year: int):
         payloads = retrieve_full_text(env.index, selected, config.ablation)
         return offer, selected, _chunk(list(payloads), config.effective_batch)
 
-    return gateway.start(lambda profile: gateway.capture(choose, profile), env.agents)
+    return gateway.start(choose, env.agents)
 
 
-def _process_year(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState,
-                  year: int, selections, next_year: int | None):
-    """One year in three phases, each run by the gateway over independent work:
-    the started ``selections`` (see ``_choose``), the debias rewrites, and the
-    reading and survey, behind which ``next_year``'s selections are started
-    and returned with the year's updates and trace rows.
+def _start_year(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState,
+                year: int, chosen: list):
+    """Rewrite the year's uncached debias reads, then start every agent's
+    reading and survey; return the call that yields each agent's
+    ((opinion, updates, trace row), records), its selection's records first.
 
     Agents share nothing within a year but the debias cache, so each agent's
     chain of exchanges may run beside the others'. The replay log still reads
@@ -277,7 +283,6 @@ def _process_year(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunSt
     each debias rewrite just before the batch of the article's first reader.
     """
     agents = env.agents
-    chosen = selections()
 
     # (agent index, batch index) -> records of the rewrites that batch reads first
     rewrites: dict[tuple[int, int], list] = {}
@@ -289,9 +294,9 @@ def _process_year(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunSt
                     if payload.article_id not in state.cache:
                         first_reader.setdefault(payload.article_id, (payload, (i, j)))
         readers = list(first_reader.values())
-        held = gateway.map(lambda entry: gateway.capture(
-            debias_payload, entry[0], gateway, env.lexicon, state.cache), readers)
-        for (_, reader), (_, records) in zip(readers, held):
+        held = gateway.start(lambda entry: debias_payload(
+            entry[0], gateway, env.lexicon, state.cache), readers)
+        for (_, reader), (_, records) in zip(readers, held()):
             rewrites.setdefault(reader, []).extend(records)
 
     def read_and_survey(i):
@@ -337,15 +342,7 @@ def _process_year(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunSt
             "response": response,
         }
 
-    read = gateway.start(read_and_survey, range(len(agents)))
-    following = _choose(config, env, gateway, next_year) if next_year is not None else None
-    updates_all: list[dict] = []
-    trace: list[dict] = []
-    for opinion, updates, row in read():
-        state.states[opinion.agent_id] = opinion
-        updates_all.extend(updates)
-        trace.append(row)
-    return updates_all, trace, following
+    return gateway.start(read_and_survey, range(len(agents)))
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +481,18 @@ def _drive(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState,
         years.append(year)
         if year == stop_after_year:
             break
-    chosen = _choose(config, env, gateway, years[0]) if years else None
+    selections = _choose(config, env, gateway, years[0]) if years else None
     for year, next_year in zip(years, [*years[1:], None]):
         began = time.perf_counter()
-        updates, trace, chosen = _process_year(config, env, gateway, state, year,
-                                               chosen, next_year)
+        read = _start_year(config, env, gateway, state, year, list(selections()))
+        if next_year is not None:  # behind this year's reading, on the remote backend
+            selections = _choose(config, env, gateway, next_year)
+        updates, trace = [], []
+        for (opinion, agent_updates, row), records in read():
+            gateway.emit(records)
+            state.states[opinion.agent_id] = opinion
+            updates.extend(agent_updates)
+            trace.append(row)
         outputs.write_jsonl(out_dir / f"updates_{year}.jsonl", updates)
         outputs.write_jsonl(_trace_path(out_dir, year), trace)
         state.completed_years.append(year)

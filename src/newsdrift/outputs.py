@@ -16,11 +16,13 @@ from pathlib import Path
 from .errors import ConfigError, ResumeError
 
 
-def make_dir(path: Path):
+def make_dir(path: Path, for_file: Path | None = None):
+    """Create the directory path; an error also names for_file, the file it is made for."""
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"output directory {path} cannot be created: {exc}") from None
+        target = f" for {for_file}" if for_file else ""
+        raise ConfigError(f"output directory {path}{target} cannot be created: {exc}") from None
 
 
 def write_text(path: Path, text: str):

@@ -1016,11 +1016,32 @@ def test_map_raises_the_first_failure_in_item_order(canned_server, monkeypatch, 
         return item
 
     with pytest.raises(KeyError, match="first in item order"):
-        gw.map(work, range(40))
+        list(gw.start(work, range(40))())
     gw.close()
     assert len(started) < 40  # the items not started were cancelled
-    assert gw.map(lambda item: item * 2, range(3)) == [0, 2, 4]
+    assert list(gw.start(lambda item: item * 2, range(3))()) == [(0, []), (2, []), (4, [])]
     gw.close()
+
+
+def test_a_tag_repeated_across_concurrent_items_is_refused_at_the_second(canned_server,
+                                                                         tmp_path, monkeypatch):
+    """The second item asks and finishes first, yet its record is the one refused."""
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.answer = lambda body: body["messages"][1]["content"][-1]
+    log = tmp_path / "r.jsonl"
+    gw = Gateway(_remote_config(canned_server, max_in_flight=8), log_path=log)
+
+    def ask(item):
+        time.sleep(0.05 * (1 - item))  # the first item is held back
+        request = GenerationRequest("system text", f"user {item + 1}", "survey_answer", "dup")
+        return gw.generate(request, fallback=None)
+
+    with pytest.raises(ConfigError, match="duplicate request tag in run: 'dup'"):
+        for _, records in gw.start(ask, range(2))():
+            gw.emit(records)
+    gw.close()
+    assert [(r["user"], r["parsed"]) for r in map(json.loads, log.read_text().splitlines())] \
+        == [("user 1", 1)]
 
 
 def test_log_records_reach_the_file_as_written(tmp_path):
@@ -1049,7 +1070,7 @@ def test_schema_errors_are_caught_only_in_the_gateway():
 
 
 def test_threads_are_started_only_in_the_gateway():
-    """Concurrency lives in Gateway.map; call sites never branch on backend mode."""
+    """Concurrency lives in Gateway.start; call sites never branch on backend mode."""
     package = Path(__file__).resolve().parents[1] / "src" / "newsdrift"
     importers = []
     for path in sorted(package.glob("*.py")):

@@ -85,7 +85,7 @@ def test_mock_debias_respects_word_boundaries(lexicon):
 def test_debias_payload_flags_and_rewrites(mock_gateway, lexicon):
     out = debias_payload(_payload(), mock_gateway, lexicon, {})
     assert out.full_text == "China's markets"
-    assert out.debiased and not out.debias_failed
+    assert out.debiased
     assert out.article_id == "art-000" and out.headline == "China report 0"
 
 
@@ -93,7 +93,7 @@ def test_debias_payload_neutral_text_still_flagged(mock_gateway, lexicon):
     text = "The delegation met again on Tuesday"
     out = debias_payload(_payload(text=text), mock_gateway, lexicon, {})
     assert out.full_text == text
-    assert out.debiased and not out.debias_failed
+    assert out.debiased
 
 
 def test_debias_payload_keeps_input_frozen(mock_gateway, lexicon):
@@ -106,7 +106,7 @@ def test_debias_failure_keeps_original_text(lexicon):
     gateway = BrokenGateway()
     out = debias_payload(_payload(), gateway, lexicon, {})
     assert out.full_text == LOADED
-    assert out.debias_failed and not out.debiased
+    assert not out.debiased
 
 
 def test_debias_cache_one_exchange_per_article(lexicon):
@@ -125,7 +125,7 @@ def test_debias_cache_remembers_failures(lexicon):
     debias_payload(_payload(), gateway, lexicon, cache)
     out = debias_payload(_payload(), gateway, lexicon, cache)
     assert gateway.calls == 1
-    assert out.debias_failed and out.full_text == LOADED
+    assert not out.debiased and out.full_text == LOADED
 
 
 # --- devil's advocate critique ---
@@ -183,7 +183,7 @@ def test_debias_flags_every_payload(mock_gateway, lexicon):
     out, critique = apply_intervention(
         "debias", payloads, mock_gateway, lexicon, {}, "iv:t")
     assert len(out) == 10
-    assert all(p.debiased and not p.debias_failed for p in out)
+    assert all(p.debiased for p in out)
     assert critique is None
     pattern = re.compile(
         r"\b(?:" + "|".join(re.escape(w) for w in lexicon.signed) + r")\b",

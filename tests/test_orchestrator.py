@@ -723,6 +723,20 @@ _BAD_INPUTS = {
     "config_not_json": ("run", "config", "{", "is not a readable JSON file"),
     "config_attempts_not_a_number": ("run", "config", '{"backend": {"max_attempts": "3"}}',
                                      "max_attempts must be an integer of at least 1: '3'"),
+    "config_agents_not_an_integer": ("run", "config", '{"n_agents": "5"}',
+                                     "n_agents must be an integer: '5'"),
+    "config_agents_a_bool": ("run", "config", '{"n_agents": true}',
+                             "n_agents must be an integer: True"),
+    "config_seed_not_an_integer": ("run", "config", '{"seed": "7"}',
+                                   "seed must be an integer: '7'"),
+    "config_years_not_a_pair": ("run", "config", '{"years": 2010}',
+                                "years must be two integers, first and last: 2010"),
+    "config_year_not_an_integer": ("run", "config", '{"years": [2005, "2006"]}',
+                                   "years must be two integers, first and last: [2005, '2006']"),
+    "config_reads_not_an_integer": ("run", "config", '{"reads_per_year": 2.5}',
+                                    "reads_per_year must be an integer: 2.5"),
+    "config_reads_beyond_offer": ("run", "config", '{"reads_per_year": 60}',
+                                  "reads_per_year must lie in [1, headlines_per_agent]"),
     "profiles_not_json": ("run", "profiles", "[", "is not a readable JSON file"),
     "profile_without_demographics": ("run", "profiles", '[{"agent_id": "a"}]',
                                      "entry 1 is not a profile: KeyError: 'demographics'"),
@@ -754,6 +768,12 @@ _BAD_INPUTS = {
     "results_missing": ("report", "results.json", None, "is not a readable JSON file"),
     "results_without_years": ("report", "results.json", "{}", "holds no list of years"),
     "charts_results_without_years": ("charts", "results.json", "{}", "holds no list of years"),
+    "results_year_empty": ("report", "results.json", '{"years": [{}]}',
+                           "holds a year that is not an object with an integer year"),
+    "charts_results_year_empty": ("charts", "results.json", '{"years": [{}]}',
+                                  "holds a year that is not an object with an integer year"),
+    "results_year_not_an_object": ("report", "results.json", '{"years": [2005]}',
+                                   "holds a year that is not an object"),
     "checkpoint_not_json": ("resume", "checkpoint.json", '{"config": ',
                             "is not a readable JSON file"),
     "checkpoint_without_keys": ("resume", "checkpoint.json", "{}",
@@ -811,10 +831,12 @@ def test_cli_reports_an_unwritable_output_path(tmp_path, make_config, fixtures_d
         "run": (taken, ["run", "--config", str(_cli_config(tmp_path, make_config)),
                         "--out", str(taken)]),
     }[command]
+    before = sorted(tmp_path.rglob("*"))
     assert cli.main(argv) == 1
     assert [r.levelname for r in caplog.records].count("ERROR") == 1
     assert str(bad) in caplog.text
     assert not list(tmp_path.glob("*.tmp"))  # no temp file is left behind
+    assert sorted(tmp_path.rglob("*")) == before  # nor any other new file
 
 
 def test_cli_reports_domain_errors_as_exit_code(tmp_path, make_config):
