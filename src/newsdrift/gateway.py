@@ -16,12 +16,14 @@ import json
 import logging
 import os
 import re
+import selectors
+import socket
 import ssl
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -108,6 +110,8 @@ class BackendConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BackendConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"the backend section must be an object: {doc!r}")
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown backend keys: {', '.join(unknown)}")
@@ -307,12 +311,14 @@ class Gateway:
     returns them the same way whatever the mode. ``start`` runs independent
     chains of exchanges, at most ``max_in_flight`` at once on the remote
     backend, and hands each chain's records back to be written in the order a
-    sequential run writes them. Records are written, counted and checked for a
+    sequential run writes them. Each thread that posts keeps one connection
+    alive. Records are written, counted and checked for a
     repeated tag in ``_log``, only in the thread that collects them, so the
     counts always describe the log as far as it is written.
     The replay log is append-only, through one line-buffered handle opened on
     the first record; request tags must be unique per run so a recorded log
-    can drive an exact replay. ``close`` releases the handle and the workers.
+    can drive an exact replay. ``close`` releases the handle, the workers and
+    the connections.
     """
 
     def __init__(self, config: BackendConfig, log_path: str | Path | None = None,
@@ -326,6 +332,8 @@ class Gateway:
         # .records: where this thread's exchanges are held; unset writes to the log
         self._local = threading.local()
         self._pool: ThreadPoolExecutor | None = None
+        # thread id -> that thread's kept-alive connection to the remote endpoint
+        self._connections: dict[int, http.client.HTTPConnection] = {}
         self._seen_tags: set[str] = set()
         self.request_counts: dict[str, int] = dict(counters.get("request_counts", {}))
         self.fallback_counts: dict[str, int] = dict(counters.get("fallback_counts", {}))
@@ -338,11 +346,11 @@ class Gateway:
             if not api_key:
                 raise ConfigError(f"remote mode requires API key in ${config.api_key_env_var}")
             self._headers = {"Authorization": f"Bearer {api_key}",
-                             "Content-Type": "application/json", "Connection": "close"}
+                             "Content-Type": "application/json"}
             url = urlsplit(config.base_url)
             self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
-            # _post opens one connection per POST and closes it. The port is always given:
-            # http.client would take the end of a bare IPv6 host for one.
+            # The port is always given: http.client would take the end of a bare
+            # IPv6 host for one.
             if url.scheme == "https":
                 self._connect = partial(http.client.HTTPSConnection, url.hostname,
                                         url.port or 443, context=ssl.create_default_context())
@@ -350,11 +358,14 @@ class Gateway:
                 self._connect = partial(http.client.HTTPConnection, url.hostname, url.port or 80)
 
     def close(self):
-        """Wait for running workers and close the replay-log handle; a later
-        ``start`` or record opens them again."""
+        """Wait for running workers, then close every connection and the
+        replay-log handle; a later ``start``, POST or record opens them again."""
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
+        for connection in self._connections.values():
+            connection.close()
+        self._connections.clear()
         if self._log_fh is not None:
             self._log_fh.close()
             self._log_fh = None
@@ -363,11 +374,12 @@ class Gateway:
 
     def _capture(self, fn, item):
         """Run fn(item) and return (its result, the log records it made, held back)."""
+        enclosing = getattr(self._local, "records", None)  # an item run inside another
         self._local.records = records = []
         try:
             return fn(item), records
         finally:
-            self._local.records = None
+            self._local.records = enclosing
 
     def emit(self, records: list):
         """Write records held back by ``start``; inside a ``start`` item, hold them
@@ -381,34 +393,32 @@ class Gateway:
 
     def start(self, fn, items):
         """Start fn(item) for each item, each call a chain of exchanges, and
-        return a call that yields each item's (result, held records) in item
-        order, as each item finishes. The caller emits the records, so the log
-        reads as if the items ran one after another.
+        return one call per item that returns its (result, held records) once
+        it has finished. The caller emits the records in item order, so the
+        log reads as if the items ran one after another.
 
         The remote backend submits the items to its pool at once, where they
         queue behind items started earlier and run up to ``max_in_flight`` at
-        a time; mock and replay run them in turn, in the thread that iterates
-        the call, as it does. The call raises the first failure in item order
-        and cancels the items not yet started.
+        a time; a call waits for its item, raises its failure and then cancels
+        the items not yet started. Mock and replay run an item at its call's
+        first use, in the calling thread, and keep the outcome for later calls.
+        An item may use the calls of items started before it.
         """
-        futures = []
-        if self.config.mode == "remote" and self.config.max_in_flight > 1:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(self.config.max_in_flight,
-                                                thread_name_prefix="newsdrift-gateway")
-            futures = [self._pool.submit(self._capture, fn, item) for item in items]
-            outcomes = (future.result() for future in futures)
-        else:
-            outcomes = (self._capture(fn, item) for item in items)
+        if not (self.config.mode == "remote" and self.config.max_in_flight > 1):
+            return [cache(partial(self._capture, fn, item)) for item in items]
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(self.config.max_in_flight,
+                                            thread_name_prefix="newsdrift-gateway")
+        futures = [self._pool.submit(self._capture, fn, item) for item in items]
 
-        def wait():
+        def wait(future):
             try:
-                yield from outcomes
+                return future.result()
             except BaseException:
-                for future in futures:
-                    future.cancel()
+                for other in futures:
+                    other.cancel()
                 raise
-        return wait
+        return [partial(wait, future) for future in futures]
 
     # -- replay ------------------------------------------------------------
 
@@ -482,19 +492,31 @@ class Gateway:
         body = json.dumps({"model": self.config.model_name, "messages": messages,
                            "temperature": self.config.temperature,
                            "max_tokens": self.config.max_tokens}).encode("utf-8")
-        connection = self._connect(timeout=self.config.timeout_seconds)
+        # the thread's kept-alive connection; http.client reopens a closed one
+        connection = self._connections.get(threading.get_ident())
+        if connection is None:
+            connection = self._connections[threading.get_ident()] = self._connect(
+                timeout=self.config.timeout_seconds)
+        elif connection.sock:  # an idle socket that reads is one the server has closed
+            with selectors.DefaultSelector() as idle:
+                idle.register(connection.sock, selectors.EVENT_READ)
+                if idle.select(0):
+                    connection.close()
         try:
             connection.request("POST", self._path, body, self._headers)
+            if hasattr(socket, "TCP_QUICKACK"):  # a reply in two writes skips the delayed ACK
+                connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
             response = connection.getresponse()
             reply = response.read()
-        finally:
-            connection.close()
-        if response.status >= 300:  # redirects are not followed
-            raise http.client.HTTPException(f"HTTP {response.status} {response.reason}")
-        content = json.loads(reply)["choices"][0]["message"]["content"]
-        if not isinstance(content, str):
-            raise TypeError(f"reply carries no answer text: {content!r}")
-        return content
+            if response.status >= 300:  # redirects are not followed
+                raise http.client.HTTPException(f"HTTP {response.status} {response.reason}")
+            content = json.loads(reply)["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"reply carries no answer text: {content!r}")
+            return content
+        except BaseException:
+            connection.close()  # the next attempt goes out on a new connection
+            raise
 
     def _answers(self, request: GenerationRequest, mock_value):
         """Yield the backend's raw answers as (raw, t_start, t_end); remote posts

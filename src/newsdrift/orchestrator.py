@@ -251,8 +251,8 @@ def _chunk(items, size):
 
 
 def _choose(config: RunConfig, env: RunEnv, gateway: Gateway, year: int):
-    """Start every agent's offer and selection for a year; return the call that
-    yields them, each an ((offer, selected, batches), selection records).
+    """Start every agent's offer and selection for a year; return one call per
+    agent that returns its ((offer, selected, batches), selection records).
 
     A selection reads only the static profile, the seed and the corpus, never
     an opinion, so it may run before the years ahead of it are done.
@@ -274,13 +274,15 @@ def _choose(config: RunConfig, env: RunEnv, gateway: Gateway, year: int):
 def _start_year(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState,
                 year: int, chosen: list):
     """Rewrite the year's uncached debias reads, then start every agent's
-    reading and survey; return the call that yields each agent's
+    reading and survey; return one call per agent that returns its
     ((opinion, updates, trace row), records), its selection's records first.
 
-    Agents share nothing within a year but the debias cache, so each agent's
-    chain of exchanges may run beside the others'. The replay log still reads
-    as the sequential run wrote it: an agent's records, its selection first,
-    each debias rewrite just before the batch of the article's first reader.
+    ``chosen`` holds ``_choose``'s calls. An agent's reading waits only for its
+    own selection, unless debias waits for them all. Agents share nothing
+    within a year but the debias cache, so each agent's chain of exchanges may
+    run beside the others'. The replay log still reads as the sequential run
+    wrote it: an agent's records, its selection first, each debias rewrite
+    just before the batch of the article's first reader.
     """
     agents = env.agents
 
@@ -288,7 +290,7 @@ def _start_year(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunStat
     rewrites: dict[tuple[int, int], list] = {}
     if config.intervention == "debias":
         first_reader = {}
-        for i, ((_, _, batches), _) in enumerate(chosen):
+        for i, ((_, _, batches), _) in enumerate(choice() for choice in chosen):
             for j, batch in enumerate(batches):
                 for payload in batch:
                     if payload.article_id not in state.cache:
@@ -296,13 +298,14 @@ def _start_year(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunStat
         readers = list(first_reader.values())
         held = gateway.start(lambda entry: debias_payload(
             entry[0], gateway, env.lexicon, state.cache), readers)
-        for (_, reader), (_, records) in zip(readers, held()):
+        for (_, reader), rewrite in zip(readers, held):
+            _, records = rewrite()
             rewrites.setdefault(reader, []).extend(records)
 
     def read_and_survey(i):
         profile = agents[i]
         agent_id = profile.agent_id
-        (offer, selected, batches), selection_records = chosen[i]
+        (offer, selected, batches), selection_records = chosen[i]()
         gateway.emit(selection_records)
         opinion = state.states[agent_id]
         critique_chars = []
@@ -484,11 +487,12 @@ def _drive(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState,
     selections = _choose(config, env, gateway, years[0]) if years else None
     for year, next_year in zip(years, [*years[1:], None]):
         began = time.perf_counter()
-        read = _start_year(config, env, gateway, state, year, list(selections()))
-        if next_year is not None:  # behind this year's reading, on the remote backend
-            selections = _choose(config, env, gateway, next_year)
+        read = _start_year(config, env, gateway, state, year, selections)
+        # behind this year's reading, on the remote backend; the last year holds none
+        selections = _choose(config, env, gateway, next_year) if next_year else None
         updates, trace = [], []
-        for (opinion, agent_updates, row), records in read():
+        while read:  # each agent's call is dropped once its records are written
+            (opinion, agent_updates, row), records = read.pop(0)()
             gateway.emit(records)
             state.states[opinion.agent_id] = opinion
             updates.extend(agent_updates)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import functools
+import http.client
 import itertools
 import json
 import os
@@ -303,13 +304,16 @@ def test_replay_names_the_line_of_a_damaged_log(tmp_path, damage):
 # ---------------------------------------------------------------------------
 
 class _CannedServer:
-    """Serves a scripted sequence of responses and records requests.
+    """Serves a scripted sequence of responses over HTTP/1.1 and records requests.
 
     Once the script runs out, every request is answered with what ``answer``
     returns for its JSON body: the content, or a script entry. Each request is
     held ``hold`` seconds, or what a callable ``hold`` returns, and a
     ``("held", seconds, content)`` entry that much longer; ``max_in_flight`` is
-    the most held at once.
+    the most held at once. A ``("hang_up", content)`` entry answers, then
+    closes the connection without saying so and sets ``hung_up``.
+    ``connections`` counts the connections that carried a post; like a
+    server's, each reply writes its headers and its body in two sends.
     """
 
     def __init__(self):
@@ -317,15 +321,21 @@ class _CannedServer:
         self.requests: list = []
         self.answer = lambda body: "1"
         self.hold = 0.0
-        self.in_flight = self.max_in_flight = 0
+        self.in_flight = self.max_in_flight = self.connections = 0
+        self.hung_up = threading.Event()
         lock = threading.Lock()
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            carried_post = False
+
             def do_POST(self):
                 with lock:
+                    outer.connections += not self.carried_post
                     outer.in_flight += 1
                     outer.max_in_flight = max(outer.max_in_flight, outer.in_flight)
+                self.carried_post = True
                 try:
                     kind, rest = self._hold()
                 finally:
@@ -353,7 +363,12 @@ class _CannedServer:
                 return kind, rest
 
             def _answer(self, kind, rest):
-                if kind in ("ok", "json"):
+                if kind == "hang_up":
+                    self._answer("ok", rest)
+                    self.connection.shutdown(socket.SHUT_RDWR)
+                    self.close_connection = True
+                    outer.hung_up.set()
+                elif kind in ("ok", "json"):
                     doc = rest[0]  # "json" sends its document as the whole body
                     if kind == "ok":
                         doc = {"choices": [{"message": {"content": doc}}]}
@@ -603,10 +618,12 @@ def test_https_base_urls_verify_certificates(monkeypatch):
         """Stands in for HTTPSConnection and answers every POST with one completion."""
 
         def __init__(self, *args, **kwargs):
-            made.append({"args": args, "kwargs": kwargs})
+            made.append({"args": args, "kwargs": kwargs, "closed": False})
+            self.sock = None
 
         def request(self, method, path, body, headers):
             made[-1]["path"] = path
+            self.sock = type("Socket", (), {"setsockopt": lambda *args: None})()
 
         def getresponse(self):
             blob = json.dumps({"choices": [{"message": {"content": "3"}}]}).encode()
@@ -621,6 +638,8 @@ def test_https_base_urls_verify_certificates(monkeypatch):
                 "https://127.0.0.1:8443/v1/chat/completions"):
         gw = Gateway(BackendConfig(mode="remote", base_url=url, model_name="m"))
         assert gw.generate(_req(url), fallback=None) == 3
+        assert not made[-1]["closed"]  # kept alive until the gateway closes
+        gw.close()
     assert [(m["args"], m["path"], m["closed"]) for m in made] == [
         (("localhost", 443), "/v1/chat/completions?api-version=x", True),
         (("127.0.0.1", 8443), "/v1/chat/completions", True)]
@@ -649,6 +668,113 @@ def test_the_cli_imports_no_third_party_http_library():
          "import sys, newsdrift.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, timeout=60, check=True).stdout
     assert loaded.strip() == "[]"
+
+
+def test_a_sequential_remote_run_posts_on_one_connection(canned_server, make_config,
+                                                         monkeypatch):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.answer = _schema_answer
+    run(make_config(n_agents=2, backend=_remote_config(canned_server, max_in_flight=1)))
+    assert len(canned_server.requests) > 1
+    assert canned_server.connections == 1
+
+
+def test_a_concurrent_remote_run_keeps_one_connection_per_worker(canned_server, make_config,
+                                                                 monkeypatch):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.answer = _schema_answer
+    canned_server.hold = 0.005
+    run(make_config(reads_per_year=4, batch_size=2,
+                    backend=_remote_config(canned_server, max_in_flight=8)))
+    assert canned_server.max_in_flight > 1
+    assert len(canned_server.requests) > 8
+    assert canned_server.connections <= 8
+
+
+def test_close_closes_every_connection_and_a_later_exchange_opens_another(canned_server,
+                                                                          monkeypatch):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    made = []
+
+    class Recording(http.client.HTTPConnection):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr("http.client.HTTPConnection", Recording)
+    canned_server.hold = 0.005
+    gw = Gateway(_remote_config(canned_server, max_in_flight=4))
+
+    def ask(n):
+        return gw.generate(_req(f"s:{n}"), fallback=None)
+
+    assert [outcome()[0] for outcome in gw.start(ask, range(8))] == [1] * 8
+    assert made and any(connection.sock for connection in made)
+    gw.close()
+    assert not any(connection.sock for connection in made)
+    assert gw.generate(_req("s:after"), fallback=None) == 1
+    assert any(connection.sock for connection in made)
+    gw.close()
+    assert not any(connection.sock for connection in made)
+
+
+def test_a_failed_attempt_is_retried_on_a_new_connection(canned_server, tmp_path, monkeypatch):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.script = [("http_error", 500), ("ok", "2"), ("ok", "3")]
+    gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
+    assert gw.generate(_req("s:1"), fallback=None) == 2
+    assert canned_server.connections == 2
+    assert gw.generate(_req("s:2"), fallback=None) == 3
+    assert canned_server.connections == 2
+    gw.close()
+
+
+def test_an_idle_connection_the_server_closed_costs_no_attempt(canned_server, tmp_path,
+                                                               monkeypatch):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.script = [("hang_up", "1"), ("ok", "2")]
+    gw = Gateway(_remote_config(canned_server, max_attempts=1), log_path=tmp_path / "r.jsonl")
+    assert gw.generate(_req("s:1"), fallback=None) == 1
+    assert canned_server.hung_up.wait(5)
+    assert gw.generate(_req("s:2"), fallback=None) == 2
+    assert canned_server.connections == 2
+    gw.close()
+
+
+def test_a_kept_alive_connection_is_reused_past_descriptor_1024(canned_server, monkeypatch):
+    """select.select refuses a descriptor from 1024 on; the idle check must not."""
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    pipes = []
+    try:
+        try:
+            while not pipes or pipes[-1][1] < 1024:
+                pipes.append(os.pipe())
+        except OSError:
+            pytest.skip("this process may not open 1,024 descriptors")
+        gw = Gateway(_remote_config(canned_server, max_attempts=1))
+        for n in range(2):
+            assert gw.generate(_req(f"s:{n}"), fallback=None) == 1
+        gw.close()
+        assert canned_server.connections == 1
+    finally:
+        for pipe in pipes:
+            os.close(pipe[0])
+            os.close(pipe[1])
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="no TCP_QUICKACK here")
+def test_a_kept_alive_connection_waits_on_no_delayed_ack(canned_server, monkeypatch):
+    """Each reply comes in two sends; the second waits on the client's ACK of
+    the first, which a delayed ACK holds for up to 40 ms."""
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    gw = Gateway(_remote_config(canned_server))
+    began = time.perf_counter()
+    for n in range(20):
+        assert gw.generate(_req(f"s:{n}"), fallback=None) == 1
+    elapsed = time.perf_counter() - began
+    gw.close()
+    assert canned_server.connections == 1
+    assert elapsed < 0.4
 
 
 def test_remote_sends_and_logs_the_backend_generation_parameters(canned_server, tmp_path,
@@ -962,6 +1088,44 @@ def test_next_years_selections_start_before_the_checkpoint_only_on_remote(
                           "checkpoint:[2005, 2006]"]
 
 
+def test_each_reading_waits_only_for_its_own_selection(canned_server, make_config,
+                                                       monkeypatch):
+    """The first POST, a 2005 selection, is held 0.3 s; the other agents read
+    meanwhile, and the run still equals the one-at-a-time run."""
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.answer = _schema_answer
+    sequential = make_config(reads_per_year=4, batch_size=2,
+                             backend=_remote_config(canned_server, max_in_flight=1))
+    run(sequential)
+    events = []
+    select, reflect = orchestrator.select_articles, orchestrator.reflect_batch
+
+    def selected(*args, tag, **kwargs):
+        picks = select(*args, tag=tag, **kwargs)
+        events.append(("select", tag.split(":", 1)[1]))  # its POST has been answered
+        return picks
+
+    def reflected(*args, batch_id, **kwargs):
+        events.append(("reflect", batch_id.rsplit(":", 1)[0]))
+        return reflect(*args, batch_id=batch_id, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "select_articles", selected)
+    monkeypatch.setattr(orchestrator, "reflect_batch", reflected)
+    arrivals = itertools.count()
+    canned_server.hold = lambda: 0.3 if next(arrivals) == 0 else 0.0
+    concurrent = make_config(reads_per_year=4, batch_size=2,
+                             backend=_remote_config(canned_server, max_in_flight=8))
+    run(concurrent)
+
+    chosen = [key for kind, key in events if kind == "select" and key.startswith("2005:")]
+    held = chosen[-1]  # the held selection is the year's last to return
+    early = {key for kind, key in events[:events.index(("select", held))] if kind == "reflect"}
+    assert early == set(chosen) - {held}
+    assert _without_times(Path(concurrent.out_dir) / "replay.jsonl") \
+        == _without_times(Path(sequential.out_dir) / "replay.jsonl")
+    assert _artifacts(Path(concurrent.out_dir)) == _artifacts(Path(sequential.out_dir))
+
+
 class _CutInside2006(Exception):
     pass
 
@@ -1016,11 +1180,32 @@ def test_map_raises_the_first_failure_in_item_order(canned_server, monkeypatch, 
         return item
 
     with pytest.raises(KeyError, match="first in item order"):
-        list(gw.start(work, range(40))())
+        [outcome() for outcome in gw.start(work, range(40))]
     gw.close()
     assert len(started) < 40  # the items not started were cancelled
-    assert list(gw.start(lambda item: item * 2, range(3))()) == [(0, []), (2, []), (4, [])]
+    assert [outcome() for outcome in gw.start(lambda item: item * 2, range(3))] \
+        == [(0, []), (2, []), (4, [])]
     gw.close()
+
+
+def test_an_item_run_inside_another_keeps_its_records_held(tmp_path):
+    """On mock an item runs at its call's first use, here inside another item."""
+    log = tmp_path / "r.jsonl"
+    gw = Gateway(BackendConfig(mode="mock"), log_path=log)
+    inner = gw.start(lambda n: gw.generate(_req(f"inner:{n}"), mock_value=1, fallback=None),
+                     range(1))
+
+    def outer(n):
+        value, records = inner[0]()
+        gw.emit(records)
+        return value + gw.generate(_req(f"outer:{n}"), mock_value=2, fallback=None)
+
+    [(total, records)] = [outcome() for outcome in gw.start(outer, range(1))]
+    assert total == 3 and not log.exists()
+    gw.emit(records)
+    assert inner[0]() == (1, [(_req("inner:0"), "1", 1, True, 0.0, 0.0)])  # kept, not run again
+    assert [json.loads(line)["tag"] for line in log.read_text().splitlines()] \
+        == ["inner:0", "outer:0"]
 
 
 def test_a_tag_repeated_across_concurrent_items_is_refused_at_the_second(canned_server,
@@ -1037,8 +1222,8 @@ def test_a_tag_repeated_across_concurrent_items_is_refused_at_the_second(canned_
         return gw.generate(request, fallback=None)
 
     with pytest.raises(ConfigError, match="duplicate request tag in run: 'dup'"):
-        for _, records in gw.start(ask, range(2))():
-            gw.emit(records)
+        for outcome in gw.start(ask, range(2)):
+            gw.emit(outcome()[1])
     gw.close()
     assert [(r["user"], r["parsed"]) for r in map(json.loads, log.read_text().splitlines())] \
         == [("user 1", 1)]
@@ -1070,7 +1255,8 @@ def test_schema_errors_are_caught_only_in_the_gateway():
 
 
 def test_threads_are_started_only_in_the_gateway():
-    """Concurrency lives in Gateway.start; call sites never branch on backend mode."""
+    """Concurrency lives in Gateway.start and every connection in Gateway._post;
+    call sites never branch on backend mode."""
     package = Path(__file__).resolve().parents[1] / "src" / "newsdrift"
     importers = []
     for path in sorted(package.glob("*.py")):
@@ -1081,7 +1267,8 @@ def test_threads_are_started_only_in_the_gateway():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m.split(".")[0] in ("threading", "concurrent") for m in modules) \
+            if any(m.split(".")[0] in ("threading", "concurrent", "socket", "ssl", "http",
+                                       "select", "selectors") for m in modules) \
                     and path.name != "gateway.py":
                 importers.append(f"{path.name}:{node.lineno}")
     assert importers == []

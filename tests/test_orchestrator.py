@@ -723,6 +723,14 @@ _BAD_INPUTS = {
     "config_not_json": ("run", "config", "{", "is not a readable JSON file"),
     "config_attempts_not_a_number": ("run", "config", '{"backend": {"max_attempts": "3"}}',
                                      "max_attempts must be an integer of at least 1: '3'"),
+    "config_backend_a_string": ("run", "config", '{"backend": "mock"}',
+                                "the backend section must be an object: 'mock'"),
+    "config_backend_null": ("run", "config", '{"backend": null}',
+                            "the backend section must be an object: None"),
+    "config_backend_a_number": ("run", "config", '{"backend": 5}',
+                                "the backend section must be an object: 5"),
+    "config_backend_a_list": ("run", "config", '{"backend": []}',
+                              "the backend section must be an object: []"),
     "config_agents_not_an_integer": ("run", "config", '{"n_agents": "5"}',
                                      "n_agents must be an integer: '5'"),
     "config_agents_a_bool": ("run", "config", '{"n_agents": true}',
