@@ -44,7 +44,8 @@ REFLECTION_ACTIONS = ("confirm", "revise", "reinforce", "dismiss", "none")
 VALENCE_MIN = -2.0
 VALENCE_MAX = 2.0
 
-_WORD = re.compile(r"[a-z0-9']+")
+# a token mock_sentiment scores: a longest run of these in the lower-cased text
+WORD = re.compile(r"[a-z0-9']+")
 
 log = logging.getLogger(__name__)
 
@@ -89,12 +90,12 @@ class BackendConfig:
             raise ConfigError("replay mode requires replay_log path")
         for name in ("max_attempts", "max_in_flight"):
             value = getattr(self, name)
-            if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
+            if not (is_number(value, int) and value >= 1):
                 raise ConfigError(f"{name} must be an integer of at least 1: {value!r}")
-        if not (_is_real(self.timeout_seconds) and self.timeout_seconds > 0):
+        if not (is_number(self.timeout_seconds) and self.timeout_seconds > 0):
             raise ConfigError(f"timeout_seconds must be a positive number: {self.timeout_seconds!r}")
         if not (isinstance(self.backoff_seconds, (list, tuple))
-                and all(_is_real(delay) and delay >= 0 for delay in self.backoff_seconds)):
+                and all(is_number(delay) and delay >= 0 for delay in self.backoff_seconds)):
             raise ConfigError(f"backoff_seconds must be numbers, none negative: "
                               f"{self.backoff_seconds!r}")
         object.__setattr__(self, "backoff_seconds", tuple(map(float, self.backoff_seconds)))
@@ -118,8 +119,9 @@ class BackendConfig:
         return cls(**doc)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def is_number(value, kind=(int, float)) -> bool:
+    """Whether value is a number of kind, int or float by default; a bool is none."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +136,11 @@ class MockLexicon:
         if overlap:
             raise ValidationError(f"lexicon word sets must be disjoint: {sorted(overlap)}")
         for word, weight in {**positive, **negative}.items():
-            if not (isinstance(weight, (int, float)) and 0.0 < weight <= 2.0):
+            if not (is_number(weight) and 0.0 < weight <= 2.0):
                 raise ValidationError(f"lexicon weight for {word!r} outside (0, 2]: {weight!r}")
         self.positive = {w.lower(): float(x) for w, x in positive.items()}
         self.negative = {w.lower(): float(x) for w, x in negative.items()}
         self.signed = {**self.positive, **{w: -x for w, x in self.negative.items()}}
-        words = sorted(self.signed, key=len, reverse=True)
-        self.debias_pattern = re.compile(
-            r"\b(?:" + "|".join(re.escape(w) for w in words) + r")\b", re.IGNORECASE)
         # mock_sentiment's per-run memo, keyed by the scored text
         self._scores: dict[str, float] = {}
 
@@ -167,7 +166,7 @@ def mock_sentiment(text: str, lexicon: MockLexicon) -> float:
         return score
     total = 0.0
     matched = 0
-    for token in _WORD.findall(text.lower()):
+    for token in WORD.findall(text.lower()):
         weight = lexicon.signed.get(token)
         if weight is not None:
             total += weight
@@ -258,7 +257,7 @@ def parse_structured(schema: str, text: str):
             if not isinstance(entry, dict):
                 raise SchemaError(f"domain entry for {name!r} must be an object", raw=text)
             valence = entry.get("new_valence")
-            if not isinstance(valence, (int, float)) or isinstance(valence, bool):
+            if not is_number(valence):
                 raise SchemaError(f"new_valence missing for domain {name!r}", raw=text)
             valence = float(valence)
             if not (VALENCE_MIN <= valence <= VALENCE_MAX):

@@ -22,7 +22,7 @@ from . import charts, inputs, outputs, prompts
 from .corpus import CorpusIndex, IngestReport, articles_for_year, ingest
 from .distribution import retrieve_full_text, sample_headlines, select_articles
 from .errors import ConfigError, CorpusError, ResumeError
-from .gateway import BackendConfig, Gateway, MockLexicon, load_lexicon
+from .gateway import BackendConfig, Gateway, MockLexicon, is_number, load_lexicon
 from .interventions import apply_intervention, debias_payload
 from .modes import validate_ablation, validate_intervention
 from .profiles import AgentProfile, load_profiles, sample_agents
@@ -61,10 +61,6 @@ _PATH_FIELDS = {
 }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
@@ -88,12 +84,12 @@ class RunConfig:
         object.__setattr__(self, "intervention", validate_intervention(self.intervention))
         object.__setattr__(self, "ablation", validate_ablation(self.ablation))
         if not (isinstance(self.years, (list, tuple)) and len(self.years) == 2
-                and all(map(_is_int, self.years))):
+                and all(is_number(year, int) for year in self.years)):
             raise ConfigError(f"years must be two integers, first and last: {self.years!r}")
         object.__setattr__(self, "years", tuple(self.years))
         for name in ("seed", "n_agents", "headlines_per_agent", "reads_per_year", "batch_size"):
             value = getattr(self, name)
-            if not (_is_int(value) or name == "batch_size" and value is None):
+            if not (is_number(value, int) or name == "batch_size" and value is None):
                 raise ConfigError(f"{name} must be an integer: {value!r}")
         lo, hi = self.years
         if lo > hi:
@@ -238,7 +234,7 @@ class RunState:
         return cls(
             states={agent_id: OpinionState.from_dict(d) for agent_id, d in doc["states"].items()},
             completed_years=list(doc["completed_years"]),
-            cache=doc["debias_cache"],
+            cache={**doc["debias_cache"]},
         )
 
 
@@ -393,7 +389,7 @@ def _year_result(out_dir: Path, year: int, agent_ids: list[str]) -> tuple[dict, 
 # ---------------------------------------------------------------------------
 
 def run(config: RunConfig, stop_after_year: int | None = None) -> dict:
-    """Execute a full simulation from scratch into config.out_dir.
+    """Execute a full simulation into config.out_dir, resuming its empty checkpoint.
 
     stop_after_year halts right after that year's checkpoint, simulating a
     killed process for resume testing.
@@ -401,20 +397,10 @@ def run(config: RunConfig, stop_after_year: int | None = None) -> dict:
     config.validate()
     out_dir = Path(config.out_dir)
     outputs.make_dir(out_dir / "trace")  # both folders exist before any year is written
-    for name in (CHECKPOINT_NAME, REPLAY_NAME) + FINAL_ARTIFACTS:
+    for name in (CHECKPOINT_NAME,) + FINAL_ARTIFACTS:
         (out_dir / name).unlink(missing_ok=True)
-    for stale in [*out_dir.glob("updates_*.jsonl"), *out_dir.glob("trace/year_*.jsonl")]:
-        stale.unlink()
-
     env = _load_environment(config)
-    gateway = Gateway(config.backend, log_path=out_dir / REPLAY_NAME)
-    state = RunState.initial(env)
-    try:
-        # a kill before the first year ends resumes this run from its start
-        _write_checkpoint(out_dir, env.header, gateway, state, False)
-        return _drive(config, env, gateway, state, stop_after_year)
-    finally:
-        gateway.close()
+    return _continue(config, env, RunState.initial(env), {}, stop_after_year)
 
 
 def resume(out_dir: str | Path, config: RunConfig | None = None,
@@ -428,17 +414,25 @@ def resume(out_dir: str | Path, config: RunConfig | None = None,
     missing = [key for key in _CHECKPOINT_KEYS if not isinstance(ck, dict) or key not in ck]
     if missing:
         raise ResumeError(f"checkpoint {ck_path} lacks keys: {', '.join(missing)}")
-
-    if config is not None:
-        drift = _config_drift(config.canonical(), ck["config"])
-        if drift:
-            raise ResumeError("config does not match checkpoint: " + "; ".join(drift))
-    else:
-        config = RunConfig.from_canonical(ck["config"], out_dir=str(out_dir))
+    try:  # every value is read before anything is cut back
+        if config is None:
+            config, drift = RunConfig.from_canonical(ck["config"], out_dir=str(out_dir)), []
+        else:
+            drift = _config_drift(config.canonical(), {**ck["config"]})
+        state, fingerprints = RunState.from_dict(ck), {**ck["fingerprints"]}
+        if not (is_number(ck["replay_lines"], int) and ck["replay_lines"] >= 0):
+            raise ValueError(f"replay_lines is not a line count: {ck['replay_lines']!r}")
+        if not all(is_number(year, int) for year in state.completed_years):
+            raise ValueError(f"completed_years are not all years: {state.completed_years!r}")
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise ResumeError(f"checkpoint {ck_path} is not a checkpoint: "
+                          f"{type(exc).__name__}: {exc}") from None
+    if drift:
+        raise ResumeError("config does not match checkpoint: " + "; ".join(drift))
     config.validate()
 
     current = config.fingerprints()
-    for role, digest in ck["fingerprints"].items():
+    for role, digest in fingerprints.items():
         if current.get(role) != digest:
             raise ResumeError(f"input file changed since checkpoint: {role}")
 
@@ -450,14 +444,22 @@ def resume(out_dir: str | Path, config: RunConfig | None = None,
     if env.header["agent_ids"] != ck["agent_ids"]:
         raise ResumeError("agent sample no longer matches checkpoint")
 
-    outputs.truncate_replay_log(out_dir / REPLAY_NAME, ck["replay_lines"])
-    state = RunState.from_dict(ck)
-    for path in [*out_dir.glob("updates_*.jsonl"), *out_dir.glob("trace/year_*.jsonl")]:
-        if int(path.stem.split("_")[1]) not in state.completed_years:
-            path.unlink()
+    return _continue(config, env, state, ck, stop_after_year)
 
-    gateway = Gateway(config.backend, log_path=out_dir / REPLAY_NAME, counters=ck)
+
+def _continue(config: RunConfig, env: RunEnv, state: RunState, counters: dict,
+              stop_after_year: int | None) -> dict:
+    """Cut the run's files back to a checkpoint's state and gateway counters, then
+    drive the years it has not completed; a fresh run passes an empty checkpoint."""
+    out_dir = Path(config.out_dir)
+    outputs.truncate_replay_log(out_dir / REPLAY_NAME, counters.get("replay_lines", 0))
+    for path in [*out_dir.glob("updates_*.jsonl"), *out_dir.glob("trace/year_*.jsonl")]:
+        if path.stem.split("_", 1)[1] not in map(str, state.completed_years):
+            path.unlink()
+    gateway = Gateway(config.backend, log_path=out_dir / REPLAY_NAME, counters=counters)
     try:
+        # a kill before the next year ends resumes from here
+        _write_checkpoint(out_dir, env.header, gateway, state, False)
         return _drive(config, env, gateway, state, stop_after_year)
     finally:
         gateway.close()

@@ -92,6 +92,17 @@ def test_lexicon_rejects_overlap_and_bad_weights():
         MockLexicon({}, {"y": 2.5})
 
 
+def test_a_bool_is_no_number_to_any_reader_of_numbers():
+    with pytest.raises(ValidationError, match="lexicon weight for 'good'"):
+        MockLexicon({"good": True}, {})
+    with pytest.raises(SchemaError, match="new_valence missing"):
+        parse_structured("reflection_update", '{"domains": {"economy": {"new_valence": true}}}')
+    with pytest.raises(ConfigError, match="timeout_seconds"):
+        BackendConfig(timeout_seconds=True)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        RunConfig(seed=False)
+
+
 def test_clamp_valence():
     assert clamp_valence(3.7) == 2.0
     assert clamp_valence(-9.0) == -2.0
@@ -1272,6 +1283,20 @@ def test_threads_are_started_only_in_the_gateway():
                     and path.name != "gateway.py":
                 importers.append(f"{path.name}:{node.lineno}")
     assert importers == []
+
+
+def test_run_and_resume_enter_the_year_loop_through_one_function():
+    """In orchestrator.py only _continue opens a Gateway or cuts the replay log
+    back, so a fresh run is a resume from its empty checkpoint."""
+    path = Path(__file__).resolve().parents[1] / "src" / "newsdrift" / "orchestrator.py"
+    starts = set()
+    for definition in ast.parse(path.read_text("utf-8")).body:
+        for node in ast.walk(definition):
+            if isinstance(node, ast.Call):
+                called = ast.unparse(node.func).split(".")[-1]
+                if called in ("Gateway", "truncate_replay_log"):
+                    starts.add((getattr(definition, "name", None), called))
+    assert starts == {("_continue", "Gateway"), ("_continue", "truncate_replay_log")}
 
 
 def test_exchanges_are_counted_only_as_the_log_writes_them():

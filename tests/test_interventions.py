@@ -3,10 +3,11 @@
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from newsdrift.distribution import Payload
 from newsdrift.errors import ConfigError, ValidationError
-from newsdrift.gateway import BackendConfig, Gateway, mock_sentiment
+from newsdrift.gateway import BackendConfig, Gateway, load_lexicon, mock_sentiment
 from newsdrift.interventions import (
     apply_intervention,
     debias_payload,
@@ -80,6 +81,33 @@ def test_mock_debias_respects_word_boundaries(lexicon):
     assert "growth" in lexicon.signed
     out = mock_debias_text("the growths on the chart kept climbing", lexicon)
     assert out == "the growths on the chart kept climbing"
+
+
+def test_mock_debias_strips_a_word_joined_by_an_underscore(lexicon):
+    # mock_sentiment splits tokens at "_", so "cooperation" is scored on its own
+    assert mock_sentiment("cooperation_policy", lexicon) == 2.0
+    out = mock_debias_text("cooperation_policy", lexicon)
+    assert out == "_policy"
+    assert mock_sentiment(out, lexicon) == 0.0
+
+
+def test_mock_debias_strips_in_lower_case_a_text_that_lower_case_lengthens(lexicon):
+    # "İ" lower-cases to two characters, which would shift every span after it
+    assert mock_debias_text("İzmir alarming talks", lexicon) == "İzmir talks".lower()
+
+
+_LEXICON = load_lexicon()
+_WORDS = sorted(_LEXICON.signed) + ["china", "policy", "growths", "don't", "a", "x1", "İzmir"]
+
+
+_CASES = [str.lower, str.upper, str.title]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from(_CASES),
+                          st.text("_'- 0123456789", max_size=3))))
+def test_mock_debias_leaves_nothing_that_mock_sentiment_scores(parts):
+    text = "".join(case(word) + glue for word, case, glue in parts)
+    assert mock_sentiment(mock_debias_text(text, _LEXICON), _LEXICON) == 0.0
 
 
 def test_debias_payload_flags_and_rewrites(mock_gateway, lexicon):

@@ -759,6 +759,8 @@ _BAD_INPUTS = {
     "lexicon_weight_not_a_number": ("run", "lexicon",
                                     '{"positive": {"good": "high"}, "negative": {}}',
                                     "lexicon weight for 'good'"),
+    "lexicon_weight_a_bool": ("run", "lexicon", '{"positive": {"good": true}, "negative": {}}',
+                              "lexicon weight for 'good' outside (0, 2]: True"),
     "corpus_without_articles": ("run", "corpus", "{\n", "holds no accepted article"),
     "ground_truth_missing": ("run", "ground_truth", None, "is not readable"),
     "ground_truth_cell_not_a_number": ("run", "ground_truth", _TRUTH_HEADER + "2005,x,50\n",
@@ -821,6 +823,57 @@ def test_cli_reports_a_bad_input_file(tmp_path, make_config, fixtures_dir, caplo
     assert cli.main(argv) == 1
     assert [r.levelname for r in caplog.records].count("ERROR") == 1
     assert str(bad) in caplog.text and message in caplog.text
+
+
+def _first_state(ck: dict) -> dict:
+    return next(iter(ck["states"].values()))
+
+
+# damage -> (what it does to a checkpoint that has every key, what the error says)
+_BAD_CHECKPOINT_VALUES = {
+    "state_empty": (lambda ck: ck["states"].update(dict.fromkeys(ck["states"], {})),
+                    "KeyError: 'agent_id'"),
+    "states_a_list": (lambda ck: ck.update(states=[]),
+                      "AttributeError: 'list' object has no attribute 'items'"),
+    "completed_years_a_number": (lambda ck: ck.update(completed_years=5),
+                                 "TypeError: 'int' object is not iterable"),
+    "completed_year_a_string": (lambda ck: ck.update(completed_years=["2005"]),
+                                "ValueError: completed_years are not all years: ['2005']"),
+    "debias_cache_a_list": (lambda ck: ck.update(debias_cache=[]),
+                            "TypeError: 'list' object is not a mapping"),
+    "replay_lines_a_string": (lambda ck: ck.update(replay_lines="3"),
+                              "ValueError: replay_lines is not a line count: '3'"),
+    "replay_lines_negative": (lambda ck: ck.update(replay_lines=-1),
+                              "ValueError: replay_lines is not a line count: -1"),
+    "config_a_list": (lambda ck: ck.update(config=[]),
+                      "TypeError: 'list' object is not a mapping"),
+    "config_without_backend": (lambda ck: ck["config"].pop("backend"), "KeyError: 'backend'"),
+    "fingerprints_a_list": (lambda ck: ck.update(fingerprints=[]),
+                            "TypeError: 'list' object is not a mapping"),
+    "valence_not_a_number": (lambda ck: _first_state(ck)["valences"].update(
+        dict.fromkeys(_first_state(ck)["valences"], "x")),
+        "ValueError: could not convert string to float: 'x'"),
+}
+
+
+@pytest.mark.parametrize("damage", list(_BAD_CHECKPOINT_VALUES))
+def test_resume_refuses_a_checkpoint_value_it_cannot_read(make_config, caplog, damage):
+    """Every value is read before resume cuts the replay log or a year file back."""
+    config = make_config(n_agents=3, intervention="debias")
+    run(config, stop_after_year=2005)
+    out = Path(config.out_dir)
+    ck = json.loads((out / "checkpoint.json").read_text())
+    change, message = _BAD_CHECKPOINT_VALUES[damage]
+    change(ck)
+    (out / "checkpoint.json").write_text(json.dumps(ck))
+    # a line the checkpoint does not count, which a resume would cut
+    (out / "replay.jsonl").write_text((out / "replay.jsonl").read_text() + "{}\n")
+    files = _tree(out)
+    assert cli.main(["resume", "--out", str(out)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert f"checkpoint {out / 'checkpoint.json'} is not a checkpoint: {message}" in errors[0]
+    assert _tree(out) == files
 
 
 @pytest.mark.parametrize("command", ["ingest-corpus", "build-profiles", "run"])
