@@ -21,6 +21,7 @@ import socket
 import ssl
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cache, partial
@@ -28,7 +29,8 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 from . import inputs
-from .errors import ConfigError, ReplayError, SchemaError, TransportError, ValidationError
+from .errors import (ConfigError, ReplayError, ResumeError, SchemaError, TransportError,
+                     ValidationError)
 
 SCHEMAS = (
     "selection_list",
@@ -299,6 +301,26 @@ def _prompt_digest(system: str, user: str) -> bytes:
     return hashlib.sha256(f"{system}\x00{user}".encode("utf-8")).digest()
 
 
+def read_records(path: Path, error: type[Exception], lines: int | None = None):
+    """Stream a replay log's records, or those of its first ``lines`` lines and no
+    further, so a torn tail is never decoded; a damaged or missing line raises ``error``."""
+    for number, line in inputs.read_lines(path, "replay log", error):
+        try:
+            record = json.loads(line)
+            texts = ("tag", "schema", "system", "user", "raw_response")
+            if not (all(isinstance(record[key], str) for key in texts)
+                    and isinstance(record["ok"], bool)):
+                raise TypeError(f"{', '.join(texts)} must be strings and ok a boolean")
+        except (ValueError, LookupError, TypeError) as exc:
+            raise error(f"{path} line {number} is not a replay record: "
+                        f"{type(exc).__name__}: {exc}") from None
+        yield record
+        if number == lines:
+            return
+    if lines:
+        raise error(f"replay log {path} has fewer than the {lines} lines expected")
+
+
 # ---------------------------------------------------------------------------
 # Gateway
 # ---------------------------------------------------------------------------
@@ -311,9 +333,9 @@ class Gateway:
     chains of exchanges, at most ``max_in_flight`` at once on the remote
     backend, and hands each chain's records back to be written in the order a
     sequential run writes them. Each thread that posts keeps one connection
-    alive. Records are written, counted and checked for a
-    repeated tag in ``_log``, only in the thread that collects them, so the
-    counts always describe the log as far as it is written.
+    alive. Records are written, and their tags taken and checked for a
+    repeat, in ``_log``, only in the thread that collects them, so the tag map
+    always describes the log as far as it is written.
     The replay log is append-only, through one line-buffered handle opened on
     the first record; request tags must be unique per run so a recorded log
     can drive an exact replay. ``close`` releases the handle, the workers and
@@ -321,21 +343,22 @@ class Gateway:
     """
 
     def __init__(self, config: BackendConfig, log_path: str | Path | None = None,
-                 counters: dict | None = None):
-        # counters: a mapping holding what counters() returned, e.g. a checkpoint
-        counters = counters or {}
+                 replay_lines: int = 0):
+        # replay_lines: the lines of the log at log_path that a resumed run keeps
         self.config = config
         self._log_path = Path(log_path) if log_path else None
         self._log_fh = None
-        self._seq = counters.get("replay_lines", 0)
+        self.replay_lines = replay_lines
         # .records: where this thread's exchanges are held; unset writes to the log
         self._local = threading.local()
         self._pool: ThreadPoolExecutor | None = None
         # thread id -> that thread's kept-alive connection to the remote endpoint
         self._connections: dict[int, http.client.HTTPConnection] = {}
-        self._seen_tags: set[str] = set()
-        self.request_counts: dict[str, int] = dict(counters.get("request_counts", {}))
-        self.fallback_counts: dict[str, int] = dict(counters.get("fallback_counts", {}))
+        # tag -> (schema, fell back); a kept tag's last record is ok unless it fell back
+        self._tags: dict[str, tuple[str, bool]] = {
+            record["tag"]: (record["schema"], not record["ok"])
+            for record in read_records(self._log_path, ResumeError, replay_lines)
+        } if replay_lines else {}
         # tag -> (raw answer served on replay, digest of its recorded prompts)
         self._replay_index: dict[str, tuple[str, bytes]] = {}
         if config.mode == "replay":
@@ -424,47 +447,41 @@ class Gateway:
     def _load_replay_index(self, path: Path):
         """Keep each tag's first ok record, or its last record when none is ok."""
         answered: set[str] = set()
-        for number, line in inputs.read_lines(path, "replay log", ReplayError):
-            try:
-                record = json.loads(line)
-                tag, raw, ok = record["tag"], record["raw_response"], record["ok"]
-                digest = _prompt_digest(record["system"], record["user"])
-            except (ValueError, LookupError, TypeError) as exc:
-                raise ReplayError(f"{path} line {number} is not a replay record: "
-                                  f"{type(exc).__name__}: {exc}") from None
+        for record in read_records(path, ReplayError):
+            tag = record["tag"]
             if tag not in answered:
-                self._replay_index[tag] = (raw, digest)
-                if ok:
+                self._replay_index[tag] = (record["raw_response"],
+                                           _prompt_digest(record["system"], record["user"]))
+                if record["ok"]:
                     answered.add(tag)
 
     def counters(self) -> dict:
-        """The exchange counts a checkpoint saves and ``Gateway(counters=)`` restores."""
-        return {"request_counts": dict(self.request_counts),
-                "fallback_counts": dict(self.fallback_counts),
-                "replay_lines": self._seq}
+        """Exchanges and fallbacks per schema, from the tag map, and the log's line count."""
+        return {"request_counts": dict(Counter(schema for schema, _ in self._tags.values())),
+                "fallback_counts": dict(Counter(schema for schema, fell_back
+                                                in self._tags.values() if fell_back)),
+                "replay_lines": self.replay_lines}
 
     # -- logging -----------------------------------------------------------
 
     def _log(self, request: GenerationRequest, raw: str | None, parsed, ok: bool,
              t_start: float, t_end: float):
-        """Write one record. The exchange is counted at its ok record, or at
-        its fallback, which has ``raw`` None and writes no line; its tag is
-        then taken, and a later record with that tag is refused."""
+        """Write one record. The exchange takes its tag at its ok record, or
+        at its fallback, which has ``raw`` None and writes no line; a later
+        record with that tag is refused."""
         schema, tag = request.expected_schema, request.request_tag
-        if tag in self._seen_tags:
+        if tag in self._tags:
             raise ConfigError(f"duplicate request tag in run: {tag!r}")
         if ok or raw is None:
-            self._seen_tags.add(tag)
-            self.request_counts[schema] = self.request_counts.get(schema, 0) + 1
+            self._tags[tag] = (schema, raw is None)
         if raw is None:
-            self.fallback_counts[schema] = self.fallback_counts.get(schema, 0) + 1
             log.warning("no answer for %s matched %s; using the fallback", tag, schema)
             return
-        self._seq += 1
+        self.replay_lines += 1
         if self._log_path is None:
             return
         record = {
-            "seq": self._seq,
+            "seq": self.replay_lines,
             "tag": tag,
             "schema": schema,
             "system": request.role_preamble,

@@ -109,6 +109,10 @@ class RunConfig:
         """Check what only a run needs; build-profiles reads a config without paths."""
         if not self.corpus_path or not self.profiles_path:
             raise ConfigError("corpus_path and profiles_path are required")
+        log_path = Path(self.out_dir) / REPLAY_NAME
+        if self.backend.mode == "replay" and Path(self.backend.replay_log).resolve() == \
+                log_path.resolve():
+            raise ConfigError(f"a replay run cannot write the log it replays: {log_path}")
 
     def canonical(self) -> dict:
         doc = dataclasses.asdict(self)
@@ -209,7 +213,7 @@ class RunState:
     """Everything the year loop carries from one year to the next.
 
     A checkpoint is this object serialised next to the run's header and the
-    gateway's counters. Yearly aggregates and counts live in the per-year
+    replay log's line count. Yearly aggregates and counts live in the per-year
     traces; a year of the range still not completed at the end had no articles.
     """
     states: dict[str, OpinionState]
@@ -361,7 +365,7 @@ def _trace_path(out_dir: Path, year: int) -> Path:
 
 def _write_checkpoint(out_dir: Path, header: dict, gateway: Gateway,
                       state: RunState, complete: bool):
-    doc = {**header, **state.to_dict(), **gateway.counters(), "complete": complete}
+    doc = {**header, **state.to_dict(), "replay_lines": gateway.replay_lines, "complete": complete}
     outputs.write_json(out_dir / CHECKPOINT_NAME, doc)
 
 
@@ -400,7 +404,7 @@ def run(config: RunConfig, stop_after_year: int | None = None) -> dict:
     for name in (CHECKPOINT_NAME,) + FINAL_ARTIFACTS:
         (out_dir / name).unlink(missing_ok=True)
     env = _load_environment(config)
-    return _continue(config, env, RunState.initial(env), {}, stop_after_year)
+    return _continue(config, env, RunState.initial(env), 0, stop_after_year)
 
 
 def resume(out_dir: str | Path, config: RunConfig | None = None,
@@ -444,20 +448,20 @@ def resume(out_dir: str | Path, config: RunConfig | None = None,
     if env.header["agent_ids"] != ck["agent_ids"]:
         raise ResumeError("agent sample no longer matches checkpoint")
 
-    return _continue(config, env, state, ck, stop_after_year)
+    return _continue(config, env, state, ck["replay_lines"], stop_after_year)
 
 
-def _continue(config: RunConfig, env: RunEnv, state: RunState, counters: dict,
+def _continue(config: RunConfig, env: RunEnv, state: RunState, replay_lines: int,
               stop_after_year: int | None) -> dict:
-    """Cut the run's files back to a checkpoint's state and gateway counters, then
-    drive the years it has not completed; a fresh run passes an empty checkpoint."""
+    """Read the replay log's first replay_lines lines, cut the run's files back to
+    them and the state, then drive the years left; a fresh run passes 0 lines."""
     out_dir = Path(config.out_dir)
-    outputs.truncate_replay_log(out_dir / REPLAY_NAME, counters.get("replay_lines", 0))
-    for path in [*out_dir.glob("updates_*.jsonl"), *out_dir.glob("trace/year_*.jsonl")]:
-        if path.stem.split("_", 1)[1] not in map(str, state.completed_years):
-            path.unlink()
-    gateway = Gateway(config.backend, log_path=out_dir / REPLAY_NAME, counters=counters)
+    gateway = Gateway(config.backend, log_path=out_dir / REPLAY_NAME, replay_lines=replay_lines)
     try:
+        outputs.truncate_replay_log(out_dir / REPLAY_NAME, replay_lines)
+        for path in [*out_dir.glob("updates_*.jsonl"), *out_dir.glob("trace/year_*.jsonl")]:
+            if path.stem.split("_", 1)[1] not in map(str, state.completed_years):
+                path.unlink()
         # a kill before the next year ends resumes from here
         _write_checkpoint(out_dir, env.header, gateway, state, False)
         return _drive(config, env, gateway, state, stop_after_year)
@@ -503,9 +507,10 @@ def _drive(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState,
         outputs.write_jsonl(_trace_path(out_dir, year), trace)
         state.completed_years.append(year)
         _write_checkpoint(out_dir, env.header, gateway, state, False)
+        counts = gateway.counters()
         log.info("year %d done in %.2f s: %d exchanges and %d fallbacks so far", year,
-                 time.perf_counter() - began, sum(gateway.request_counts.values()),
-                 sum(gateway.fallback_counts.values()))
+                 time.perf_counter() - began, sum(counts["request_counts"].values()),
+                 sum(counts["fallback_counts"].values()))
         if stop_after_year == year:
             log.info("stopping after year %d as requested", year)
             return {"interrupted_after": year, "out_dir": str(out_dir)}

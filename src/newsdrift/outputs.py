@@ -13,7 +13,7 @@ import json
 import os
 from pathlib import Path
 
-from .errors import ConfigError, ResumeError
+from .errors import ConfigError
 
 
 def make_dir(path: Path, for_file: Path | None = None):
@@ -56,14 +56,11 @@ def write_csv(path: Path, header: tuple[str, ...], rows):
 
 
 def truncate_replay_log(path: Path, keep_lines: int):
-    """Cut the replay log back to its first keep_lines lines."""
-    if not path.exists():
-        if keep_lines:
-            raise ResumeError(f"replay log missing but checkpoint expects {keep_lines} lines")
-        return
-    with path.open("rb") as fh:
-        for n in range(keep_lines):
-            if not fh.readline():
-                raise ResumeError(f"replay log has {n} lines, checkpoint expects {keep_lines}")
-        offset = fh.tell()
-    os.truncate(path, offset)
+    """Cut the replay log back to its first keep_lines lines, which the gateway
+    has read and checked are there; a fresh run may have no log yet."""
+    if path.exists():
+        with path.open("rb") as fh:
+            for _ in range(keep_lines):
+                fh.readline()
+            offset = fh.tell()
+        os.truncate(path, offset)

@@ -23,7 +23,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from newsdrift import orchestrator
-from newsdrift.errors import ConfigError, ReplayError, SchemaError, TransportError, ValidationError
+from newsdrift.errors import (ConfigError, ReplayError, ResumeError, SchemaError, TransportError,
+                             ValidationError)
 from newsdrift.gateway import (
     BackendConfig,
     GenerationRequest,
@@ -237,6 +238,35 @@ def test_duplicate_tag_rejected(tmp_path):
         gw.generate(_req("dup"), mock_value=2, fallback=None)
 
 
+def test_a_gateway_over_a_kept_log_refuses_a_tag_the_log_holds(tmp_path):
+    log = tmp_path / "r.jsonl"
+    first = Gateway(BackendConfig(mode="mock"), log_path=log)
+    first.generate(_req("t"), mock_value=2, fallback=None)
+    first.close()
+    resumed = Gateway(BackendConfig(mode="mock"), log_path=log, replay_lines=1)
+    with pytest.raises(ConfigError, match="duplicate request tag in run: 't'"):
+        resumed.generate(_req("t"), mock_value=2, fallback=None)
+
+
+def test_a_gateway_counts_the_exchanges_of_the_kept_lines_again(tmp_path):
+    """A tag counts once under its schema, and as a fallback when its last kept
+    record is not ok; lines past the kept ones are never read."""
+    log = tmp_path / "r.jsonl"
+    first = Gateway(BackendConfig(mode="mock"), log_path=log)
+    first.generate(_req("a"), mock_value=1, fallback=None)
+    first.emit([(_req("b"), "nope", None, False, 0.0, 0.0),
+                (_req("b"), None, None, False, 0.0, 0.0)])
+    first.generate(_req("c", schema="selection_list"), mock_value=[1], fallback=None)
+    first.close()
+    log.write_text(log.read_text() + "{torn\n")
+    again = Gateway(BackendConfig(mode="mock"), log_path=log, replay_lines=3)
+    assert again.counters() == first.counters() == {
+        "request_counts": {"survey_answer": 2, "selection_list": 1},
+        "fallback_counts": {"survey_answer": 1}, "replay_lines": 3}
+    with pytest.raises(ResumeError, match=re.escape(f"{log} line 4 is not a replay record")):
+        Gateway(BackendConfig(mode="mock"), log_path=log, replay_lines=4)
+
+
 def test_mock_requires_mock_value(tmp_path):
     gw = Gateway(BackendConfig(mode="mock"), log_path=tmp_path / "r.jsonl")
     with pytest.raises(ConfigError):
@@ -248,7 +278,7 @@ def test_request_counts_by_schema(tmp_path):
     gw.generate(_req("a"), mock_value=1, fallback=None)
     gw.generate(_req("b"), mock_value=2, fallback=None)
     gw.generate(_req("c", schema="selection_list"), mock_value=[1], fallback=None)
-    assert gw.request_counts == {"survey_answer": 2, "selection_list": 1}
+    assert gw.counters()["request_counts"] == {"survey_answer": 2, "selection_list": 1}
 
 
 def test_replay_gateway_reserves_logged_values(tmp_path):
@@ -272,7 +302,7 @@ def test_replay_surfaces_recorded_failures(tmp_path):
     log.write_text(json.dumps(record) + "\n")
     replay = Gateway(BackendConfig(mode="replay", replay_log=str(log)))
     assert replay.generate(_req("s:1"), fallback=2) == 2
-    assert replay.fallback_counts == {"survey_answer": 1}
+    assert replay.counters()["fallback_counts"] == {"survey_answer": 1}
 
 
 def test_replay_refuses_a_changed_prompt(tmp_path):
@@ -467,7 +497,7 @@ def test_remote_schema_exhaustion(canned_server, tmp_path, monkeypatch):
     canned_server.script = [("ok", "nope")] * 3
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
     assert gw.generate(_req("s:1"), fallback=2) == 2
-    assert gw.fallback_counts == {"survey_answer": 1}
+    assert gw.counters()["fallback_counts"] == {"survey_answer": 1}
     lines = [json.loads(l) for l in (tmp_path / "r.jsonl").read_text().splitlines()]
     assert [l["ok"] for l in lines] == [False, False, False]
 
@@ -515,7 +545,7 @@ def test_remote_empty_choices_exhaust_the_budget(canned_server, tmp_path, monkey
     with pytest.raises(TransportError):
         gw.generate(_req("s:1"), fallback=None)
     assert len(canned_server.requests) == 3
-    assert gw.fallback_counts == {}
+    assert gw.counters()["fallback_counts"] == {}
     assert not (tmp_path / "r.jsonl").exists()
 
 
@@ -527,8 +557,8 @@ def test_exhausted_exchange_returns_the_fallback_and_counts_it(canned_server, tm
     fallback = object()
     assert gw.generate(_req("s:1"), fallback=fallback) is fallback
     assert gw.generate(_req("s:2"), fallback=fallback) == 2
-    assert gw.fallback_counts == {"survey_answer": 1}
-    assert gw.request_counts == {"survey_answer": 2}
+    assert gw.counters()["fallback_counts"] == {"survey_answer": 1}
+    assert gw.counters()["request_counts"] == {"survey_answer": 2}
     # every failed attempt is still logged
     records = [json.loads(l) for l in (tmp_path / "r.jsonl").read_text().splitlines()]
     assert [(r["tag"], r["raw_response"], r["ok"]) for r in records] == [
@@ -542,7 +572,7 @@ def test_remote_attempt_budget_covers_both_kinds_of_failure(canned_server, tmp_p
     canned_server.script = [("garbage",), ("garbage",), ("ok", "nope")] * 3
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
     assert gw.generate(_req("s:1"), fallback=2) == 2
-    assert gw.fallback_counts == {"survey_answer": 1}
+    assert gw.counters()["fallback_counts"] == {"survey_answer": 1}
     assert len(canned_server.requests) == 3
     # transport failures are not logged, the failed parse is
     lines = [json.loads(l) for l in (tmp_path / "r.jsonl").read_text().splitlines()]
@@ -1143,8 +1173,8 @@ class _CutInside2006(Exception):
 
 def test_a_cut_while_next_years_selections_ran_resumes_to_the_uninterrupted_run(
         canned_server, make_config, monkeypatch):
-    """The 2006 selections run before 2005's checkpoint, so counting them in
-    that checkpoint would count them twice on resume."""
+    """The 2006 selections run before 2005's checkpoint, so counting them from
+    more than the checkpoint's replay_lines would count them twice on resume."""
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.answer = _hold_surveys
     straight = make_config(n_agents=2, backend=_remote_config(canned_server))
@@ -1165,8 +1195,7 @@ def test_a_cut_while_next_years_selections_ran_resumes_to_the_uninterrupted_run(
     out = Path(cut.out_dir)
     checkpoint = json.loads((out / "checkpoint.json").read_text())
     assert checkpoint["completed_years"] == [2005]
-    prefix = _without_times(out / "replay.jsonl")[:checkpoint["replay_lines"]]
-    assert sum(checkpoint["request_counts"].values()) == sum(r["ok"] for r in prefix)
+    assert not {"request_counts", "fallback_counts"} & set(checkpoint)
     resume(cut.out_dir)
     for name in ("results.json", "run_report.json"):
         assert (out / name).read_bytes() == (Path(straight.out_dir) / name).read_bytes(), name
@@ -1300,10 +1329,10 @@ def test_run_and_resume_enter_the_year_loop_through_one_function():
 
 
 def test_exchanges_are_counted_only_as_the_log_writes_them():
-    """request_counts and fallback_counts change only in Gateway.__init__ and
-    Gateway._log, so a checkpoint's counts match its replay_lines."""
+    """The tag map the counts derive from changes only in Gateway.__init__ and
+    Gateway._log, so the counts always match replay_lines."""
     package = Path(__file__).resolve().parents[1] / "src" / "newsdrift"
-    counted = {"request_counts", "fallback_counts"}
+    counted = {"_tags"}
     writers = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text("utf-8"))

@@ -464,6 +464,24 @@ def test_a_checkpoint_with_derived_keys_resumes_to_the_straight_run(make_config)
     assert results["config_hash"] == ck["config_hash"]
 
 
+@pytest.mark.parametrize("counts", [5, {"survey_answer": "x"}])
+def test_a_checkpoint_with_stale_counts_resumes_to_the_straight_run(make_config, counts):
+    """The exchanges are counted again from the replay log; a checkpoint's own
+    counts, as written before that, are never read."""
+    straight = make_config(n_agents=2, intervention="debias")
+    run(straight)
+    cut = dataclasses.replace(straight, out_dir=straight.out_dir + "-cut")
+    run(cut, stop_after_year=2005)
+    ck_path = Path(cut.out_dir) / "checkpoint.json"
+    ck = json.loads(ck_path.read_text())
+    ck.update(request_counts=counts, fallback_counts=counts)
+    ck_path.write_text(json.dumps(ck))
+    resume(cut.out_dir)
+    for name in ("results.json", "run_report.json"):
+        assert _read(Path(cut.out_dir) / name) == _read(Path(straight.out_dir) / name), name
+    assert not {"request_counts", "fallback_counts"} & set(json.loads(ck_path.read_text()))
+
+
 @pytest.mark.parametrize("damage", ["delete", "drop_agent", "torn_line"])
 def test_resume_refuses_a_damaged_trace_of_a_completed_year(make_config, damage):
     config = make_config(n_agents=2)
@@ -492,11 +510,6 @@ def test_replay_log_truncation_streams_whole_lines(tmp_path):
 
     path.write_bytes(blob)
     outputs.truncate_replay_log(path, 4)
-    assert path.read_bytes() == blob
-
-    path.write_bytes(blob)
-    with pytest.raises(ResumeError, match="4 lines, checkpoint expects 5"):
-        outputs.truncate_replay_log(path, 5)
     assert path.read_bytes() == blob
 
 
@@ -586,6 +599,23 @@ def test_a_kill_at_any_write_resumes_to_the_uninterrupted_run(kill_runs, interve
         with pytest.raises(ResumeError, match="no checkpoint found"):
             resume(killed.out_dir)
         return
+    resume(killed.out_dir)
+    assert _tree(Path(killed.out_dir)) == files
+
+
+def test_a_record_torn_inside_a_character_resumes_to_the_uninterrupted_run(kill_runs):
+    """The kept lines are read before the cut-back, and nothing past them: a
+    record torn inside the survey prompt's en dash is never decoded."""
+    config, straight = kill_runs
+    files, _ = straight["baseline"]
+    killed = config("baseline")
+    run(killed, stop_after_year=2005)
+    log = Path(killed.out_dir) / "replay.jsonl"
+    dash = "\u2013".encode("utf-8")
+    survey = next(line for line in reversed(log.read_bytes().splitlines(keepends=True))
+                  if b'"tag": "survey:' in line)
+    with log.open("ab") as fh:
+        fh.write(survey[:survey.index(dash) + 1])
     resume(killed.out_dir)
     assert _tree(Path(killed.out_dir)) == files
 
@@ -789,6 +819,13 @@ _BAD_INPUTS = {
     "checkpoint_without_keys": ("resume", "checkpoint.json", "{}",
                                 "lacks keys: config, fingerprints, agent_ids, replay_lines, "
                                 "states, completed_years, debias_cache"),
+    # one line more than the checkpoint keeps, so a cut-back would show
+    "replay_record_without_schema": ("resume", "replay.jsonl",
+                                     '{"tag": "select:2005:a"}\n' + "{}\n" * 6,
+                                     "line 1 is not a replay record: KeyError: 'schema'"),
+    "replay_log_missing": ("resume", "replay.jsonl", None, "is not readable"),
+    "replay_log_short": ("resume", "replay.jsonl", "",
+                         "has fewer than the 6 lines expected"),
 }
 
 
@@ -811,6 +848,7 @@ def test_cli_reports_a_bad_input_file(tmp_path, make_config, fixtures_dir, caplo
         config_path.write_text(json.dumps(doc))
     if text is not None:
         bad.write_text(text)
+    files = _tree(out_dir) if out_dir.exists() else None
     argv = {
         "run": ["run", "--config", str(config_path)],
         "build-profiles": ["build-profiles", "--social", str(bad),
@@ -823,6 +861,28 @@ def test_cli_reports_a_bad_input_file(tmp_path, make_config, fixtures_dir, caplo
     assert cli.main(argv) == 1
     assert [r.levelname for r in caplog.records].count("ERROR") == 1
     assert str(bad) in caplog.text and message in caplog.text
+    if files is not None:  # nothing is cut back or written
+        assert _tree(out_dir) == files
+
+
+@pytest.mark.parametrize("command", ["run", "resume"])
+def test_cli_refuses_a_replay_run_into_its_own_log(tmp_path, make_config, caplog, command):
+    config_path = _cli_config(tmp_path, make_config)
+    recorded = dataclasses.replace(RunConfig.from_file(config_path), out_dir=str(tmp_path / "rec"))
+    run(recorded)
+    out_dir = tmp_path / "cli-out"
+    replay = BackendConfig(mode="replay", replay_log=str(Path(recorded.out_dir) / "replay.jsonl"))
+    run(dataclasses.replace(recorded, backend=replay, out_dir=str(out_dir)), stop_after_year=2005)
+    files = _tree(out_dir)
+    doc = json.loads(config_path.read_text())
+    # the run's own log, by another spelling of its path
+    doc["backend"] = {"mode": "replay",
+                      "replay_log": str(out_dir / "trace" / ".." / "replay.jsonl")}
+    config_path.write_text(json.dumps(doc))
+    assert cli.main([command, "--config", str(config_path), "--out", str(out_dir)]) == 1
+    assert f"a replay run cannot write the log it replays: {out_dir / 'replay.jsonl'}" \
+        in caplog.text
+    assert _tree(out_dir) == files
 
 
 def _first_state(ck: dict) -> dict:
