@@ -17,7 +17,7 @@ from pathlib import Path
 from .corpus import corpus_stats, ingest
 from . import inputs, outputs
 from .errors import ConfigError, NewsdriftError
-from .gateway import BackendConfig, Gateway
+from .gateway import MODES, BackendConfig, Gateway
 from .modes import ABLATIONS, INTERVENTIONS
 from .orchestrator import RunConfig, read_update_logs, resume, run
 from .profiles import build_profiles
@@ -27,7 +27,6 @@ from . import charts as charts_mod
 
 log = logging.getLogger("newsdrift")
 
-BACKENDS = ("remote", "mock", "replay")
 INTERVENTION_FLAGS = tuple(name.replace("_", "-") for name in INTERVENTIONS)
 ABLATION_FLAGS = tuple(name.replace("_", "-") for name in ABLATIONS)
 
@@ -47,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="matching report JSON file (default: <out>.report.json)")
     p.add_argument("--taxonomy", help="taxonomy JSON (default: packaged)")
     p.add_argument("--config", help="run config JSON supplying the backend section")
-    p.add_argument("--backend", choices=BACKENDS, help="override backend mode")
+    p.add_argument("--backend", choices=MODES, help="override backend mode")
 
     p = sub.add_parser("ingest-corpus", help="validate a corpus and print statistics")
     p.add_argument("--corpus", required=True, help="corpus JSONL file")
@@ -56,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a simulation")
     p.add_argument("--config", required=True, help="run config JSON file")
     p.add_argument("--seed", type=int)
-    p.add_argument("--backend", choices=BACKENDS)
+    p.add_argument("--backend", choices=MODES)
     p.add_argument("--intervention", choices=INTERVENTION_FLAGS)
     p.add_argument("--ablation", choices=ABLATION_FLAGS)
     p.add_argument("--out", help="output directory override")
@@ -89,8 +88,6 @@ def _cmd_build_profiles(args) -> int:
     for path in (out, report_path):  # a folder that cannot be made stops the build untouched
         outputs.make_dir(path.parent, path)
     gateway = Gateway(_backend_from_args(args), log_path=log_path)
-    # after a replay gateway has read its log, so the log holds this build only
-    log_path.unlink(missing_ok=True)
     try:
         profiles, report = build_profiles(
             args.social, args.survey, taxonomy, gateway, args.out, report_path

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import inputs
@@ -41,11 +41,7 @@ class Article:
 @dataclass
 class IngestReport:
     accepted: int = 0
-    rejected: dict = None
-
-    def __post_init__(self):
-        if self.rejected is None:
-            self.rejected = {reason: 0 for reason in REJECT_REASONS}
+    rejected: dict = field(default_factory=lambda: dict.fromkeys(REJECT_REASONS, 0))
 
     @property
     def total(self) -> int:

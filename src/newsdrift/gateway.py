@@ -41,6 +41,8 @@ SCHEMAS = (
     "interest_list",
 )
 
+MODES = ("remote", "mock", "replay")
+
 REFLECTION_ACTIONS = ("confirm", "revise", "reinforce", "dismiss", "none")
 
 VALENCE_MIN = -2.0
@@ -84,7 +86,7 @@ class BackendConfig:
     max_in_flight: int = 8
 
     def __post_init__(self):
-        if self.mode not in ("remote", "mock", "replay"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown backend mode: {self.mode!r}")
         if self.mode == "remote" and (not self.base_url or not self.model_name):
             raise ConfigError("remote mode requires base_url and model_name")
@@ -336,15 +338,15 @@ class Gateway:
     alive. Records are written, and their tags taken and checked for a
     repeat, in ``_log``, only in the thread that collects them, so the tag map
     always describes the log as far as it is written.
-    The replay log is append-only, through one line-buffered handle opened on
-    the first record; request tags must be unique per run so a recorded log
-    can drive an exact replay. ``close`` releases the handle, the workers and
-    the connections.
+    The gateway alone writes the replay log: it cuts the log back to the kept
+    lines when it opens, then appends through one line-buffered handle; request
+    tags must be unique per run so a recorded log can drive an exact replay.
+    ``close`` releases the handle, the workers and the connections.
     """
 
     def __init__(self, config: BackendConfig, log_path: str | Path | None = None,
                  replay_lines: int = 0):
-        # replay_lines: the lines of the log at log_path that a resumed run keeps
+        # replay_lines: the log's first lines that a resume keeps; the rest is cut away below
         self.config = config
         self._log_path = Path(log_path) if log_path else None
         self._log_fh = None
@@ -378,6 +380,11 @@ class Gateway:
                                         url.port or 443, context=ssl.create_default_context())
             else:
                 self._connect = partial(http.client.HTTPConnection, url.hostname, url.port or 80)
+        if self._log_path and self._log_path.exists():  # last, so a refusal leaves the log
+            with self._log_path.open("rb+") as fh:
+                for _ in range(replay_lines):
+                    fh.readline()
+                fh.truncate()
 
     def close(self):
         """Wait for running workers, then close every connection and the

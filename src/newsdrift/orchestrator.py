@@ -420,6 +420,9 @@ def resume(out_dir: str | Path, config: RunConfig | None = None,
         raise ResumeError(f"checkpoint {ck_path} lacks keys: {', '.join(missing)}")
     try:  # every value is read before anything is cut back
         if config is None:
+            if {**ck["config"]}["backend"]["mode"] == "replay":  # a checkpoint keeps no replay_log
+                raise ResumeError(f"checkpoint {ck_path} is of a replay run, which resumes "
+                                  f"only with --config naming its replay log")
             config, drift = RunConfig.from_canonical(ck["config"], out_dir=str(out_dir)), []
         else:
             drift = _config_drift(config.canonical(), {**ck["config"]})
@@ -453,12 +456,11 @@ def resume(out_dir: str | Path, config: RunConfig | None = None,
 
 def _continue(config: RunConfig, env: RunEnv, state: RunState, replay_lines: int,
               stop_after_year: int | None) -> dict:
-    """Read the replay log's first replay_lines lines, cut the run's files back to
-    them and the state, then drive the years left; a fresh run passes 0 lines."""
+    """Open the gateway, which cuts the replay log back to replay_lines lines, cut
+    the year files back to the state, then drive the years left; a fresh run passes 0."""
     out_dir = Path(config.out_dir)
     gateway = Gateway(config.backend, log_path=out_dir / REPLAY_NAME, replay_lines=replay_lines)
     try:
-        outputs.truncate_replay_log(out_dir / REPLAY_NAME, replay_lines)
         for path in [*out_dir.glob("updates_*.jsonl"), *out_dir.glob("trace/year_*.jsonl")]:
             if path.stem.split("_", 1)[1] not in map(str, state.completed_years):
                 path.unlink()

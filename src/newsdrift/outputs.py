@@ -2,8 +2,8 @@
 
 Every file a run or a command writes goes through ``write_text``, whole: to a
 temp file that then replaces it, so a kill leaves the old file or the new one.
-A file that cannot be written raises ConfigError with its name. The gateway
-appends to the replay log; resume cuts it back with ``truncate_replay_log``.
+A file that cannot be written raises ConfigError with its name. The replay log
+is the exception: the gateway cuts it back when it opens and appends to it.
 """
 
 from __future__ import annotations
@@ -54,13 +54,3 @@ def write_csv(path: Path, header: tuple[str, ...], rows):
                           for cell in row) for row in rows)
     write_text(path, "\n".join(lines) + "\n")
 
-
-def truncate_replay_log(path: Path, keep_lines: int):
-    """Cut the replay log back to its first keep_lines lines, which the gateway
-    has read and checked are there; a fresh run may have no log yet."""
-    if path.exists():
-        with path.open("rb") as fh:
-            for _ in range(keep_lines):
-                fh.readline()
-            offset = fh.tell()
-        os.truncate(path, offset)

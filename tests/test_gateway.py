@@ -263,8 +263,60 @@ def test_a_gateway_counts_the_exchanges_of_the_kept_lines_again(tmp_path):
     assert again.counters() == first.counters() == {
         "request_counts": {"survey_answer": 2, "selection_list": 1},
         "fallback_counts": {"survey_answer": 1}, "replay_lines": 3}
+    log.write_text(log.read_text() + "{torn\n")  # the gateway above cut it away
     with pytest.raises(ResumeError, match=re.escape(f"{log} line 4 is not a replay record")):
         Gateway(BackendConfig(mode="mock"), log_path=log, replay_lines=4)
+
+
+def test_a_gateway_cuts_its_log_back_to_the_kept_lines_and_numbers_on_from_them(tmp_path):
+    """The kept lines stay byte for byte, multibyte text and U+2028 included; a
+    gateway over an existing log that keeps none leaves only its own records."""
+    log = tmp_path / "r.jsonl"
+    first = Gateway(BackendConfig(mode="mock"), log_path=log)
+    for n in range(4):
+        text = f"caf\u00e9 {n} \u2028 \u4e2d\u6587 1\u20134"
+        first.generate(GenerationRequest("system text", text, "survey_answer", f"s:{n}"),
+                       mock_value=n + 1, fallback=None)
+    first.close()
+    blob = log.read_bytes()
+    lines = blob.splitlines(keepends=True)
+    assert len(lines) == 4
+    for kept in (0, 2, 4):
+        log.write_bytes(blob)
+        gw = Gateway(BackendConfig(mode="mock"), log_path=log, replay_lines=kept)
+        assert log.read_bytes() == b"".join(lines[:kept])
+        gw.generate(_req("next"), mock_value=2, fallback=None)
+        gw.close()
+        written = log.read_bytes().splitlines(keepends=True)
+        assert written[:kept] == lines[:kept]
+        assert [json.loads(line)["seq"] for line in written] == list(range(1, kept + 2))
+
+
+@pytest.mark.parametrize("refusal", ["damaged_kept_record", "short_log", "replay_log_missing",
+                                     "remote_without_key"])
+def test_a_gateway_that_refuses_to_open_leaves_its_log_as_it_was(tmp_path, monkeypatch,
+                                                                  refusal):
+    log = tmp_path / "r.jsonl"
+    first = Gateway(BackendConfig(mode="mock"), log_path=log)
+    for n in range(3):
+        first.generate(_req(f"s:{n}"), mock_value=n + 1, fallback=None)
+    first.close()
+    config, kept, error = BackendConfig(mode="mock"), 2, ResumeError
+    if refusal == "damaged_kept_record":
+        log.write_bytes(log.read_bytes().replace(b'"tag"', b'"tog"', 1))
+    elif refusal == "short_log":
+        kept = 4
+    elif refusal == "replay_log_missing":
+        config, error = BackendConfig(mode="replay", replay_log=str(tmp_path / "nope.jsonl")), \
+            ReplayError
+    else:
+        monkeypatch.delenv("NEWSDRIFT_API_KEY", raising=False)
+        config, error = BackendConfig(mode="remote", base_url="http://127.0.0.1:9/v1",
+                                      model_name="m"), ConfigError
+    blob = log.read_bytes()
+    with pytest.raises(error):
+        Gateway(config, log_path=log, replay_lines=kept)
+    assert log.read_bytes() == blob
 
 
 def test_mock_requires_mock_value(tmp_path):
@@ -1315,17 +1367,22 @@ def test_threads_are_started_only_in_the_gateway():
 
 
 def test_run_and_resume_enter_the_year_loop_through_one_function():
-    """In orchestrator.py only _continue opens a Gateway or cuts the replay log
-    back, so a fresh run is a resume from its empty checkpoint."""
-    path = Path(__file__).resolve().parents[1] / "src" / "newsdrift" / "orchestrator.py"
-    starts = set()
-    for definition in ast.parse(path.read_text("utf-8")).body:
-        for node in ast.walk(definition):
-            if isinstance(node, ast.Call):
-                called = ast.unparse(node.func).split(".")[-1]
-                if called in ("Gateway", "truncate_replay_log"):
-                    starts.add((getattr(definition, "name", None), called))
-    assert starts == {("_continue", "Gateway"), ("_continue", "truncate_replay_log")}
+    """In orchestrator.py only _continue opens a Gateway, which cuts the replay log
+    back, so a fresh run is a resume from its empty checkpoint; no module but
+    gateway.py cuts a file back."""
+    package = Path(__file__).resolve().parents[1] / "src" / "newsdrift"
+    starts, cutters = set(), []
+    for path in sorted(package.glob("*.py")):
+        for definition in ast.parse(path.read_text("utf-8")).body:
+            for node in ast.walk(definition):
+                if isinstance(node, ast.Call):
+                    called = ast.unparse(node.func).split(".")[-1]
+                    if called == "Gateway" and path.name == "orchestrator.py":
+                        starts.add((getattr(definition, "name", None), called))
+                    if "truncate" in called and path.name != "gateway.py":
+                        cutters.append(f"{path.name}:{node.lineno}")
+    assert starts == {("_continue", "Gateway")}
+    assert cutters == []
 
 
 def test_exchanges_are_counted_only_as_the_log_writes_them():
@@ -1379,7 +1436,8 @@ def test_input_files_are_read_only_in_the_inputs_module():
 
 
 def test_output_files_are_written_only_in_the_outputs_module():
-    """outputs.py writes every output file; Gateway._log appends to the replay log."""
+    """outputs.py writes every output file; Gateway.__init__ cuts the replay log
+    back and Gateway._log appends to it."""
     package = Path(__file__).resolve().parents[1] / "src" / "newsdrift"
     writers = []
     for path in sorted(package.glob("*.py")):
@@ -1388,7 +1446,8 @@ def test_output_files_are_written_only_in_the_outputs_module():
         tree = ast.parse(path.read_text("utf-8"))
         for node in tree.body:
             if path.name == "gateway.py" and getattr(node, "name", None) == "Gateway":
-                node.body = [item for item in node.body if getattr(item, "name", None) != "_log"]
+                node.body = [item for item in node.body
+                             if getattr(item, "name", None) not in ("__init__", "_log")]
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -1399,7 +1458,7 @@ def test_output_files_are_written_only_in_the_outputs_module():
             modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
             modes = [*modes, *(k.value for k in node.keywords if k.arg == "mode")]
             writes_a_file = (getattr(func, "id", attr) == "open" and any(
-                isinstance(m, ast.Constant) and set(str(m.value)) & set("wax") for m in modes))
+                isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+") for m in modes))
             if (writes_a_file or attr in ("write_text", "write_bytes") and owner != "outputs"
                     or (owner, attr) in (("json", "dump"), ("os", "replace"), ("os", "truncate"))):
                 writers.append(f"{path.name}:{node.lineno}")

@@ -336,6 +336,24 @@ def test_fallbacks_are_counted_and_survive_resume(make_config, tmp_path):
         assert _read(a / name) == _read(b / name), name
 
 
+def test_a_replay_run_resumes_only_with_its_config(make_config):
+    """The checkpoint keeps no replay_log path, so the error names the checkpoint
+    and --config instead of the missing path."""
+    recorded = make_config(n_agents=2)
+    run(recorded)
+    replay = BackendConfig(mode="replay", replay_log=str(Path(recorded.out_dir) / "replay.jsonl"))
+    cut = make_config(n_agents=2, backend=replay)
+    run(cut, stop_after_year=2005)
+    out_dir = Path(cut.out_dir)
+    files = _tree(out_dir)
+    with pytest.raises(ResumeError, match=re.escape(
+            f"checkpoint {out_dir / 'checkpoint.json'} is of a replay run, which resumes "
+            f"only with --config")):
+        resume(out_dir)
+    assert _tree(out_dir) == files
+    assert [r["year"] for r in resume(out_dir, cut)["years"]] == [2005, 2006]
+
+
 def test_each_finished_year_logs_one_progress_line(make_config, caplog):
     caplog.set_level(logging.INFO, logger="newsdrift.orchestrator")
     config = make_config(n_agents=2)
@@ -496,21 +514,6 @@ def test_resume_refuses_a_damaged_trace_of_a_completed_year(make_config, damage)
     with pytest.raises(ResumeError, match="2005"):
         resume(config.out_dir)
     assert not (Path(config.out_dir) / "results.json").exists()
-
-
-def test_replay_log_truncation_streams_whole_lines(tmp_path):
-    records = [json.dumps({"seq": n, "user": f"caf\u00e9 {n} \u2028 \u4e2d\u6587"},
-                          ensure_ascii=False) + "\n" for n in range(1, 5)]
-    blob = "".join(records).encode("utf-8")
-    path = tmp_path / "replay.jsonl"
-
-    path.write_bytes(blob)
-    outputs.truncate_replay_log(path, 2)
-    assert path.read_bytes() == "".join(records[:2]).encode("utf-8")
-
-    path.write_bytes(blob)
-    outputs.truncate_replay_log(path, 4)
-    assert path.read_bytes() == blob
 
 
 # --- a kill at any write ---
