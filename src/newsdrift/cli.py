@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import statistics
 import sys
 from pathlib import Path
 
 from .corpus import corpus_stats, ingest
 from . import inputs, outputs
 from .errors import ConfigError, NewsdriftError
-from .gateway import MODES, BackendConfig, Gateway
+from .gateway import MODES, BackendConfig, Gateway, is_number, read_records
 from .modes import ABLATIONS, INTERVENTIONS
 from .orchestrator import RunConfig, read_update_logs, resume, run
 from .profiles import build_profiles
@@ -166,6 +167,22 @@ def _read_results(out_dir: Path) -> dict:
     return results
 
 
+def _exchanges(log_path: Path) -> dict:
+    """Per schema: ok and failed records of the replay log, and the median and
+    maximum of their t_end - t_start in seconds."""
+    tally: dict[str, dict] = {}
+    for number, record in enumerate(read_records(log_path, ConfigError), 1):
+        times = record.get("t_start"), record.get("t_end")
+        if not all(is_number(t) for t in times):
+            raise ConfigError(f"{log_path} record {number} has no numbers t_start and t_end")
+        entry = tally.setdefault(record["schema"], {"ok": 0, "failed": 0, "seconds": []})
+        entry["ok" if record["ok"] else "failed"] += 1
+        entry["seconds"].append(times[1] - times[0])
+    return {schema: {"ok": entry["ok"], "failed": entry["failed"],
+                     "median_s": statistics.median(entry["seconds"]),
+                     "max_s": max(entry["seconds"])} for schema, entry in sorted(tally.items())}
+
+
 def _cmd_report(args) -> int:
     out_dir = Path(args.out)
     results = _read_results(out_dir)
@@ -174,6 +191,7 @@ def _cmd_report(args) -> int:
         "final": results["years"][-1]["favorable_pct"] if results["years"] else None,
         "mae": results.get("mae"),
         "domain_influence": domain_influence(read_update_logs(out_dir)),
+        "exchanges": _exchanges(out_dir / "replay.jsonl"),
     }
     if args.ground_truth:
         truth = GroundTruthSeries.from_csv(args.ground_truth)

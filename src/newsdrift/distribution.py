@@ -8,6 +8,7 @@ order. Offers carry headline text only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 
 from . import prompts
 from .corpus import CorpusIndex
@@ -76,16 +77,16 @@ def select_articles(profile, offer: HeadlineOffer, m: int, gateway,
     if ablation == "no_selection":
         return offer.ids[:m]
 
-    ranked = mock_ranking(profile, offer, taxonomy, lexicon)
+    ranked = cache(partial(mock_ranking, profile, offer, taxonomy, lexicon))  # once, if needed
     id_by_index = {n: article_id for n, article_id in enumerate(offer.ids, start=1)}
     index_by_id = {article_id: n for n, article_id in id_by_index.items()}
-    mock_picks = [index_by_id[article_id] for article_id in ranked[:m]]
+    mock_picks = lambda: [index_by_id[article_id] for article_id in ranked()[:m]]  # noqa: E731
 
     system, user = prompts.render_selection(
         profile, prompts.format_numbered_headlines(offer.offers), m
     )
     request = GenerationRequest(system, user, "selection_list", tag)
-    picks = gateway.generate(request, mock_value=mock_picks, fallback=mock_picks)
+    picks = gateway.generate(request, mock_picks, fallback=mock_picks)
     selected: list[str] = []
     for number in picks:
         article_id = id_by_index.get(number)
@@ -94,12 +95,9 @@ def select_articles(profile, offer: HeadlineOffer, m: int, gateway,
         selected.append(article_id)
         if len(selected) == m:
             break
-    for article_id in ranked:
-        if len(selected) == m:
-            break
-        if article_id not in selected:
-            selected.append(article_id)
-    return tuple(selected)
+    if len(selected) < m:
+        selected += [article_id for article_id in ranked() if article_id not in selected]
+    return tuple(selected[:m])
 
 
 def retrieve_full_text(index: CorpusIndex, selected_ids, ablation: str) -> tuple[Payload, ...]:

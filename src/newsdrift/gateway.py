@@ -3,9 +3,10 @@
 Every structured exchange in the simulation flows through ``Gateway.generate``
 regardless of backend, so the replay log always carries the full prompt,
 the raw response, and the parsed value for each request. Mock-mode values
-are produced by deterministic rules at the call sites and passed in as
-``mock_value``; they are serialized, re-validated, and logged exactly like
-a remote completion, which keeps the two paths byte-compatible.
+come from deterministic rules at the call sites, handed in as a zero-argument
+``mock`` that only the mock backend calls (a ``fallback`` is called only when
+the exchange falls back); they are serialized, re-validated, and logged
+exactly like a remote completion, which keeps the two paths byte-compatible.
 """
 
 from __future__ import annotations
@@ -541,14 +542,14 @@ class Gateway:
             connection.close()  # the next attempt goes out on a new connection
             raise
 
-    def _answers(self, request: GenerationRequest, mock_value):
+    def _answers(self, request: GenerationRequest, mock):
         """Yield the backend's raw answers as (raw, t_start, t_end); remote posts
         up to ``max_attempts`` times in all and backs off after transport failures."""
         tag = request.request_tag
         if self.config.mode == "mock":
-            if mock_value is None:
-                raise ConfigError(f"mock mode needs a mock_value for {tag!r}")
-            yield serialize_for_log(request.expected_schema, mock_value), 0.0, 0.0
+            if mock is None:
+                raise ConfigError(f"mock mode needs a mock answer for {tag!r}")
+            yield serialize_for_log(request.expected_schema, mock()), 0.0, 0.0
         elif self.config.mode == "replay":
             if tag not in self._replay_index:
                 raise ReplayError(f"no replay entry for tag {tag!r}")
@@ -574,17 +575,18 @@ class Gateway:
 
     # -- main entry ----------------------------------------------------------
 
-    def generate(self, request: GenerationRequest, mock_value=None, *, fallback):
+    def generate(self, request: GenerationRequest, mock=None, *, fallback):
         """Run one exchange and return the validated structured value.
 
-        ``mock_value`` is the deterministic result the mock backend returns.
-        An answer that fails its schema is logged as failed, and the next
-        answer is tried. When none matches, ``fallback`` is returned, and the
+        ``mock`` and ``fallback`` are zero-argument callables; only the mock
+        backend calls ``mock()``, for its deterministic answer. An answer
+        that fails its schema is logged as failed, and the next answer is
+        tried. When none matches, ``fallback()`` is returned, and the
         exchange is counted in ``fallback_counts`` under its schema once its
         records are emitted; transport, replay and config errors still raise.
         """
         schema = request.expected_schema
-        for raw, t_start, t_end in self._answers(request, mock_value):
+        for raw, t_start, t_end in self._answers(request, mock):
             try:
                 parsed = parse_structured(schema, raw)
             except SchemaError:
@@ -593,4 +595,4 @@ class Gateway:
             self.emit([(request, raw, parsed, True, t_start, t_end)])
             return parsed
         self.emit([(request, None, None, False, 0.0, 0.0)])
-        return fallback
+        return fallback()

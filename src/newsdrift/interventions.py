@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from functools import partial
 
 from . import prompts
 from .distribution import Payload
@@ -36,11 +37,11 @@ def debias_payload(payload: Payload, gateway, lexicon: MockLexicon,
     """Rewrite one read; cache maps article id -> [text, failed], one rewrite per run."""
     cached = cache.get(payload.article_id)
     if cached is None:
-        mock = mock_debias_text(payload.full_text, lexicon)
+        mock = partial(mock_debias_text, payload.full_text, lexicon)
         system, user = prompts.render_debias(payload.full_text)
         request = GenerationRequest(system, user, "debiased_text",
                                     f"debias:{payload.article_id}")
-        text = gateway.generate(request, mock_value=mock, fallback=None)
+        text = gateway.generate(request, mock, fallback=lambda: None)
         # None is the failed rewrite: the reader gets the original text
         cached = cache[payload.article_id] = (
             [payload.full_text, True] if text is None else [text, False])
@@ -67,10 +68,10 @@ def devils_advocate_critique(payloads, gateway, lexicon: MockLexicon,
                              tag: str) -> str:
     if not payloads:
         raise ValidationError("devil's advocate needs a non-empty batch")
-    mock = _mock_critique(payloads, lexicon)
+    mock = partial(_mock_critique, payloads, lexicon)
     system, user = prompts.render_critique(prompts.format_news_list(payloads))
     request = GenerationRequest(system, user, "critique_text", tag)
-    return gateway.generate(request, mock_value=mock, fallback="")
+    return gateway.generate(request, mock, fallback=lambda: "")
 
 
 def apply_intervention(mode: str, payloads, gateway, lexicon: MockLexicon,

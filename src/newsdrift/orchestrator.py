@@ -366,7 +366,7 @@ def _trace_path(out_dir: Path, year: int) -> Path:
 def _write_checkpoint(out_dir: Path, header: dict, gateway: Gateway,
                       state: RunState, complete: bool):
     doc = {**header, **state.to_dict(), "replay_lines": gateway.replay_lines, "complete": complete}
-    outputs.write_json(out_dir / CHECKPOINT_NAME, doc)
+    outputs.write_json(out_dir / CHECKPOINT_NAME, doc, indent=None)  # one line: json's C encoder
 
 
 def read_update_logs(out_dir: Path) -> list[dict]:

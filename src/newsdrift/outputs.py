@@ -38,8 +38,8 @@ def write_text(path: Path, text: str):
         raise ConfigError(f"output file {path} is not writable: {exc}") from None
 
 
-def write_json(path: Path, doc, sort_keys: bool = True):
-    write_text(path, json.dumps(doc, indent=2, sort_keys=sort_keys, ensure_ascii=False) + "\n")
+def write_json(path: Path, doc, sort_keys: bool = True, indent: int | None = 2):
+    write_text(path, json.dumps(doc, indent=indent, sort_keys=sort_keys, ensure_ascii=False) + "\n")
 
 
 def write_jsonl(path: Path, rows: list[dict]):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 from . import inputs, outputs, prompts
@@ -280,12 +280,12 @@ def assign_interests(pair: MatchedPair, taxonomy: TopicTaxonomy, gateway,
     only unknown topics.
     """
     posts, media = _interest_source_text(pair)
-    mock = taxonomy.tag_interests(posts + " " + media)
+    mock = partial(taxonomy.tag_interests, posts + " " + media)
     system, user = prompts.render_interests(posts or "(no posts)", media, taxonomy.names)
 
     def ask(suffix: str):
         request = GenerationRequest(system, user, "interest_list", tag + suffix)
-        return gateway.generate(request, mock_value=mock, fallback=mock)
+        return gateway.generate(request, mock, fallback=mock)
 
     proposed = ask("")
     if any(t not in taxonomy.names for t in proposed):
@@ -293,7 +293,7 @@ def assign_interests(pair: MatchedPair, taxonomy: TopicTaxonomy, gateway,
     valid = [t for t in taxonomy.names if t in set(proposed)]
     if not valid:
         log.warning("no valid interests from backend for %s, using keyword rules", tag)
-        return tuple(mock), True
+        return tuple(mock()), True
     return tuple(valid), False
 
 

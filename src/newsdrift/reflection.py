@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import prompts
 from .errors import ValidationError
@@ -136,8 +137,8 @@ def reflect_batch(profile, payloads, state: OpinionState, gateway,
 
     payload_domains = [categorize_payload(p, taxonomy) for p in payloads]
     counts = dict(Counter(payload_domains))
-    mock = _mock_outcome(payloads, payload_domains, state, taxonomy, lexicon,
-                         critique, no_cognitive)
+    mock = partial(_mock_outcome, payloads, payload_domains, state, taxonomy, lexicon,
+                   critique, no_cognitive)
     system, user = prompts.render_reflection(
         profile,
         opinions=format_opinions(state, taxonomy),
@@ -147,8 +148,8 @@ def reflect_batch(profile, payloads, state: OpinionState, gateway,
         no_cognitive=no_cognitive,
     )
     request = GenerationRequest(system, user, "reflection_update", tag)
-    parsed = gateway.generate(request, mock_value=mock,
-                              fallback={"themes": [], "reasoning": "", "domains": {}})
+    parsed = gateway.generate(request, mock,
+                              fallback=lambda: {"themes": [], "reasoning": "", "domains": {}})
     domains = {}
     for name, entry in parsed["domains"].items():
         if name not in taxonomy.names:

@@ -8,6 +8,7 @@ every agent must answer.
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 
 from . import inputs, prompts
@@ -47,12 +48,12 @@ def mock_survey_response(valence: float, previous: int | None) -> int:
 def survey_response(profile, state: OpinionState, gateway,
                     taxonomy: TopicTaxonomy, tag: str) -> int:
     valence = overall_valence(state)
-    mock = mock_survey_response(valence, state.last_response)
+    mock = partial(mock_survey_response, valence, state.last_response)
     system, user = prompts.render_survey(
         profile, format_opinions(state, taxonomy), valence, state.last_response
     )
     request = GenerationRequest(system, user, "survey_answer", tag)
-    return gateway.generate(request, mock_value=mock, fallback=mock)
+    return gateway.generate(request, mock, fallback=mock)
 
 
 def aggregate_year(year: int, per_agent: dict[str, tuple[float, int]],

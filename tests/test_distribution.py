@@ -158,12 +158,12 @@ def test_select_all_of_offer(taxonomy, lexicon, tmp_path):
 
 
 class RepairStub:
-    """Gateway returning a fixed pick list regardless of the mock value."""
+    """Gateway returning a fixed pick list regardless of the mock answer."""
 
     def __init__(self, picks):
         self.picks = picks
 
-    def generate(self, request, mock_value=None, *, fallback):
+    def generate(self, request, mock=None, *, fallback):
         return self.picks
 
 
@@ -185,8 +185,8 @@ def test_selection_repairs_invalid_picks(taxonomy, lexicon):
 class FailStub:
     """Gateway whose every answer fails its schema."""
 
-    def generate(self, request, mock_value=None, *, fallback):
-        return fallback
+    def generate(self, request, mock=None, *, fallback):
+        return fallback()
 
 
 def test_selection_falls_back_to_ranking(taxonomy, lexicon):

@@ -216,8 +216,8 @@ def _req(tag, schema="survey_answer", **kw):
 def test_mock_gateway_logs_every_exchange(tmp_path):
     log = tmp_path / "replay.jsonl"
     gw = Gateway(BackendConfig(mode="mock"), log_path=log)
-    assert gw.generate(_req("s:1"), mock_value=3, fallback=None) == 3
-    assert gw.generate(_req("s:2"), mock_value=1, fallback=None) == 1
+    assert gw.generate(_req("s:1"), mock=lambda: 3, fallback=lambda: None) == 3
+    assert gw.generate(_req("s:2"), mock=lambda: 1, fallback=lambda: None) == 1
     lines = [json.loads(l) for l in log.read_text().splitlines()]
     assert [l["seq"] for l in lines] == [1, 2]
     assert lines[0]["tag"] == "s:1"
@@ -233,19 +233,19 @@ def test_mock_gateway_logs_every_exchange(tmp_path):
 
 def test_duplicate_tag_rejected(tmp_path):
     gw = Gateway(BackendConfig(mode="mock"), log_path=tmp_path / "r.jsonl")
-    gw.generate(_req("dup"), mock_value=2, fallback=None)
+    gw.generate(_req("dup"), mock=lambda: 2, fallback=lambda: None)
     with pytest.raises(ConfigError):
-        gw.generate(_req("dup"), mock_value=2, fallback=None)
+        gw.generate(_req("dup"), mock=lambda: 2, fallback=lambda: None)
 
 
 def test_a_gateway_over_a_kept_log_refuses_a_tag_the_log_holds(tmp_path):
     log = tmp_path / "r.jsonl"
     first = Gateway(BackendConfig(mode="mock"), log_path=log)
-    first.generate(_req("t"), mock_value=2, fallback=None)
+    first.generate(_req("t"), mock=lambda: 2, fallback=lambda: None)
     first.close()
     resumed = Gateway(BackendConfig(mode="mock"), log_path=log, replay_lines=1)
     with pytest.raises(ConfigError, match="duplicate request tag in run: 't'"):
-        resumed.generate(_req("t"), mock_value=2, fallback=None)
+        resumed.generate(_req("t"), mock=lambda: 2, fallback=lambda: None)
 
 
 def test_a_gateway_counts_the_exchanges_of_the_kept_lines_again(tmp_path):
@@ -253,10 +253,10 @@ def test_a_gateway_counts_the_exchanges_of_the_kept_lines_again(tmp_path):
     record is not ok; lines past the kept ones are never read."""
     log = tmp_path / "r.jsonl"
     first = Gateway(BackendConfig(mode="mock"), log_path=log)
-    first.generate(_req("a"), mock_value=1, fallback=None)
+    first.generate(_req("a"), mock=lambda: 1, fallback=lambda: None)
     first.emit([(_req("b"), "nope", None, False, 0.0, 0.0),
                 (_req("b"), None, None, False, 0.0, 0.0)])
-    first.generate(_req("c", schema="selection_list"), mock_value=[1], fallback=None)
+    first.generate(_req("c", schema="selection_list"), mock=lambda: [1], fallback=lambda: None)
     first.close()
     log.write_text(log.read_text() + "{torn\n")
     again = Gateway(BackendConfig(mode="mock"), log_path=log, replay_lines=3)
@@ -276,7 +276,7 @@ def test_a_gateway_cuts_its_log_back_to_the_kept_lines_and_numbers_on_from_them(
     for n in range(4):
         text = f"caf\u00e9 {n} \u2028 \u4e2d\u6587 1\u20134"
         first.generate(GenerationRequest("system text", text, "survey_answer", f"s:{n}"),
-                       mock_value=n + 1, fallback=None)
+                       mock=lambda: n + 1, fallback=lambda: None)
     first.close()
     blob = log.read_bytes()
     lines = blob.splitlines(keepends=True)
@@ -285,7 +285,7 @@ def test_a_gateway_cuts_its_log_back_to_the_kept_lines_and_numbers_on_from_them(
         log.write_bytes(blob)
         gw = Gateway(BackendConfig(mode="mock"), log_path=log, replay_lines=kept)
         assert log.read_bytes() == b"".join(lines[:kept])
-        gw.generate(_req("next"), mock_value=2, fallback=None)
+        gw.generate(_req("next"), mock=lambda: 2, fallback=lambda: None)
         gw.close()
         written = log.read_bytes().splitlines(keepends=True)
         assert written[:kept] == lines[:kept]
@@ -299,7 +299,7 @@ def test_a_gateway_that_refuses_to_open_leaves_its_log_as_it_was(tmp_path, monke
     log = tmp_path / "r.jsonl"
     first = Gateway(BackendConfig(mode="mock"), log_path=log)
     for n in range(3):
-        first.generate(_req(f"s:{n}"), mock_value=n + 1, fallback=None)
+        first.generate(_req(f"s:{n}"), mock=lambda: n + 1, fallback=lambda: None)
     first.close()
     config, kept, error = BackendConfig(mode="mock"), 2, ResumeError
     if refusal == "damaged_kept_record":
@@ -322,27 +322,27 @@ def test_a_gateway_that_refuses_to_open_leaves_its_log_as_it_was(tmp_path, monke
 def test_mock_requires_mock_value(tmp_path):
     gw = Gateway(BackendConfig(mode="mock"), log_path=tmp_path / "r.jsonl")
     with pytest.raises(ConfigError):
-        gw.generate(_req("x"), fallback=None)
+        gw.generate(_req("x"), fallback=lambda: None)
 
 
 def test_request_counts_by_schema(tmp_path):
     gw = Gateway(BackendConfig(mode="mock"), log_path=tmp_path / "r.jsonl")
-    gw.generate(_req("a"), mock_value=1, fallback=None)
-    gw.generate(_req("b"), mock_value=2, fallback=None)
-    gw.generate(_req("c", schema="selection_list"), mock_value=[1], fallback=None)
+    gw.generate(_req("a"), mock=lambda: 1, fallback=lambda: None)
+    gw.generate(_req("b"), mock=lambda: 2, fallback=lambda: None)
+    gw.generate(_req("c", schema="selection_list"), mock=lambda: [1], fallback=lambda: None)
     assert gw.counters()["request_counts"] == {"survey_answer": 2, "selection_list": 1}
 
 
 def test_replay_gateway_reserves_logged_values(tmp_path):
     log = tmp_path / "replay.jsonl"
     gw = Gateway(BackendConfig(mode="mock"), log_path=log)
-    gw.generate(_req("s:1"), mock_value=4, fallback=None)
+    gw.generate(_req("s:1"), mock=lambda: 4, fallback=lambda: None)
 
     replay = Gateway(BackendConfig(mode="replay", replay_log=str(log)),
                      log_path=tmp_path / "second.jsonl")
-    assert replay.generate(_req("s:1"), mock_value=1, fallback=None) == 4
+    assert replay.generate(_req("s:1"), mock=lambda: 1, fallback=lambda: None) == 4
     with pytest.raises(ReplayError):
-        replay.generate(_req("s:unknown"), mock_value=1, fallback=None)
+        replay.generate(_req("s:unknown"), mock=lambda: 1, fallback=lambda: None)
 
 
 def test_replay_surfaces_recorded_failures(tmp_path):
@@ -353,18 +353,18 @@ def test_replay_surfaces_recorded_failures(tmp_path):
               "t_start": 0.0, "t_end": 0.0}
     log.write_text(json.dumps(record) + "\n")
     replay = Gateway(BackendConfig(mode="replay", replay_log=str(log)))
-    assert replay.generate(_req("s:1"), fallback=2) == 2
+    assert replay.generate(_req("s:1"), fallback=lambda: 2) == 2
     assert replay.counters()["fallback_counts"] == {"survey_answer": 1}
 
 
 def test_replay_refuses_a_changed_prompt(tmp_path):
     log = tmp_path / "replay.jsonl"
-    Gateway(BackendConfig(mode="mock"), log_path=log).generate(_req("s:1"), mock_value=4,
-                                                               fallback=None)
+    Gateway(BackendConfig(mode="mock"), log_path=log).generate(_req("s:1"), mock=lambda: 4,
+                                                               fallback=lambda: None)
     replay = Gateway(BackendConfig(mode="replay", replay_log=str(log)))
     changed = GenerationRequest("system text", "other user text", "survey_answer", "s:1")
     with pytest.raises(ReplayError, match="s:1"):
-        replay.generate(changed, fallback=None)
+        replay.generate(changed, fallback=lambda: None)
 
 
 def test_replay_missing_log_file(tmp_path):
@@ -377,7 +377,7 @@ def test_replay_names_the_line_of_a_damaged_log(tmp_path, damage):
     log = tmp_path / "replay.jsonl"
     gw = Gateway(BackendConfig(mode="mock"), log_path=log)
     for n in range(3):
-        gw.generate(_req(f"s:{n}"), mock_value=4, fallback=None)
+        gw.generate(_req(f"s:{n}"), mock=lambda: 4, fallback=lambda: None)
     gw.close()
     lines = log.read_text().splitlines(keepends=True)
     if damage == "torn_line":
@@ -519,7 +519,7 @@ def test_remote_happy_path(canned_server, tmp_path, monkeypatch):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "sk-test-123")
     canned_server.script = [("ok", "the answer is 3")]
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
-    assert gw.generate(_req("s:1"), fallback=None) == 3
+    assert gw.generate(_req("s:1"), fallback=lambda: None) == 3
     sent = canned_server.requests[0]
     assert sent["auth"] == "Bearer sk-test-123"
     assert sent["json"]["model"] == "test-model"
@@ -537,7 +537,7 @@ def test_remote_schema_retry_then_success(canned_server, tmp_path, monkeypatch):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("ok", "no digits"), ("ok", "4")]
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
-    assert gw.generate(_req("s:1"), fallback=None) == 4
+    assert gw.generate(_req("s:1"), fallback=lambda: None) == 4
     lines = [json.loads(l) for l in (tmp_path / "r.jsonl").read_text().splitlines()]
     # the failed attempt is logged too, then the success
     assert [l["ok"] for l in lines] == [False, True]
@@ -548,7 +548,7 @@ def test_remote_schema_exhaustion(canned_server, tmp_path, monkeypatch):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("ok", "nope")] * 3
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
-    assert gw.generate(_req("s:1"), fallback=2) == 2
+    assert gw.generate(_req("s:1"), fallback=lambda: 2) == 2
     assert gw.counters()["fallback_counts"] == {"survey_answer": 1}
     lines = [json.loads(l) for l in (tmp_path / "r.jsonl").read_text().splitlines()]
     assert [l["ok"] for l in lines] == [False, False, False]
@@ -558,7 +558,7 @@ def test_remote_transport_retry_then_success(canned_server, tmp_path, monkeypatc
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("http_error", 500), ("ok", "2")]
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
-    assert gw.generate(_req("s:1"), fallback=None) == 2
+    assert gw.generate(_req("s:1"), fallback=lambda: None) == 2
 
 
 def test_remote_transport_exhaustion(canned_server, tmp_path, monkeypatch):
@@ -566,14 +566,14 @@ def test_remote_transport_exhaustion(canned_server, tmp_path, monkeypatch):
     canned_server.script = [("http_error", 503)] * 3
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
     with pytest.raises(TransportError):
-        gw.generate(_req("s:1"), fallback=None)
+        gw.generate(_req("s:1"), fallback=lambda: None)
 
 
 def test_remote_garbage_body_is_transport_level(canned_server, tmp_path, monkeypatch):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("garbage",), ("ok", "1")]
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
-    assert gw.generate(_req("s:1"), fallback=None) == 1
+    assert gw.generate(_req("s:1"), fallback=lambda: None) == 1
 
 
 def test_remote_reply_without_answer_text_is_transport_level(canned_server, tmp_path,
@@ -584,7 +584,7 @@ def test_remote_reply_without_answer_text_is_transport_level(canned_server, tmp_
     canned_server.script = [("ok", None), ("ok", "2")]
     gw = Gateway(_remote_config(canned_server, backoff_seconds=(0.25,)),
                  log_path=tmp_path / "r.jsonl")
-    assert gw.generate(_req("s:1"), fallback=None) == 2
+    assert gw.generate(_req("s:1"), fallback=lambda: None) == 2
     assert slept == [0.25]
     records = [json.loads(l) for l in (tmp_path / "r.jsonl").read_text().splitlines()]
     assert [(r["raw_response"], r["ok"]) for r in records] == [("2", True)]
@@ -595,7 +595,7 @@ def test_remote_empty_choices_exhaust_the_budget(canned_server, tmp_path, monkey
     canned_server.script = [("json", {"choices": []})] * 3
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
     with pytest.raises(TransportError):
-        gw.generate(_req("s:1"), fallback=None)
+        gw.generate(_req("s:1"), fallback=lambda: None)
     assert len(canned_server.requests) == 3
     assert gw.counters()["fallback_counts"] == {}
     assert not (tmp_path / "r.jsonl").exists()
@@ -607,8 +607,8 @@ def test_exhausted_exchange_returns_the_fallback_and_counts_it(canned_server, tm
     canned_server.script = [("ok", "nope"), ("ok", "seven"), ("ok", "9"), ("ok", "2")]
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
     fallback = object()
-    assert gw.generate(_req("s:1"), fallback=fallback) is fallback
-    assert gw.generate(_req("s:2"), fallback=fallback) == 2
+    assert gw.generate(_req("s:1"), fallback=lambda: fallback) is fallback
+    assert gw.generate(_req("s:2"), fallback=lambda: fallback) == 2
     assert gw.counters()["fallback_counts"] == {"survey_answer": 1}
     assert gw.counters()["request_counts"] == {"survey_answer": 2}
     # every failed attempt is still logged
@@ -623,7 +623,7 @@ def test_remote_attempt_budget_covers_both_kinds_of_failure(canned_server, tmp_p
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("garbage",), ("garbage",), ("ok", "nope")] * 3
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
-    assert gw.generate(_req("s:1"), fallback=2) == 2
+    assert gw.generate(_req("s:1"), fallback=lambda: 2) == 2
     assert gw.counters()["fallback_counts"] == {"survey_answer": 1}
     assert len(canned_server.requests) == 3
     # transport failures are not logged, the failed parse is
@@ -636,7 +636,7 @@ def test_remote_last_attempt_decides_the_error(canned_server, tmp_path, monkeypa
     canned_server.script = [("ok", "nope"), ("ok", "nope"), ("http_error", 500)]
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
     with pytest.raises(TransportError):
-        gw.generate(_req("s:1"), fallback=None)
+        gw.generate(_req("s:1"), fallback=lambda: None)
     assert len(canned_server.requests) == 3
 
 
@@ -647,10 +647,10 @@ def test_remote_only_transport_failures_back_off(canned_server, tmp_path, monkey
     gw = Gateway(_remote_config(canned_server, backoff_seconds=(0.25, 9.0)),
                  log_path=tmp_path / "r.jsonl")
     canned_server.script = [("ok", "no digits"), ("ok", "4")]
-    assert gw.generate(_req("s:1"), fallback=None) == 4
+    assert gw.generate(_req("s:1"), fallback=lambda: None) == 4
     assert slept == []
     canned_server.script = [("http_error", 500), ("ok", "2")]
-    assert gw.generate(_req("s:2"), fallback=None) == 2
+    assert gw.generate(_req("s:2"), fallback=lambda: None) == 2
     assert slept == [0.25]
 
 
@@ -665,7 +665,7 @@ def test_remote_refused_connection_exhausts_the_budget(tmp_path, monkeypatch):
                            model_name="m", max_attempts=3, backoff_seconds=(0.25, 0.5))
     gw = Gateway(config, log_path=tmp_path / "r.jsonl")
     with pytest.raises(TransportError, match="last of 3 attempts"):
-        gw.generate(_req("s:1"), fallback=None)
+        gw.generate(_req("s:1"), fallback=lambda: None)
     assert slept == [0.25, 0.5]
     assert not (tmp_path / "r.jsonl").exists()
 
@@ -677,7 +677,7 @@ def test_remote_reply_later_than_the_timeout_is_retried(canned_server, tmp_path,
     canned_server.script = [("held", 0.45, "1"), ("ok", "2")]
     gw = Gateway(_remote_config(canned_server, timeout_seconds=0.25, backoff_seconds=(0.5,)),
                  log_path=tmp_path / "r.jsonl")
-    assert gw.generate(_req("s:1"), fallback=None) == 2
+    assert gw.generate(_req("s:1"), fallback=lambda: None) == 2
     assert slept == [0.5]
     assert len(canned_server.requests) == 2
     records = [json.loads(l) for l in (tmp_path / "r.jsonl").read_text().splitlines()]
@@ -692,14 +692,14 @@ def test_remote_client_errors_are_retried_like_server_errors(canned_server, tmp_
     canned_server.script = [("http_error", 404), ("http_error", 500), ("ok", "2")]
     gw = Gateway(_remote_config(canned_server, backoff_seconds=(0.25,)),
                  log_path=tmp_path / "r.jsonl")
-    assert gw.generate(_req("s:1"), fallback=None) == 2
+    assert gw.generate(_req("s:1"), fallback=lambda: None) == 2
     assert slept == [0.25, 0.25]
 
 
 def test_remote_base_url_path_and_query_reach_the_server(canned_server, tmp_path, monkeypatch):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     gw = Gateway(_remote_config(canned_server, base_url=canned_server.url + "?api-version=x"))
-    assert gw.generate(_req("s:1"), fallback=None) == 1
+    assert gw.generate(_req("s:1"), fallback=lambda: None) == 1
     assert canned_server.requests[0]["path"] == "/v1/chat/completions?api-version=x"
 
 
@@ -730,7 +730,7 @@ def test_https_base_urls_verify_certificates(monkeypatch):
     for url in ("https://localhost/v1/chat/completions?api-version=x",
                 "https://127.0.0.1:8443/v1/chat/completions"):
         gw = Gateway(BackendConfig(mode="remote", base_url=url, model_name="m"))
-        assert gw.generate(_req(url), fallback=None) == 3
+        assert gw.generate(_req(url), fallback=lambda: None) == 3
         assert not made[-1]["closed"]  # kept alive until the gateway closes
         gw.close()
     assert [(m["args"], m["path"], m["closed"]) for m in made] == [
@@ -799,13 +799,13 @@ def test_close_closes_every_connection_and_a_later_exchange_opens_another(canned
     gw = Gateway(_remote_config(canned_server, max_in_flight=4))
 
     def ask(n):
-        return gw.generate(_req(f"s:{n}"), fallback=None)
+        return gw.generate(_req(f"s:{n}"), fallback=lambda: None)
 
     assert [outcome()[0] for outcome in gw.start(ask, range(8))] == [1] * 8
     assert made and any(connection.sock for connection in made)
     gw.close()
     assert not any(connection.sock for connection in made)
-    assert gw.generate(_req("s:after"), fallback=None) == 1
+    assert gw.generate(_req("s:after"), fallback=lambda: None) == 1
     assert any(connection.sock for connection in made)
     gw.close()
     assert not any(connection.sock for connection in made)
@@ -815,9 +815,9 @@ def test_a_failed_attempt_is_retried_on_a_new_connection(canned_server, tmp_path
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("http_error", 500), ("ok", "2"), ("ok", "3")]
     gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
-    assert gw.generate(_req("s:1"), fallback=None) == 2
+    assert gw.generate(_req("s:1"), fallback=lambda: None) == 2
     assert canned_server.connections == 2
-    assert gw.generate(_req("s:2"), fallback=None) == 3
+    assert gw.generate(_req("s:2"), fallback=lambda: None) == 3
     assert canned_server.connections == 2
     gw.close()
 
@@ -827,9 +827,9 @@ def test_an_idle_connection_the_server_closed_costs_no_attempt(canned_server, tm
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("hang_up", "1"), ("ok", "2")]
     gw = Gateway(_remote_config(canned_server, max_attempts=1), log_path=tmp_path / "r.jsonl")
-    assert gw.generate(_req("s:1"), fallback=None) == 1
+    assert gw.generate(_req("s:1"), fallback=lambda: None) == 1
     assert canned_server.hung_up.wait(5)
-    assert gw.generate(_req("s:2"), fallback=None) == 2
+    assert gw.generate(_req("s:2"), fallback=lambda: None) == 2
     assert canned_server.connections == 2
     gw.close()
 
@@ -846,7 +846,7 @@ def test_a_kept_alive_connection_is_reused_past_descriptor_1024(canned_server, m
             pytest.skip("this process may not open 1,024 descriptors")
         gw = Gateway(_remote_config(canned_server, max_attempts=1))
         for n in range(2):
-            assert gw.generate(_req(f"s:{n}"), fallback=None) == 1
+            assert gw.generate(_req(f"s:{n}"), fallback=lambda: None) == 1
         gw.close()
         assert canned_server.connections == 1
     finally:
@@ -863,7 +863,7 @@ def test_a_kept_alive_connection_waits_on_no_delayed_ack(canned_server, monkeypa
     gw = Gateway(_remote_config(canned_server))
     began = time.perf_counter()
     for n in range(20):
-        assert gw.generate(_req(f"s:{n}"), fallback=None) == 1
+        assert gw.generate(_req(f"s:{n}"), fallback=lambda: None) == 1
     elapsed = time.perf_counter() - began
     gw.close()
     assert canned_server.connections == 1
@@ -876,7 +876,7 @@ def test_remote_sends_and_logs_the_backend_generation_parameters(canned_server, 
     canned_server.script = [("ok", "3")]
     gw = Gateway(_remote_config(canned_server, temperature=0.2, max_tokens=64),
                  log_path=tmp_path / "r.jsonl")
-    assert gw.generate(_req("s:1"), fallback=None) == 3
+    assert gw.generate(_req("s:1"), fallback=lambda: None) == 3
     sent = canned_server.requests[0]["json"]
     assert (sent["temperature"], sent["max_tokens"]) == (0.2, 64)
     record = json.loads((tmp_path / "r.jsonl").read_text())
@@ -1284,13 +1284,13 @@ def test_an_item_run_inside_another_keeps_its_records_held(tmp_path):
     """On mock an item runs at its call's first use, here inside another item."""
     log = tmp_path / "r.jsonl"
     gw = Gateway(BackendConfig(mode="mock"), log_path=log)
-    inner = gw.start(lambda n: gw.generate(_req(f"inner:{n}"), mock_value=1, fallback=None),
-                     range(1))
+    inner = gw.start(lambda n: gw.generate(_req(f"inner:{n}"), mock=lambda: 1,
+                                           fallback=lambda: None), range(1))
 
     def outer(n):
         value, records = inner[0]()
         gw.emit(records)
-        return value + gw.generate(_req(f"outer:{n}"), mock_value=2, fallback=None)
+        return value + gw.generate(_req(f"outer:{n}"), mock=lambda: 2, fallback=lambda: None)
 
     [(total, records)] = [outcome() for outcome in gw.start(outer, range(1))]
     assert total == 3 and not log.exists()
@@ -1311,7 +1311,7 @@ def test_a_tag_repeated_across_concurrent_items_is_refused_at_the_second(canned_
     def ask(item):
         time.sleep(0.05 * (1 - item))  # the first item is held back
         request = GenerationRequest("system text", f"user {item + 1}", "survey_answer", "dup")
-        return gw.generate(request, fallback=None)
+        return gw.generate(request, fallback=lambda: None)
 
     with pytest.raises(ConfigError, match="duplicate request tag in run: 'dup'"):
         for outcome in gw.start(ask, range(2)):
@@ -1325,10 +1325,10 @@ def test_log_records_reach_the_file_as_written(tmp_path):
     path = tmp_path / "r.jsonl"
     gw = Gateway(BackendConfig(mode="mock"), log_path=path)
     for n in range(1, 3):
-        gw.generate(_req(f"s:{n}"), mock_value=n, fallback=None)
+        gw.generate(_req(f"s:{n}"), mock=lambda: n, fallback=lambda: None)
         assert len(path.read_text().splitlines()) == n
     gw.close()
-    gw.generate(_req("s:3"), mock_value=3, fallback=None)
+    gw.generate(_req("s:3"), mock=lambda: 3, fallback=lambda: None)
     gw.close()
     assert [json.loads(line)["seq"] for line in path.read_text().splitlines()] == [1, 2, 3]
 

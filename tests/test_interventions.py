@@ -33,9 +33,9 @@ class CountingGateway:
         self._inner = Gateway(BackendConfig(mode="mock"))
         self.calls = 0
 
-    def generate(self, request, mock_value=None, *, fallback):
+    def generate(self, request, mock=None, *, fallback):
         self.calls += 1
-        return self._inner.generate(request, mock_value=mock_value, fallback=fallback)
+        return self._inner.generate(request, mock, fallback=fallback)
 
 
 class BrokenGateway:
@@ -44,13 +44,13 @@ class BrokenGateway:
     def __init__(self):
         self.calls = 0
 
-    def generate(self, request, mock_value=None, *, fallback):
+    def generate(self, request, mock=None, *, fallback):
         self.calls += 1
-        return fallback
+        return fallback()
 
 
 class ForbiddenGateway:
-    def generate(self, request, mock_value=None, *, fallback):  # pragma: no cover
+    def generate(self, request, mock=None, *, fallback):  # pragma: no cover
         raise AssertionError("baseline must not touch the text backend")
 
 

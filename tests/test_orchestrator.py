@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import newsdrift
-from newsdrift import cli, orchestrator, outputs, prompts
+from newsdrift import (cli, distribution, interventions, orchestrator, outputs, prompts,
+                       reflection, surveys)
 from newsdrift.errors import ConfigError, ResumeError
 from newsdrift.gateway import BackendConfig, Gateway
 from newsdrift.modes import INTERVENTIONS
@@ -336,6 +337,54 @@ def test_fallbacks_are_counted_and_survive_resume(make_config, tmp_path):
         assert _read(a / name) == _read(b / name), name
 
 
+# each mock rule a replay must not run; the ranking runs only on a repair or a fallback
+MOCK_RULES = ((distribution, "mock_ranking"), (reflection, "_mock_outcome"),
+              (interventions, "mock_debias_text"), (interventions, "_mock_critique"),
+              (surveys, "mock_survey_response"))
+
+
+def _forbid_mock_rules(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a replay computed a mock answer")
+    for module, name in MOCK_RULES:
+        monkeypatch.setattr(module, name, forbidden)
+
+
+@pytest.mark.parametrize("intervention", INTERVENTIONS)
+def test_a_replay_computes_no_mock_answer(make_config, monkeypatch, intervention):
+    recorded = make_config(n_agents=3, intervention=intervention)
+    mock_years = run(recorded)["years"]
+    _forbid_mock_rules(monkeypatch)
+    replay = BackendConfig(mode="replay", replay_log=str(Path(recorded.out_dir) / "replay.jsonl"))
+    assert run(make_config(n_agents=3, intervention=intervention, backend=replay))["years"] \
+        == mock_years
+
+
+def test_a_replay_ranks_only_the_selections_it_repairs_or_falls_back_on(make_config, tmp_path,
+                                                                        monkeypatch):
+    recorded = make_config(n_agents=3)
+    mock_years = run(recorded)["years"]
+    records = [json.loads(line) for line in
+               (Path(recorded.out_dir) / "replay.jsonl").read_text().splitlines()]
+    short, failed = [r for r in records if r["tag"].startswith("select:")][1:3]
+    # the first pick alone: the ranking fills the rest, so the run reads what it read
+    short.update(raw_response=json.dumps(short["parsed"][:1]), parsed=short["parsed"][:1])
+    failed.update(ok=False, raw_response="no picks today", parsed=None)
+    scripted = tmp_path / "scripted.jsonl"
+    scripted.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    ranking, ranked = distribution.mock_ranking, []
+    _forbid_mock_rules(monkeypatch)
+
+    def counted(profile, offer, *rest):
+        ranked.append(f"select:{offer.year}:{offer.agent_id}")
+        return ranking(profile, offer, *rest)
+    monkeypatch.setattr(distribution, "mock_ranking", counted)
+    replay = BackendConfig(mode="replay", replay_log=str(scripted))
+    assert run(make_config(n_agents=3, backend=replay))["years"] == mock_years
+    assert ranked == [short["tag"], failed["tag"]]
+
+
 def test_a_replay_run_resumes_only_with_its_config(make_config):
     """The checkpoint keeps no replay_log path, so the error names the checkpoint
     and --config instead of the missing path."""
@@ -653,6 +702,48 @@ def test_cli_run_and_report(tmp_path, make_config, capsys):
     assert cli.main(["report", "--out", str(out_dir)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["years"] == 2 and "domain_influence" in doc
+
+
+def test_cli_report_gives_each_schemas_exchanges_and_latency(tmp_path, make_config, capsys):
+    config = make_config(n_agents=2)
+    run(config)
+    log = Path(config.out_dir) / "replay.jsonl"
+    records = [json.loads(line) for line in log.read_text("utf-8").splitlines()]
+    survey, select = (next(r for r in records if r["schema"] == schema)
+                      for schema in ("survey_answer", "selection_list"))
+    scripted = [
+        {**survey, "ok": False, "raw_response": "no opinion", "t_start": 10.0, "t_end": 10.5},
+        {**survey, "t_start": 11.0, "t_end": 11.25},
+        {**survey, "tag": "survey:other", "t_start": 12.0, "t_end": 14.0},
+        {**select, "t_start": 20.0, "t_end": 20.125},
+    ]
+    log.write_text("".join(json.dumps(r) + "\n" for r in scripted), "utf-8")
+    assert cli.main(["report", "--out", config.out_dir]) == 0
+    assert json.loads(capsys.readouterr().out)["exchanges"] == {
+        "selection_list": {"ok": 1, "failed": 0, "median_s": 0.125, "max_s": 0.125},
+        "survey_answer": {"ok": 2, "failed": 1, "median_s": 0.5, "max_s": 2.0},
+    }
+
+
+@pytest.mark.parametrize("damage", ["missing", "torn_line", "no_times"])
+def test_cli_report_refuses_a_missing_or_damaged_replay_log(make_config, caplog, damage):
+    config = make_config(n_agents=2)
+    run(config)
+    log = Path(config.out_dir) / "replay.jsonl"
+    lines = log.read_text("utf-8").splitlines(keepends=True)
+    if damage == "missing":
+        log.unlink()
+    elif damage == "torn_line":
+        log.write_text("".join(lines[:2]) + lines[2][:40], "utf-8")
+    else:
+        record = json.loads(lines[1])
+        del record["t_end"]
+        log.write_text(lines[0] + json.dumps(record) + "\n", "utf-8")
+    caplog.clear()
+    with caplog.at_level(logging.ERROR, logger="newsdrift"):
+        assert cli.main(["report", "--out", config.out_dir]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and str(log) in errors[0], errors
 
 
 def test_cli_reports_unknown_backend_key_as_an_error(tmp_path, make_config, caplog):

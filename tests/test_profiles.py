@@ -108,7 +108,7 @@ def test_fixture_population_structure(fixtures_dir, taxonomy):
 # ---------------------------------------------------------------------------
 
 class StubGateway:
-    """Returns scripted values, then the provided mock value; a scripted
+    """Returns scripted values, then the mock answer; a scripted
     SchemaError stands for an answer that fails its schema."""
 
     def __init__(self, script=()):
@@ -116,15 +116,15 @@ class StubGateway:
         self.tags = []
         self.fallback_counts = {}
 
-    def generate(self, request, mock_value=None, *, fallback):
+    def generate(self, request, mock=None, *, fallback):
         self.tags.append(request.request_tag)
         if not self.script:
-            return mock_value
+            return mock()
         item = self.script.pop(0)
         if isinstance(item, SchemaError):
             schema = request.expected_schema
             self.fallback_counts[schema] = self.fallback_counts.get(schema, 0) + 1
-            return fallback
+            return fallback()
         return item
 
     def counters(self):

@@ -204,9 +204,9 @@ class StubGateway:
     def __init__(self, value):
         self.value = value
 
-    def generate(self, request, mock_value=None, *, fallback):
+    def generate(self, request, mock=None, *, fallback):
         # a SchemaError stands for an answer that fails its schema
-        return fallback if isinstance(self.value, SchemaError) else self.value
+        return fallback() if isinstance(self.value, SchemaError) else self.value
 
 
 def test_schema_failure_yields_empty_outcome(taxonomy):

@@ -75,8 +75,8 @@ def test_response_monotone_in_valence(a, b):
 class FailGateway:
     """Gateway whose every answer fails its schema."""
 
-    def generate(self, request, mock_value=None, *, fallback):
-        return fallback
+    def generate(self, request, mock=None, *, fallback):
+        return fallback()
 
 
 def test_survey_falls_back_to_threshold(taxonomy):
