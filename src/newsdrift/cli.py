@@ -22,7 +22,7 @@ from .gateway import MODES, BackendConfig, Gateway, is_number, read_records
 from .modes import ABLATIONS, INTERVENTIONS
 from .orchestrator import RunConfig, read_update_logs, resume, run
 from .profiles import build_profiles
-from .surveys import MAE_BASES, GroundTruthSeries, domain_influence, mae
+from .surveys import GroundTruthSeries, domain_influence, mae
 from .taxonomy import load_taxonomy
 from . import charts as charts_mod
 
@@ -68,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="summarize a finished run")
     p.add_argument("--out", required=True, help="output directory of the run")
     p.add_argument("--ground-truth", help="ground truth CSV for error recomputation")
-    p.add_argument("--basis", choices=MAE_BASES, default="both_averaged")
 
     p = sub.add_parser("charts", help="regenerate SVG charts for a finished run")
     p.add_argument("--out", required=True, help="output directory of the run")
@@ -195,7 +194,7 @@ def _cmd_report(args) -> int:
     }
     if args.ground_truth:
         truth = GroundTruthSeries.from_csv(args.ground_truth)
-        doc["mae"] = {args.basis: mae(results["years"], truth, args.basis)}
+        doc["mae"] = mae(results["years"], truth)
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 

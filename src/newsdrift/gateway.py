@@ -362,10 +362,13 @@ class Gateway:
             record["tag"]: (record["schema"], not record["ok"])
             for record in read_records(self._log_path, ResumeError, replay_lines)
         } if replay_lines else {}
-        # tag -> (raw answer served on replay, digest of its recorded prompts)
-        self._replay_index: dict[str, tuple[str, bytes]] = {}
-        if config.mode == "replay":
-            self._load_replay_index(Path(config.replay_log))
+        # tag -> (raw answer served on replay, digest of its recorded prompts) of the tag's
+        # last record, as for _tags: its ok one, or its last failed attempt
+        self._replay_index: dict[str, tuple[str, bytes]] = {
+            record["tag"]: (record["raw_response"],
+                            _prompt_digest(record["system"], record["user"]))
+            for record in read_records(Path(config.replay_log), ReplayError)
+        } if config.mode == "replay" else {}
         if config.mode == "remote":
             api_key = os.environ.get(config.api_key_env_var, "")
             if not api_key:
@@ -388,8 +391,9 @@ class Gateway:
                 fh.truncate()
 
     def close(self):
-        """Wait for running workers, then close every connection and the
-        replay-log handle; a later ``start``, POST or record opens them again."""
+        """Cancel the ``start`` items not yet begun and wait for the running ones, then
+        close every connection and the replay-log handle; a later ``start``, POST or
+        record opens them again."""
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
@@ -428,40 +432,19 @@ class Gateway:
         log reads as if the items ran one after another.
 
         The remote backend submits the items to its pool at once, where they
-        queue behind items started earlier and run up to ``max_in_flight`` at
-        a time; a call waits for its item, raises its failure and then cancels
-        the items not yet started. Mock and replay run an item at its call's
-        first use, in the calling thread, and keep the outcome for later calls.
-        An item may use the calls of items started before it.
+        queue behind items started earlier and run up to ``max_in_flight`` at a
+        time, one after another when that is 1; a call waits for its item and
+        raises its failure, and ``close`` cancels the items not yet begun. Mock
+        and replay run an item at its call's first use, in the calling thread,
+        and keep the outcome for later calls. An item may use the calls of
+        items started before it.
         """
-        if not (self.config.mode == "remote" and self.config.max_in_flight > 1):
+        if self.config.mode != "remote":
             return [cache(partial(self._capture, fn, item)) for item in items]
         if self._pool is None:
             self._pool = ThreadPoolExecutor(self.config.max_in_flight,
                                             thread_name_prefix="newsdrift-gateway")
-        futures = [self._pool.submit(self._capture, fn, item) for item in items]
-
-        def wait(future):
-            try:
-                return future.result()
-            except BaseException:
-                for other in futures:
-                    other.cancel()
-                raise
-        return [partial(wait, future) for future in futures]
-
-    # -- replay ------------------------------------------------------------
-
-    def _load_replay_index(self, path: Path):
-        """Keep each tag's first ok record, or its last record when none is ok."""
-        answered: set[str] = set()
-        for record in read_records(path, ReplayError):
-            tag = record["tag"]
-            if tag not in answered:
-                self._replay_index[tag] = (record["raw_response"],
-                                           _prompt_digest(record["system"], record["user"]))
-                if record["ok"]:
-                    answered.add(tag)
+        return [self._pool.submit(self._capture, fn, item).result for item in items]
 
     def counters(self) -> dict:
         """Exchanges and fallbacks per schema, from the tag map, and the log's line count."""

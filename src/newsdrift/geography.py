@@ -4,18 +4,6 @@ from __future__ import annotations
 
 from .errors import ValidationError
 
-REGIONS = (
-    "New England",
-    "Middle Atlantic",
-    "East North Central",
-    "West North Central",
-    "South Atlantic",
-    "East South Central",
-    "West South Central",
-    "Mountain",
-    "Pacific",
-)
-
 _REGION_STATES = {
     "New England": ("CT", "MA", "ME", "NH", "RI", "VT"),
     "Middle Atlantic": ("NJ", "NY", "PA"),
@@ -27,6 +15,8 @@ _REGION_STATES = {
     "Mountain": ("AZ", "CO", "ID", "MT", "NM", "NV", "UT", "WY"),
     "Pacific": ("AK", "CA", "HI", "OR", "WA"),
 }
+
+REGIONS = tuple(_REGION_STATES)
 
 STATE_TO_REGION = {
     state: region for region, states in _REGION_STATES.items() for state in states

@@ -27,7 +27,7 @@ from .interventions import apply_intervention, debias_payload
 from .modes import validate_ablation, validate_intervention
 from .profiles import AgentProfile, load_profiles, sample_agents
 from .reflection import OpinionState, apply_updates, reflect_batch
-from .surveys import (BREAKDOWN_FIELDS, GroundTruthSeries, MAE_BASES, aggregate_year,
+from .surveys import (BREAKDOWN_FIELDS, GroundTruthSeries, aggregate_year,
                       demographic_breakdown, domain_influence, mae,
                       overall_valence, survey_response)
 from .taxonomy import TopicTaxonomy, load_taxonomy
@@ -87,9 +87,11 @@ class RunConfig:
                 and all(is_number(year, int) for year in self.years)):
             raise ConfigError(f"years must be two integers, first and last: {self.years!r}")
         object.__setattr__(self, "years", tuple(self.years))
+        if self.batch_size is None:
+            object.__setattr__(self, "batch_size", self.reads_per_year)
         for name in ("seed", "n_agents", "headlines_per_agent", "reads_per_year", "batch_size"):
             value = getattr(self, name)
-            if not (is_number(value, int) or name == "batch_size" and value is None):
+            if not is_number(value, int):
                 raise ConfigError(f"{name} must be an integer: {value!r}")
         lo, hi = self.years
         if lo > hi:
@@ -98,12 +100,8 @@ class RunConfig:
             raise ConfigError("n_agents must be positive")
         if not (1 <= self.reads_per_year <= self.headlines_per_agent):
             raise ConfigError("reads_per_year must lie in [1, headlines_per_agent]")
-        if not (1 <= self.effective_batch <= self.reads_per_year):
+        if not (1 <= self.batch_size <= self.reads_per_year):
             raise ConfigError("batch_size must lie in [1, reads_per_year]")
-
-    @property
-    def effective_batch(self) -> int:
-        return self.batch_size if self.batch_size is not None else self.reads_per_year
 
     def validate(self):
         """Check what only a run needs; build-profiles reads a config without paths."""
@@ -119,7 +117,7 @@ class RunConfig:
         # where files go and how many requests overlap change no result
         del doc["out_dir"], doc["backend"]["replay_log"], doc["backend"]["max_in_flight"]
         doc["backend"]["backoff_seconds"] = list(self.backend.backoff_seconds)
-        return {**doc, "years": list(self.years), "batch_size": self.effective_batch}
+        return {**doc, "years": list(self.years)}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True)
@@ -266,14 +264,14 @@ def _choose(config: RunConfig, env: RunEnv, gateway: Gateway, year: int):
             config.ablation, tag=f"select:{year}:{profile.agent_id}",
         )
         payloads = retrieve_full_text(env.index, selected, config.ablation)
-        return offer, selected, _chunk(list(payloads), config.effective_batch)
+        return offer, selected, _chunk(list(payloads), config.batch_size)
 
     return gateway.start(choose, env.agents)
 
 
 def _start_year(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState,
                 year: int, chosen: list):
-    """Rewrite the year's uncached debias reads, then start every agent's
+    """Rewrite the year's debias reads, then start every agent's
     reading and survey; return one call per agent that returns its
     ((opinion, updates, trace row), records), its selection's records first.
 
@@ -293,8 +291,7 @@ def _start_year(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunStat
         for i, ((_, _, batches), _) in enumerate(choice() for choice in chosen):
             for j, batch in enumerate(batches):
                 for payload in batch:
-                    if payload.article_id not in state.cache:
-                        first_reader.setdefault(payload.article_id, (payload, (i, j)))
+                    first_reader.setdefault(payload.article_id, (payload, (i, j)))
         readers = list(first_reader.values())
         held = gateway.start(lambda entry: debias_payload(
             entry[0], gateway, env.lexicon, state.cache), readers)
@@ -384,7 +381,7 @@ def _year_result(out_dir: Path, year: int, agent_ids: list[str]) -> tuple[dict, 
     missing = [a for a in agent_ids if a not in per_agent]
     if missing:
         raise ResumeError(f"year {year} is complete but {path} lacks agents {missing}")
-    return (aggregate_year(year, per_agent, agent_ids),
+    return (aggregate_year(year, per_agent),
             sum(len(row["offer_ids"]) for row in rows), sum(len(row["reads"]) for row in rows))
 
 
@@ -436,6 +433,9 @@ def resume(out_dir: str | Path, config: RunConfig | None = None,
                           f"{type(exc).__name__}: {exc}") from None
     if drift:
         raise ResumeError("config does not match checkpoint: " + "; ".join(drift))
+    lost = [year for year in state.completed_years if not _trace_path(out_dir, year).exists()]
+    if lost:
+        raise ResumeError(f"checkpoint {ck_path} names completed years without a trace: {lost}")
     config.validate()
 
     current = config.fingerprints()
@@ -450,6 +450,12 @@ def resume(out_dir: str | Path, config: RunConfig | None = None,
     env = _load_environment(config, current)
     if env.header["agent_ids"] != ck["agent_ids"]:
         raise ResumeError("agent sample no longer matches checkpoint")
+    domains = set(env.taxonomy.names)
+    if set(state.states) != set(ck["agent_ids"]) or not all(
+            opinion.agent_id == agent_id and opinion.valences.keys() == domains
+            and opinion.exposures.keys() == domains for agent_id, opinion in state.states.items()):
+        raise ResumeError(f"checkpoint {ck_path} does not hold one opinion state per sampled "
+                          f"agent over exactly the taxonomy's domains")
 
     return _continue(config, env, state, ck["replay_lines"], stop_after_year)
 
@@ -535,7 +541,7 @@ def _finalize(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState)
     error = None
     if env.truth is not None and len(env.truth):
         if any(r["year"] in env.truth.by_year for r in results):
-            error = {basis: mae(results, env.truth, basis) for basis in MAE_BASES}
+            error = mae(results, env.truth)
         else:
             log.warning("ground truth and simulation share no years; skipping MAE")
 

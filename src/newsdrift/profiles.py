@@ -1,6 +1,6 @@
 """Synthetic population construction.
 
-Social-media records supply state, bio, and post text; survey respondent
+Social-media records supply state and post text; survey respondent
 records supply region plus the 42 preference/view fields. Records are
 paired on region and demographics, interests are tagged from post and
 media-preference text, and the result is a fixed-arity profile per agent:
@@ -40,7 +40,6 @@ class SocialMediaRecord:
     gender: str
     race: str
     party: str
-    bio: str = ""
     posts: tuple[str, ...] = ()
 
 
@@ -170,7 +169,6 @@ def load_social_records(path: str | Path, taxonomy: TopicTaxonomy) -> list[Socia
             gender=doc["gender"],
             race=doc["race"],
             party=doc["party"],
-            bio=doc.get("bio", ""),
             posts=tuple(doc.get("posts", [])),
         )
         state_to_region(record.state)

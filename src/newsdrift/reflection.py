@@ -21,7 +21,8 @@ from functools import partial
 
 from . import prompts
 from .errors import ValidationError
-from .gateway import GenerationRequest, MockLexicon, clamp_valence, mock_sentiment
+from .gateway import (VALENCE_MAX, VALENCE_MIN, GenerationRequest, MockLexicon, clamp_valence,
+                      is_number, mock_sentiment)
 from .taxonomy import TopicTaxonomy
 
 log = logging.getLogger(__name__)
@@ -57,12 +58,18 @@ class OpinionState:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "OpinionState":
-        return cls(
-            agent_id=doc["agent_id"],
-            valences={k: float(v) for k, v in doc["valences"].items()},
-            exposures={k: int(v) for k, v in doc["exposures"].items()},
-            last_response=doc.get("last_response"),
-        )
+        """Read a checkpointed state, refusing values no run writes, such as true or "1.5"."""
+        state = cls(doc["agent_id"], dict(doc["valences"]), dict(doc["exposures"]),
+                    doc.get("last_response"))
+        last = state.last_response
+        if not (all(is_number(v) and VALENCE_MIN <= v <= VALENCE_MAX
+                    for v in state.valences.values())
+                and all(is_number(n, int) and n >= 0 for n in state.exposures.values())
+                and (last is None or is_number(last, int) and 1 <= last <= 4)):
+            raise ValueError(f"the state of {state.agent_id!r} holds a valence that is no number "
+                             f"in [-2, 2], an exposure that is no count, or a last response "
+                             f"other than null or 1-4")
+        return state
 
 
 @dataclass
@@ -169,7 +176,8 @@ def reflect_batch(profile, payloads, state: OpinionState, gateway,
 
 def apply_updates(state: OpinionState, outcome: ReflectionOutcome,
                   year: int) -> tuple[OpinionState, list[dict]]:
-    """Rewrite touched domains, bump their exposures, freeze the rest."""
+    """Rewrite touched domains, bump their exposures, freeze the rest; ``reflect_batch``
+    names only taxonomy domains, and only valences in range."""
     new_state = OpinionState(
         agent_id=state.agent_id,
         valences=dict(state.valences),
@@ -178,11 +186,7 @@ def apply_updates(state: OpinionState, outcome: ReflectionOutcome,
     )
     updates = []
     for domain, entry in outcome.domains.items():
-        if domain not in state.valences:
-            log.warning("rejecting update for unknown domain %r", domain)
-            continue
-        old = state.valences[domain]
-        new = clamp_valence(float(entry["new_valence"]))
+        old, new = state.valences[domain], entry["new_valence"]
         new_state.valences[domain] = new
         new_state.exposures[domain] += outcome.batch_counts.get(domain, 0)
         updates.append({

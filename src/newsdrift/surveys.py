@@ -56,12 +56,8 @@ def survey_response(profile, state: OpinionState, gateway,
     return gateway.generate(request, mock, fallback=mock)
 
 
-def aggregate_year(year: int, per_agent: dict[str, tuple[float, int]],
-                   expected_agents) -> dict:
-    """Summarize one year; every expected agent must have responded."""
-    missing = [a for a in expected_agents if a not in per_agent]
-    if missing:
-        raise ValidationError(f"year {year}: no survey response for {missing}")
+def aggregate_year(year: int, per_agent: dict[str, tuple[float, int]]) -> dict:
+    """Summarize one year from each agent's (overall valence, response)."""
     n = len(per_agent)
     favorable = sum(
         1 for _, response in per_agent.values() if response in FAVORABLE_RESPONSES
@@ -120,10 +116,8 @@ class GroundTruthSeries:
             raise ValidationError(f"ground truth {path}: {exc}") from None
 
 
-def mae(sim_results: list[dict], truth: GroundTruthSeries,
-        basis: str = "both_averaged") -> float:
-    if basis not in MAE_BASES:
-        raise ConfigError(f"unknown error basis: {basis!r}")
+def mae(sim_results: list[dict], truth: GroundTruthSeries) -> dict[str, float]:
+    """Mean absolute error over the shared years, for each of ``MAE_BASES``."""
     overlap = [r for r in sim_results if r["year"] in truth.by_year]
     if not overlap:
         raise ValidationError("simulation and ground truth share no years")
@@ -135,11 +129,8 @@ def mae(sim_results: list[dict], truth: GroundTruthSeries,
 
     favorable_error = series_error("favorable_pct", 0)
     unfavorable_error = series_error("unfavorable_pct", 1)
-    if basis == "favorable":
-        return favorable_error
-    if basis == "unfavorable":
-        return unfavorable_error
-    return (favorable_error + unfavorable_error) / 2.0
+    return dict(zip(MAE_BASES, (favorable_error, unfavorable_error,
+                                (favorable_error + unfavorable_error) / 2.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -114,9 +114,9 @@ def test_criterion_1_equation_suite():
     truth_shift = GroundTruthSeries(
         {r["year"]: (r["favorable_pct"] + 5.0, r["unfavorable_pct"] + 5.0)
          for r in rows})
-    assert mae(rows, truth_same, "both_averaged") == 0.0
-    assert mae(rows, truth_shift, "both_averaged") == pytest.approx(5.0)
-    assert mae(rows, truth_shift, "favorable") == pytest.approx(5.0)
+    assert mae(rows, truth_same)["both_averaged"] == 0.0
+    assert mae(rows, truth_shift)["both_averaged"] == pytest.approx(5.0)
+    assert mae(rows, truth_shift)["favorable"] == pytest.approx(5.0)
 
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0

@@ -356,6 +356,17 @@ def test_replay_surfaces_recorded_failures(tmp_path):
     assert replay.generate(_req("s:1"), fallback=lambda: 2) == 2
     assert replay.counters()["fallback_counts"] == {"survey_answer": 1}
 
+    # a failed attempt before the tag's ok record: the ok record is served
+    answered = {**record, "seq": 2, "raw_response": "3", "parsed": 3, "ok": True}
+    log.write_text(json.dumps(record) + "\n" + json.dumps(answered) + "\n")
+    replay = Gateway(BackendConfig(mode="replay", replay_log=str(log)))
+    assert replay.generate(_req("s:1"), fallback=lambda: 2) == 3
+    resumed = Gateway(BackendConfig(mode="mock"), log_path=log, replay_lines=2)
+    for gateway in (replay, resumed):
+        counts = gateway.counters()
+        assert (counts["request_counts"], counts["fallback_counts"]) \
+            == ({"survey_answer": 1}, {})
+
 
 def test_replay_refuses_a_changed_prompt(tmp_path):
     log = tmp_path / "replay.jsonl"

@@ -560,9 +560,12 @@ def test_resume_refuses_a_damaged_trace_of_a_completed_year(make_config, damage)
         trace.write_text(trace.read_text().splitlines()[0] + "\n")
     else:
         trace.write_text(trace.read_text()[:-9])
+    files = _tree(Path(config.out_dir))
     with pytest.raises(ResumeError, match="2005"):
         resume(config.out_dir)
     assert not (Path(config.out_dir) / "results.json").exists()
+    if damage == "delete":  # refused before anything is cut back or run
+        assert _tree(Path(config.out_dir)) == files
 
 
 # --- a kill at any write ---
@@ -702,6 +705,17 @@ def test_cli_run_and_report(tmp_path, make_config, capsys):
     assert cli.main(["report", "--out", str(out_dir)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["years"] == 2 and "domain_influence" in doc
+
+
+def test_cli_report_recomputes_every_mae_basis_from_ground_truth(make_config, fixtures_dir,
+                                                                  capsys):
+    truth = str(fixtures_dir / "ground_truth.csv")
+    config = make_config(n_agents=2, ground_truth_path=truth)
+    run(config)
+    results = json.loads((Path(config.out_dir) / "results.json").read_text())
+    assert cli.main(["report", "--out", config.out_dir, "--ground-truth", truth]) == 0
+    assert json.loads(capsys.readouterr().out)["mae"] == results["mae"]
+    assert set(results["mae"]) == set(MAE_BASES)
 
 
 def test_cli_report_gives_each_schemas_exchanges_and_latency(tmp_path, make_config, capsys):
@@ -983,6 +997,9 @@ def _first_state(ck: dict) -> dict:
     return next(iter(ck["states"].values()))
 
 
+_BAD_STATE = ("ValueError: the state of 'agent-0005' holds a valence that is no number in "
+              "[-2, 2], an exposure that is no count, or a last response other than null or 1-4")
+
 # damage -> (what it does to a checkpoint that has every key, what the error says)
 _BAD_CHECKPOINT_VALUES = {
     "state_empty": (lambda ck: ck["states"].update(dict.fromkeys(ck["states"], {})),
@@ -1005,8 +1022,18 @@ _BAD_CHECKPOINT_VALUES = {
     "fingerprints_a_list": (lambda ck: ck.update(fingerprints=[]),
                             "TypeError: 'list' object is not a mapping"),
     "valence_not_a_number": (lambda ck: _first_state(ck)["valences"].update(
-        dict.fromkeys(_first_state(ck)["valences"], "x")),
-        "ValueError: could not convert string to float: 'x'"),
+        dict.fromkeys(_first_state(ck)["valences"], "x")), _BAD_STATE),
+    "valence_true": (lambda ck: _first_state(ck)["valences"].update(economics=True), _BAD_STATE),
+    "valence_a_numeral": (lambda ck: _first_state(ck)["valences"].update(economics="1.5"),
+                          _BAD_STATE),
+    "valence_beyond_the_scale": (lambda ck: _first_state(ck)["valences"].update(economics=99.0),
+                                 _BAD_STATE),
+    "exposure_a_fraction": (lambda ck: _first_state(ck)["exposures"].update(economics=2.7),
+                            _BAD_STATE),
+    "exposure_negative": (lambda ck: _first_state(ck)["exposures"].update(economics=-3),
+                          _BAD_STATE),
+    "last_response_a_string": (lambda ck: _first_state(ck).update(last_response="x"), _BAD_STATE),
+    "last_response_true": (lambda ck: _first_state(ck).update(last_response=True), _BAD_STATE),
 }
 
 
@@ -1027,6 +1054,35 @@ def test_resume_refuses_a_checkpoint_value_it_cannot_read(make_config, caplog, d
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1
     assert f"checkpoint {out / 'checkpoint.json'} is not a checkpoint: {message}" in errors[0]
+    assert _tree(out) == files
+
+
+# damage -> what it does to a readable checkpoint
+_MISFIT_STATES = {
+    "state_missing_an_agent": lambda ck: ck["states"].pop(next(iter(ck["states"]))),
+    "state_of_another_agent": lambda ck: _first_state(ck).update(agent_id="agent-9999"),
+    "state_missing_a_domain": lambda ck: [_first_state(ck)[key].pop("economics")
+                                          for key in ("valences", "exposures")],
+    "state_with_an_unknown_domain": lambda ck: _first_state(ck)["valences"].update(astrology=0.0),
+}
+
+
+@pytest.mark.parametrize("damage", list(_MISFIT_STATES))
+def test_resume_refuses_opinion_states_that_do_not_fit_the_run(make_config, caplog, damage):
+    """Each state must belong to one sampled agent and cover exactly the taxonomy's domains."""
+    config = make_config(n_agents=3, intervention="debias")
+    run(config, stop_after_year=2005)
+    out = Path(config.out_dir)
+    ck = json.loads((out / "checkpoint.json").read_text())
+    _MISFIT_STATES[damage](ck)
+    (out / "checkpoint.json").write_text(json.dumps(ck))
+    (out / "replay.jsonl").write_text((out / "replay.jsonl").read_text() + "{}\n")
+    files = _tree(out)
+    assert cli.main(["resume", "--out", str(out)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert errors[0] == (f"checkpoint {out / 'checkpoint.json'} does not hold one opinion state "
+                         f"per sampled agent over exactly the taxonomy's domains")
     assert _tree(out) == files
 
 

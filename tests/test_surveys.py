@@ -99,7 +99,7 @@ def test_survey_falls_back_to_threshold(taxonomy):
 
 def test_aggregate_worked_example():
     per_agent = {"a": (0.5, 3), "b": (1.5, 4), "c": (1.2, 4), "d": (-0.3, 2)}
-    result = aggregate_year(2010, per_agent, expected_agents=list(per_agent))
+    result = aggregate_year(2010, per_agent)
     assert result["favorable_pct"] == 75.0
     assert result["unfavorable_pct"] == 25.0
     assert result["favorable_pct"] + result["unfavorable_pct"] == 100.0
@@ -110,21 +110,16 @@ def test_aggregate_worked_example():
 
 def test_aggregate_all_unfavorable():
     per_agent = {f"a{i}": (-2.0, 1) for i in range(5)}
-    result = aggregate_year(2010, per_agent, expected_agents=list(per_agent))
+    result = aggregate_year(2010, per_agent)
     assert result["favorable_pct"] == 0.0
     assert result["unfavorable_pct"] == 100.0
 
 
 def test_aggregate_homogeneous():
     per_agent = {f"a{i}": (0.5, 3) for i in range(100)}
-    result = aggregate_year(2010, per_agent, expected_agents=list(per_agent))
+    result = aggregate_year(2010, per_agent)
     assert result["favorable_pct"] == 100.0
     assert result["mean_response"] == 3.0
-
-
-def test_aggregate_missing_agent_fatal():
-    with pytest.raises(ValidationError):
-        aggregate_year(2010, {"a": (0.0, 2)}, expected_agents=["a", "b"])
 
 
 # ---------------------------------------------------------------------------
@@ -139,33 +134,31 @@ def _results(pairs):
 def test_mae_identity():
     truth = GroundTruthSeries({2010: (40.0, 60.0), 2011: (45.0, 55.0)})
     sim = _results([(2010, 40.0), (2011, 45.0)])
-    assert mae(sim, truth, basis="favorable") == 0.0
-    assert mae(sim, truth, basis="unfavorable") == 0.0
-    assert mae(sim, truth) == 0.0
+    assert mae(sim, truth) == {"favorable": 0.0, "unfavorable": 0.0, "both_averaged": 0.0}
 
 
 def test_mae_constant_shift():
     truth = GroundTruthSeries({2010: (40.0, 50.0), 2011: (45.0, 45.0)})
     sim = _results([(2010, 45.0), (2011, 50.0)])
-    assert mae(sim, truth, basis="favorable") == pytest.approx(5.0)
+    assert mae(sim, truth)["favorable"] == pytest.approx(5.0)
 
 
 def test_mae_asymmetric_example():
     truth = GroundTruthSeries({2010: (40.0, 60.0), 2011: (60.0, 40.0)})
     sim = _results([(2010, 50.0), (2011, 40.0)])
-    assert mae(sim, truth, basis="favorable") == pytest.approx(15.0)
+    assert mae(sim, truth)["favorable"] == pytest.approx(15.0)
 
 
 def test_mae_averages_both_series():
     truth = GroundTruthSeries({2010: (40.0, 50.0)})
     sim = [{"year": 2010, "favorable_pct": 44.0, "unfavorable_pct": 52.0}]
-    assert mae(sim, truth, basis="both_averaged") == pytest.approx(3.0)
+    assert mae(sim, truth)["both_averaged"] == pytest.approx(3.0)
 
 
 def test_mae_restricted_to_overlap():
     truth = GroundTruthSeries({2010: (40.0, 60.0)})
     sim = _results([(2010, 40.0), (2011, 99.0)])
-    assert mae(sim, truth) == 0.0
+    assert mae(sim, truth)["both_averaged"] == 0.0
 
 
 def test_mae_requires_overlap_and_known_basis():
@@ -173,8 +166,6 @@ def test_mae_requires_overlap_and_known_basis():
     sim = _results([(2010, 40.0)])
     with pytest.raises(ValidationError):
         mae(sim, truth)
-    with pytest.raises(ConfigError):
-        mae(_results([(1990, 40.0)]), truth, basis="median")
 
 
 def test_ground_truth_validation():
