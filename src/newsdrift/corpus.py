@@ -27,7 +27,7 @@ YEAR_MIN, YEAR_MAX = 2005, 2025  # the study window; other years are rejected
 REJECT_WARN_FRACTION = 0.10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Article:
     article_id: str
     year: int

@@ -8,17 +8,16 @@ order. Offers carry headline text only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
 
 from . import prompts
 from .corpus import CorpusIndex
 from .errors import YearEmptyError
-from .gateway import GenerationRequest, MockLexicon, mock_sentiment
+from .gateway import GenerationRequest, MockLexicon, mock_sentiment, run_once
 from .seeding import stable_rng
 from .taxonomy import TopicTaxonomy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeadlineOffer:
     agent_id: str
     year: int
@@ -29,7 +28,7 @@ class HeadlineOffer:
         return tuple(article_id for article_id, _ in self.offers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Payload:
     article_id: str
     headline: str
@@ -77,7 +76,7 @@ def select_articles(profile, offer: HeadlineOffer, m: int, gateway,
     if ablation == "no_selection":
         return offer.ids[:m]
 
-    ranked = cache(partial(mock_ranking, profile, offer, taxonomy, lexicon))  # once, if needed
+    ranked = run_once(mock_ranking, profile, offer, taxonomy, lexicon)  # once, if needed
     id_by_index = {n: article_id for n, article_id in enumerate(offer.ids, start=1)}
     index_by_id = {article_id: n for n, article_id in id_by_index.items()}
     mock_picks = lambda: [index_by_id[article_id] for article_id in ranked()[:m]]  # noqa: E731

@@ -25,7 +25,7 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -52,6 +52,11 @@ VALENCE_MAX = 2.0
 # a token mock_sentiment scores: a longest run of these in the lower-cased text
 WORD = re.compile(r"[a-z0-9']+")
 
+# one of each for the run: neither keeps state between calls, and the decoder's
+# C scanner holds the interpreter lock while it reads, so remote workers share it
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+_DECODER = json.JSONDecoder()
+
 log = logging.getLogger(__name__)
 
 
@@ -59,7 +64,7 @@ log = logging.getLogger(__name__)
 # Request / config types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenerationRequest:
     role_preamble: str
     user_text: str
@@ -190,11 +195,10 @@ def clamp_valence(value: float) -> float:
 
 def extract_json_value(text: str):
     """Parse the first balanced JSON object or array embedded in text."""
-    decoder = json.JSONDecoder()
     for i, ch in enumerate(text):
         if ch in "{[":
             try:
-                value, _ = decoder.raw_decode(text, i)
+                value, _ = _DECODER.raw_decode(text, i)
                 return value
             except json.JSONDecodeError:
                 continue
@@ -296,8 +300,21 @@ def serialize_for_log(schema: str, value) -> str:
     if schema == "critique_text":
         return value
     if schema == "debiased_text":
-        return json.dumps({"debiased_text": value}, sort_keys=True, ensure_ascii=False)
-    return json.dumps(value, sort_keys=True, ensure_ascii=False)
+        return _ENCODER.encode({"debiased_text": value})
+    return _ENCODER.encode(value)
+
+
+def run_once(fn, *args):
+    """A zero-argument call that runs fn(*args) at its first use and returns that
+    result then and at every later use; a call that raises keeps nothing, so the
+    next use runs fn again."""
+    done = []
+
+    def call():
+        if not done:
+            done.append(fn(*args))
+        return done[0]
+    return call
 
 
 def _prompt_digest(system: str, user: str) -> bytes:
@@ -436,11 +453,11 @@ class Gateway:
         time, one after another when that is 1; a call waits for its item and
         raises its failure, and ``close`` cancels the items not yet begun. Mock
         and replay run an item at its call's first use, in the calling thread,
-        and keep the outcome for later calls. An item may use the calls of
-        items started before it.
+        and keep its result for later calls (``run_once``). An item may use
+        the calls of items started before it.
         """
         if self.config.mode != "remote":
-            return [cache(partial(self._capture, fn, item)) for item in items]
+            return [run_once(self._capture, fn, item) for item in items]
         if self._pool is None:
             self._pool = ThreadPoolExecutor(self.config.max_in_flight,
                                             thread_name_prefix="newsdrift-gateway")
@@ -488,7 +505,7 @@ class Gateway:
         if self._log_fh is None:
             # line buffering hands every record to the OS as it is written
             self._log_fh = self._log_path.open("a", encoding="utf-8", buffering=1)
-        self._log_fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+        self._log_fh.write(_ENCODER.encode(record) + "\n")
 
     # -- backends ------------------------------------------------------------
 

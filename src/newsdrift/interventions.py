@@ -8,7 +8,6 @@ reflection step reads alongside the batch.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from functools import partial
 
@@ -46,7 +45,7 @@ def debias_payload(payload: Payload, gateway, lexicon: MockLexicon,
         cached = cache[payload.article_id] = (
             [payload.full_text, True] if text is None else [text, False])
     text, failed = cached
-    return dataclasses.replace(payload, full_text=text, debiased=not failed)
+    return Payload(payload.article_id, payload.headline, text, not failed, payload.category)
 
 
 def _mock_critique(payloads, lexicon: MockLexicon) -> str:

@@ -1,17 +1,17 @@
 """Prompt construction for every backend exchange.
 
 Templates live under data/prompts/ and are filled by literal placeholder
-replacement; str.format is unusable here because several templates contain
-raw JSON braces. The first paragraph of each template acts as the system
-preamble, the remainder as the user message.
+replacement in one pass, so a value holding a placeholder goes in verbatim;
+str.format is unusable here because several templates contain raw JSON
+braces. The first paragraph of each template acts as the system preamble,
+the remainder as the user message.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from importlib import resources
-
-from .errors import ValidationError
 
 NO_PROFILE_TEXT = "(no profile available)"
 
@@ -23,6 +23,8 @@ _DISSONANCE_END = (
 )
 _ACTION_MENU = '"action": "confirm|revise|reinforce|dismiss"'
 _ACTION_NONE = '"action": "none"'
+# a template's placeholder; the templates' raw JSON braces never match it
+_PLACEHOLDER = re.compile(r"\{(\w+)\}")
 
 
 @lru_cache(maxsize=None)
@@ -37,13 +39,8 @@ def template_bytes() -> bytes:
 
 
 def _fill(template: str, mapping: dict[str, str]) -> str:
-    text = template
-    for key, value in mapping.items():
-        text = text.replace("{" + key + "}", value)
-    for key in mapping:
-        if "{" + key + "}" in text:
-            raise ValidationError(f"placeholder {{{key}}} survived substitution")
-    return text
+    """Put in each {key}'s value in one pass over the template, so values go in verbatim."""
+    return _PLACEHOLDER.sub(lambda match: mapping[match.group(1)], template)
 
 
 def split_role(text: str) -> tuple[str, str]:

@@ -33,13 +33,16 @@ def profiles_path(tmp_path_factory, taxonomy) -> Path:
     """Profiles built once from the shipped 60-record population fixture."""
     out = tmp_path_factory.mktemp("profiles")
     gateway = Gateway(BackendConfig(mode="mock"), log_path=out / "build_replay.jsonl")
-    build_profiles(
-        FIXTURES / "social_records.jsonl",
-        FIXTURES / "survey_records.jsonl",
-        taxonomy,
-        gateway,
-        out_path=out / "profiles.json",
-    )
+    try:
+        build_profiles(
+            FIXTURES / "social_records.jsonl",
+            FIXTURES / "survey_records.jsonl",
+            taxonomy,
+            gateway,
+            out_path=out / "profiles.json",
+        )
+    finally:
+        gateway.close()
     return out / "profiles.json"
 
 
@@ -72,5 +75,19 @@ def make_config(profiles_path, tmp_path):
 
 
 @pytest.fixture
-def mock_gateway(tmp_path):
-    return Gateway(BackendConfig(mode="mock"), log_path=tmp_path / "replay.jsonl")
+def open_gateway():
+    """Gateway(...) for one test; each gateway it made is closed when the test ends."""
+    made = []
+
+    def factory(*args, **kwargs) -> Gateway:
+        made.append(Gateway(*args, **kwargs))
+        return made[-1]
+
+    yield factory
+    for gateway in made:
+        gateway.close()
+
+
+@pytest.fixture
+def mock_gateway(open_gateway, tmp_path):
+    return open_gateway(BackendConfig(mode="mock"), log_path=tmp_path / "replay.jsonl")

@@ -147,10 +147,10 @@ def test_criterion_2_deterministic_reruns(make_config):
 # --- criterion 3: profile pipeline invariants ---
 
 
-def test_criterion_3_profile_pipeline(tmp_path, fixtures_dir, taxonomy):
+def test_criterion_3_profile_pipeline(tmp_path, fixtures_dir, taxonomy, open_gateway):
     social_path = fixtures_dir / "social_records.jsonl"
     survey_path = fixtures_dir / "survey_records.jsonl"
-    gateway = Gateway(BackendConfig(mode="mock"), log_path=tmp_path / "b.jsonl")
+    gateway = open_gateway(BackendConfig(mode="mock"), log_path=tmp_path / "b.jsonl")
     profiles, report = build_profiles(
         social_path, survey_path, taxonomy, gateway,
         out_path=tmp_path / "profiles.json")
@@ -286,8 +286,11 @@ def default_shape_inputs(tmp_path_factory, taxonomy):
     synthgen.write_jsonl(root / "survey.jsonl", survey)
     synthgen.write_jsonl(root / "corpus.jsonl", synthgen.mixed_corpus())
     gateway = Gateway(BackendConfig(mode="mock"), log_path=root / "b.jsonl")
-    build_profiles(root / "social.jsonl", root / "survey.jsonl", taxonomy,
-                   gateway, out_path=root / "profiles.json")
+    try:
+        build_profiles(root / "social.jsonl", root / "survey.jsonl", taxonomy,
+                       gateway, out_path=root / "profiles.json")
+    finally:
+        gateway.close()
     return root
 
 

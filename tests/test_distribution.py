@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from newsdrift.corpus import ingest
+from newsdrift.corpus import Article, ingest
 from newsdrift.distribution import (
     HeadlineOffer,
     Payload,
@@ -16,9 +17,21 @@ from newsdrift.distribution import (
     select_articles,
 )
 from newsdrift.errors import CorpusError, YearEmptyError
-from newsdrift.gateway import BackendConfig, Gateway
+from newsdrift.gateway import BackendConfig, Gateway, GenerationRequest
 from newsdrift.orchestrator import run
 from newsdrift.taxonomy import TopicTaxonomy
+
+
+@pytest.mark.parametrize("record, field", [
+    (Article("a1", 2010, "src", "Headline"), "headline"),
+    (Payload("a1", "Headline", "Text"), "full_text"),
+    (HeadlineOffer("agent-0000", 2010, (("a1", "Headline"),)), "offers"),
+    (GenerationRequest("system", "user", "survey_answer", "s:1"), "user_text"),
+])
+def test_per_read_records_are_frozen_and_slotted(record, field):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, "changed")
+    assert not hasattr(record, "__dict__")
 
 
 class FakeProfile:
@@ -121,8 +134,8 @@ def test_run_matches_each_offered_headline_once(make_config, monkeypatch):
     assert {scans[headline] for headline in offered} == {1}
 
 
-def test_mock_selection_returns_top_ranked(taxonomy, lexicon, tmp_path):
-    gw = Gateway(BackendConfig(mode="mock"), log_path=tmp_path / "r.jsonl")
+def test_mock_selection_returns_top_ranked(taxonomy, lexicon, tmp_path, open_gateway):
+    gw = open_gateway(BackendConfig(mode="mock"), log_path=tmp_path / "r.jsonl")
     offer = HeadlineOffer("agent-0000", 2010, (
         ("a1", "China farm report"),
         ("a2", "China technology briefing"),
@@ -148,8 +161,8 @@ def test_no_selection_skips_backend(taxonomy, lexicon, tmp_path):
     assert not log.exists()
 
 
-def test_select_all_of_offer(taxonomy, lexicon, tmp_path):
-    gw = Gateway(BackendConfig(mode="mock"), log_path=tmp_path / "r.jsonl")
+def test_select_all_of_offer(taxonomy, lexicon, tmp_path, open_gateway):
+    gw = open_gateway(BackendConfig(mode="mock"), log_path=tmp_path / "r.jsonl")
     offer = HeadlineOffer("agent-0000", 2010,
                           tuple((f"a{i}", f"China item {i}") for i in range(4)))
     picked = select_articles(FakeProfile, offer, 4, gw, taxonomy, lexicon,

@@ -14,6 +14,7 @@ import socket
 import ssl
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -205,6 +206,32 @@ def test_serialize_round_trips_each_schema():
         assert parse_structured(schema, serialize_for_log(schema, value)) == value
 
 
+# nested JSON values; hypothesis's text draws from all of Unicode
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=10)
+
+
+@settings(max_examples=50, deadline=None)
+@given(value=_JSON_VALUES, text=st.text(st.characters(min_codepoint=0x80), min_size=1))
+def test_log_json_is_json_dumps_with_sorted_keys_and_text_unescaped(value, text):
+    nested = {"z": [text, value], text: {"a": value}}
+    dumps = lambda doc: json.dumps(doc, sort_keys=True, ensure_ascii=False)  # noqa: E731
+    assert serialize_for_log("reflection_update", nested) == dumps(nested)
+    assert serialize_for_log("debiased_text", text) == dumps({"debiased_text": text})
+    with tempfile.TemporaryDirectory() as folder:
+        gw = Gateway(BackendConfig(mode="mock"), log_path=Path(folder) / "r.jsonl")
+        request = GenerationRequest("system", text, "reflection_update", "r:1")
+        gw.emit([(request, text, nested, True, 0.0, 0.0)])
+        gw.close()
+        line = (Path(folder) / "r.jsonl").read_text("utf-8")
+    assert line == dumps({"seq": 1, "tag": "r:1", "schema": "reflection_update",
+                          "system": "system", "user": text, "temperature": 0.7,
+                          "max_tokens": 1024, "raw_response": text, "parsed": nested,
+                          "ok": True, "t_start": 0.0, "t_end": 0.0}) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # mock gateway + replay log
 # ---------------------------------------------------------------------------
@@ -213,9 +240,9 @@ def _req(tag, schema="survey_answer", **kw):
     return GenerationRequest("system text", "user text", schema, tag, **kw)
 
 
-def test_mock_gateway_logs_every_exchange(tmp_path):
+def test_mock_gateway_logs_every_exchange(tmp_path, open_gateway):
     log = tmp_path / "replay.jsonl"
-    gw = Gateway(BackendConfig(mode="mock"), log_path=log)
+    gw = open_gateway(BackendConfig(mode="mock"), log_path=log)
     assert gw.generate(_req("s:1"), mock=lambda: 3, fallback=lambda: None) == 3
     assert gw.generate(_req("s:2"), mock=lambda: 1, fallback=lambda: None) == 1
     lines = [json.loads(l) for l in log.read_text().splitlines()]
@@ -231,8 +258,8 @@ def test_mock_gateway_logs_every_exchange(tmp_path):
                              "t_start", "t_end"}
 
 
-def test_duplicate_tag_rejected(tmp_path):
-    gw = Gateway(BackendConfig(mode="mock"), log_path=tmp_path / "r.jsonl")
+def test_duplicate_tag_rejected(tmp_path, open_gateway):
+    gw = open_gateway(BackendConfig(mode="mock"), log_path=tmp_path / "r.jsonl")
     gw.generate(_req("dup"), mock=lambda: 2, fallback=lambda: None)
     with pytest.raises(ConfigError):
         gw.generate(_req("dup"), mock=lambda: 2, fallback=lambda: None)
@@ -325,21 +352,21 @@ def test_mock_requires_mock_value(tmp_path):
         gw.generate(_req("x"), fallback=lambda: None)
 
 
-def test_request_counts_by_schema(tmp_path):
-    gw = Gateway(BackendConfig(mode="mock"), log_path=tmp_path / "r.jsonl")
+def test_request_counts_by_schema(tmp_path, open_gateway):
+    gw = open_gateway(BackendConfig(mode="mock"), log_path=tmp_path / "r.jsonl")
     gw.generate(_req("a"), mock=lambda: 1, fallback=lambda: None)
     gw.generate(_req("b"), mock=lambda: 2, fallback=lambda: None)
     gw.generate(_req("c", schema="selection_list"), mock=lambda: [1], fallback=lambda: None)
     assert gw.counters()["request_counts"] == {"survey_answer": 2, "selection_list": 1}
 
 
-def test_replay_gateway_reserves_logged_values(tmp_path):
+def test_replay_gateway_reserves_logged_values(tmp_path, open_gateway):
     log = tmp_path / "replay.jsonl"
-    gw = Gateway(BackendConfig(mode="mock"), log_path=log)
+    gw = open_gateway(BackendConfig(mode="mock"), log_path=log)
     gw.generate(_req("s:1"), mock=lambda: 4, fallback=lambda: None)
 
-    replay = Gateway(BackendConfig(mode="replay", replay_log=str(log)),
-                     log_path=tmp_path / "second.jsonl")
+    replay = open_gateway(BackendConfig(mode="replay", replay_log=str(log)),
+                          log_path=tmp_path / "second.jsonl")
     assert replay.generate(_req("s:1"), mock=lambda: 1, fallback=lambda: None) == 4
     with pytest.raises(ReplayError):
         replay.generate(_req("s:unknown"), mock=lambda: 1, fallback=lambda: None)
@@ -368,11 +395,11 @@ def test_replay_surfaces_recorded_failures(tmp_path):
             == ({"survey_answer": 1}, {})
 
 
-def test_replay_refuses_a_changed_prompt(tmp_path):
+def test_replay_refuses_a_changed_prompt(tmp_path, open_gateway):
     log = tmp_path / "replay.jsonl"
-    Gateway(BackendConfig(mode="mock"), log_path=log).generate(_req("s:1"), mock=lambda: 4,
-                                                               fallback=lambda: None)
-    replay = Gateway(BackendConfig(mode="replay", replay_log=str(log)))
+    open_gateway(BackendConfig(mode="mock"), log_path=log).generate(
+        _req("s:1"), mock=lambda: 4, fallback=lambda: None)
+    replay = open_gateway(BackendConfig(mode="replay", replay_log=str(log)))
     changed = GenerationRequest("system text", "other user text", "survey_answer", "s:1")
     with pytest.raises(ReplayError, match="s:1"):
         replay.generate(changed, fallback=lambda: None)
@@ -526,10 +553,10 @@ def _remote_config(server, **kw):
     return BackendConfig(**defaults)
 
 
-def test_remote_happy_path(canned_server, tmp_path, monkeypatch):
+def test_remote_happy_path(canned_server, tmp_path, monkeypatch, open_gateway):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "sk-test-123")
     canned_server.script = [("ok", "the answer is 3")]
-    gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
+    gw = open_gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
     assert gw.generate(_req("s:1"), fallback=lambda: None) == 3
     sent = canned_server.requests[0]
     assert sent["auth"] == "Bearer sk-test-123"
@@ -544,10 +571,10 @@ def test_remote_requires_api_key(canned_server, monkeypatch):
         Gateway(_remote_config(canned_server))
 
 
-def test_remote_schema_retry_then_success(canned_server, tmp_path, monkeypatch):
+def test_remote_schema_retry_then_success(canned_server, tmp_path, monkeypatch, open_gateway):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("ok", "no digits"), ("ok", "4")]
-    gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
+    gw = open_gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
     assert gw.generate(_req("s:1"), fallback=lambda: None) == 4
     lines = [json.loads(l) for l in (tmp_path / "r.jsonl").read_text().splitlines()]
     # the failed attempt is logged too, then the success
@@ -555,20 +582,20 @@ def test_remote_schema_retry_then_success(canned_server, tmp_path, monkeypatch):
     assert lines[0]["raw_response"] == "no digits"
 
 
-def test_remote_schema_exhaustion(canned_server, tmp_path, monkeypatch):
+def test_remote_schema_exhaustion(canned_server, tmp_path, monkeypatch, open_gateway):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("ok", "nope")] * 3
-    gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
+    gw = open_gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
     assert gw.generate(_req("s:1"), fallback=lambda: 2) == 2
     assert gw.counters()["fallback_counts"] == {"survey_answer": 1}
     lines = [json.loads(l) for l in (tmp_path / "r.jsonl").read_text().splitlines()]
     assert [l["ok"] for l in lines] == [False, False, False]
 
 
-def test_remote_transport_retry_then_success(canned_server, tmp_path, monkeypatch):
+def test_remote_transport_retry_then_success(canned_server, tmp_path, monkeypatch, open_gateway):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("http_error", 500), ("ok", "2")]
-    gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
+    gw = open_gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
     assert gw.generate(_req("s:1"), fallback=lambda: None) == 2
 
 
@@ -580,21 +607,22 @@ def test_remote_transport_exhaustion(canned_server, tmp_path, monkeypatch):
         gw.generate(_req("s:1"), fallback=lambda: None)
 
 
-def test_remote_garbage_body_is_transport_level(canned_server, tmp_path, monkeypatch):
+def test_remote_garbage_body_is_transport_level(canned_server, tmp_path, monkeypatch,
+                                                open_gateway):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("garbage",), ("ok", "1")]
-    gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
+    gw = open_gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
     assert gw.generate(_req("s:1"), fallback=lambda: None) == 1
 
 
 def test_remote_reply_without_answer_text_is_transport_level(canned_server, tmp_path,
-                                                             monkeypatch):
+                                                             monkeypatch, open_gateway):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     slept = []
     monkeypatch.setattr("newsdrift.gateway.time.sleep", slept.append)
     canned_server.script = [("ok", None), ("ok", "2")]
-    gw = Gateway(_remote_config(canned_server, backoff_seconds=(0.25,)),
-                 log_path=tmp_path / "r.jsonl")
+    gw = open_gateway(_remote_config(canned_server, backoff_seconds=(0.25,)),
+                      log_path=tmp_path / "r.jsonl")
     assert gw.generate(_req("s:1"), fallback=lambda: None) == 2
     assert slept == [0.25]
     records = [json.loads(l) for l in (tmp_path / "r.jsonl").read_text().splitlines()]
@@ -613,10 +641,10 @@ def test_remote_empty_choices_exhaust_the_budget(canned_server, tmp_path, monkey
 
 
 def test_exhausted_exchange_returns_the_fallback_and_counts_it(canned_server, tmp_path,
-                                                                monkeypatch):
+                                                                monkeypatch, open_gateway):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("ok", "nope"), ("ok", "seven"), ("ok", "9"), ("ok", "2")]
-    gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
+    gw = open_gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
     fallback = object()
     assert gw.generate(_req("s:1"), fallback=lambda: fallback) is fallback
     assert gw.generate(_req("s:2"), fallback=lambda: fallback) == 2
@@ -630,10 +658,10 @@ def test_exhausted_exchange_returns_the_fallback_and_counts_it(canned_server, tm
 
 
 def test_remote_attempt_budget_covers_both_kinds_of_failure(canned_server, tmp_path,
-                                                             monkeypatch):
+                                                             monkeypatch, open_gateway):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("garbage",), ("garbage",), ("ok", "nope")] * 3
-    gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
+    gw = open_gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
     assert gw.generate(_req("s:1"), fallback=lambda: 2) == 2
     assert gw.counters()["fallback_counts"] == {"survey_answer": 1}
     assert len(canned_server.requests) == 3
@@ -642,21 +670,22 @@ def test_remote_attempt_budget_covers_both_kinds_of_failure(canned_server, tmp_p
     assert [(l["raw_response"], l["ok"]) for l in lines] == [("nope", False)]
 
 
-def test_remote_last_attempt_decides_the_error(canned_server, tmp_path, monkeypatch):
+def test_remote_last_attempt_decides_the_error(canned_server, tmp_path, monkeypatch, open_gateway):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("ok", "nope"), ("ok", "nope"), ("http_error", 500)]
-    gw = Gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
+    gw = open_gateway(_remote_config(canned_server), log_path=tmp_path / "r.jsonl")
     with pytest.raises(TransportError):
         gw.generate(_req("s:1"), fallback=lambda: None)
     assert len(canned_server.requests) == 3
 
 
-def test_remote_only_transport_failures_back_off(canned_server, tmp_path, monkeypatch):
+def test_remote_only_transport_failures_back_off(canned_server, tmp_path, monkeypatch,
+                                                 open_gateway):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     slept = []
     monkeypatch.setattr("newsdrift.gateway.time.sleep", slept.append)
-    gw = Gateway(_remote_config(canned_server, backoff_seconds=(0.25, 9.0)),
-                 log_path=tmp_path / "r.jsonl")
+    gw = open_gateway(_remote_config(canned_server, backoff_seconds=(0.25, 9.0)),
+                      log_path=tmp_path / "r.jsonl")
     canned_server.script = [("ok", "no digits"), ("ok", "4")]
     assert gw.generate(_req("s:1"), fallback=lambda: None) == 4
     assert slept == []
@@ -681,13 +710,14 @@ def test_remote_refused_connection_exhausts_the_budget(tmp_path, monkeypatch):
     assert not (tmp_path / "r.jsonl").exists()
 
 
-def test_remote_reply_later_than_the_timeout_is_retried(canned_server, tmp_path, monkeypatch):
+def test_remote_reply_later_than_the_timeout_is_retried(canned_server, tmp_path, monkeypatch,
+                                                        open_gateway):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     slept = []
     monkeypatch.setattr("newsdrift.gateway.time.sleep", slept.append)
     canned_server.script = [("held", 0.45, "1"), ("ok", "2")]
-    gw = Gateway(_remote_config(canned_server, timeout_seconds=0.25, backoff_seconds=(0.5,)),
-                 log_path=tmp_path / "r.jsonl")
+    gw = open_gateway(_remote_config(canned_server, timeout_seconds=0.25,
+                                     backoff_seconds=(0.5,)), log_path=tmp_path / "r.jsonl")
     assert gw.generate(_req("s:1"), fallback=lambda: None) == 2
     assert slept == [0.5]
     assert len(canned_server.requests) == 2
@@ -696,20 +726,22 @@ def test_remote_reply_later_than_the_timeout_is_retried(canned_server, tmp_path,
 
 
 def test_remote_client_errors_are_retried_like_server_errors(canned_server, tmp_path,
-                                                             monkeypatch):
+                                                             monkeypatch, open_gateway):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     slept = []
     monkeypatch.setattr("newsdrift.gateway.time.sleep", slept.append)
     canned_server.script = [("http_error", 404), ("http_error", 500), ("ok", "2")]
-    gw = Gateway(_remote_config(canned_server, backoff_seconds=(0.25,)),
-                 log_path=tmp_path / "r.jsonl")
+    gw = open_gateway(_remote_config(canned_server, backoff_seconds=(0.25,)),
+                      log_path=tmp_path / "r.jsonl")
     assert gw.generate(_req("s:1"), fallback=lambda: None) == 2
     assert slept == [0.25, 0.25]
 
 
-def test_remote_base_url_path_and_query_reach_the_server(canned_server, tmp_path, monkeypatch):
+def test_remote_base_url_path_and_query_reach_the_server(canned_server, tmp_path, monkeypatch,
+                                                         open_gateway):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
-    gw = Gateway(_remote_config(canned_server, base_url=canned_server.url + "?api-version=x"))
+    gw = open_gateway(_remote_config(canned_server,
+                                     base_url=canned_server.url + "?api-version=x"))
     assert gw.generate(_req("s:1"), fallback=lambda: None) == 1
     assert canned_server.requests[0]["path"] == "/v1/chat/completions?api-version=x"
 
@@ -882,11 +914,11 @@ def test_a_kept_alive_connection_waits_on_no_delayed_ack(canned_server, monkeypa
 
 
 def test_remote_sends_and_logs_the_backend_generation_parameters(canned_server, tmp_path,
-                                                                 monkeypatch):
+                                                                 monkeypatch, open_gateway):
     monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
     canned_server.script = [("ok", "3")]
-    gw = Gateway(_remote_config(canned_server, temperature=0.2, max_tokens=64),
-                 log_path=tmp_path / "r.jsonl")
+    gw = open_gateway(_remote_config(canned_server, temperature=0.2, max_tokens=64),
+                      log_path=tmp_path / "r.jsonl")
     assert gw.generate(_req("s:1"), fallback=lambda: None) == 3
     sent = canned_server.requests[0]["json"]
     assert (sent["temperature"], sent["max_tokens"]) == (0.2, 64)
@@ -1132,12 +1164,12 @@ def test_kill_anywhere(canned_server, make_config, monkeypatch, tmp_path):
     def check(intervention, point):
         expected, seconds = straight[intervention]
         path = config_file(intervention)
-        child = subprocess.Popen([sys.executable, "-c", _CHILD, "run", "--config", str(path)],
-                                 env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-        child.stdout.readline()  # it has imported the program
-        time.sleep(point * seconds)
-        os.kill(child.pid, signal.SIGKILL)  # our own child, not yet reaped
-        child.wait(timeout=10)
+        with subprocess.Popen([sys.executable, "-c", _CHILD, "run", "--config", str(path)],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as child:
+            child.stdout.readline()  # it has imported the program
+            time.sleep(point * seconds)
+            os.kill(child.pid, signal.SIGKILL)  # our own child, not yet reaped
+            child.wait(timeout=10)
         config = RunConfig.from_file(path)
         out = Path(config.out_dir)
         if (out / "checkpoint.json").exists():
@@ -1291,10 +1323,29 @@ def test_map_raises_the_first_failure_in_item_order(canned_server, monkeypatch, 
     gw.close()
 
 
-def test_an_item_run_inside_another_keeps_its_records_held(tmp_path):
+def test_a_mock_item_runs_once_and_a_failed_one_raises_again_at_its_next_call():
+    gw = Gateway(BackendConfig(mode="mock"))
+    runs = []
+
+    def work(item):
+        runs.append(item)
+        if item == "bad":
+            raise KeyError(f"item {item}")
+        return item
+
+    good, bad = gw.start(work, ["good", "bad"])
+    assert runs == []  # nothing runs before its call's first use
+    assert good() == good() == ("good", [])
+    for _ in range(2):
+        with pytest.raises(KeyError, match="item bad"):
+            bad()
+    assert runs == ["good", "bad", "bad"]
+
+
+def test_an_item_run_inside_another_keeps_its_records_held(tmp_path, open_gateway):
     """On mock an item runs at its call's first use, here inside another item."""
     log = tmp_path / "r.jsonl"
-    gw = Gateway(BackendConfig(mode="mock"), log_path=log)
+    gw = open_gateway(BackendConfig(mode="mock"), log_path=log)
     inner = gw.start(lambda n: gw.generate(_req(f"inner:{n}"), mock=lambda: 1,
                                            fallback=lambda: None), range(1))
 

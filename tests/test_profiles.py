@@ -5,7 +5,7 @@ import json
 import pytest
 
 from newsdrift.errors import SchemaError, ConfigError, MatchingError
-from newsdrift.gateway import BackendConfig, Gateway
+from newsdrift.gateway import BackendConfig
 from newsdrift.profiles import (
     MatchedPair,
     SocialMediaRecord,
@@ -194,8 +194,8 @@ def test_profile_field_arity(fixtures_dir, profiles, taxonomy):
         assert total == 50
 
 
-def test_build_profiles_report_reconciles(fixtures_dir, taxonomy, tmp_path):
-    gw = Gateway(BackendConfig(mode="mock"), log_path=tmp_path / "r.jsonl")
+def test_build_profiles_report_reconciles(fixtures_dir, taxonomy, tmp_path, open_gateway):
+    gw = open_gateway(BackendConfig(mode="mock"), log_path=tmp_path / "r.jsonl")
     profiles, report = build_profiles(
         fixtures_dir / "social_records.jsonl",
         fixtures_dir / "survey_records.jsonl",

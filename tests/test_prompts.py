@@ -56,6 +56,22 @@ def test_reflection_prompt_fills_everything():
     _no_leftover_placeholders(system, user)
 
 
+def test_an_article_naming_a_placeholder_goes_into_the_prompt_verbatim():
+    """A value is never scanned for placeholders, so a later key cannot find one in it."""
+    news = prompts.format_news_list([Payload("a1", "Headline", "Readers ask: {interests}?")])
+    system, user = prompts.render_reflection(FakeProfile, "op", news)
+    assert "Content: Readers ask: {interests}?" in user
+    assert "economics, technology" in user  # the template's own {interests}
+    system, user = prompts.render_debias("Quote the {full_text} tag as is.")
+    assert "Quote the {full_text} tag as is." in user
+
+
+def test_a_headline_naming_a_later_placeholder_is_not_filled():
+    system, user = prompts.render_selection(FakeProfile, "1. China picks {m} winners", 3)
+    assert "1. China picks {m} winners" in user
+    assert "1. China picks 3 winners" not in user
+
+
 def test_reflection_prompt_no_profile_placeholder():
     news = prompts.format_news_list(PAYLOADS)
     system, user = prompts.render_reflection(FakeProfile, "op", news, no_profile=True)
