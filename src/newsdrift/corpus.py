@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import inputs
 from .errors import CorpusError
+from .gateway import is_number
 
 log = logging.getLogger(__name__)
 
@@ -25,6 +26,7 @@ REJECT_REASONS = ("criterion", "year_out_of_range", "empty_full_text", "malforme
 
 YEAR_MIN, YEAR_MAX = 2005, 2025  # the study window; other years are rejected
 REJECT_WARN_FRACTION = 0.10
+OPTIONAL_TEXTS = ("subheader", "category", "full_text")  # a string, or null for ""
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,16 +79,15 @@ def ingest(path: str | Path) -> tuple[CorpusIndex, IngestReport]:
     for lineno, line in inputs.read_lines(path, "corpus", CorpusError):
         try:
             doc = json.loads(line)
-            article = Article(
-                article_id=str(doc["article_id"]),
-                year=int(doc["year"]),
-                source=str(doc["source"]),
-                headline=str(doc["headline"]),
-                subheader=str(doc.get("subheader") or ""),
-                category=str(doc.get("category") or ""),
-                full_text=str(doc.get("full_text") or ""),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            year, texts = doc["year"], [doc.get(key) for key in OPTIONAL_TEXTS]
+            if not (is_number(year, int) and isinstance(doc["headline"], str)
+                    and isinstance(doc["source"], str)
+                    and all(text is None or isinstance(text, str) for text in texts)):
+                raise TypeError("year must be an integer, headline and source strings, "
+                                f"and {', '.join(OPTIONAL_TEXTS)} strings or null")
+            article = Article(str(doc["article_id"]), year, doc["source"], doc["headline"],
+                              *(text or "" for text in texts))
+        except (KeyError, TypeError, ValueError) as exc:
             report.rejected["malformed"] += 1
             log.warning("skipping corpus line %d (%s)", lineno, exc)
             continue

@@ -1,8 +1,8 @@
 """Uniform text-generation interface with remote, mock, and replay backends.
 
 Every structured exchange in the simulation flows through ``Gateway.generate``
-regardless of backend, so the replay log always carries the full prompt,
-the raw response, and the parsed value for each request. Mock-mode values
+regardless of backend, so the replay log always carries the full prompt
+and the raw response for each request. Mock-mode values
 come from deterministic rules at the call sites, handed in as a zero-argument
 ``mock`` that only the mock backend calls (a ``fallback`` is called only when
 the exchange falls back); they are serialized, re-validated, and logged
@@ -472,7 +472,7 @@ class Gateway:
 
     # -- logging -----------------------------------------------------------
 
-    def _log(self, request: GenerationRequest, raw: str | None, parsed, ok: bool,
+    def _log(self, request: GenerationRequest, raw: str | None, ok: bool,
              t_start: float, t_end: float):
         """Write one record. The exchange takes its tag at its ok record, or
         at its fallback, which has ``raw`` None and writes no line; a later
@@ -497,7 +497,6 @@ class Gateway:
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_tokens,
             "raw_response": raw,
-            "parsed": parsed,
             "ok": ok,
             "t_start": t_start,
             "t_end": t_end,
@@ -590,9 +589,9 @@ class Gateway:
             try:
                 parsed = parse_structured(schema, raw)
             except SchemaError:
-                self.emit([(request, raw, None, False, t_start, t_end)])
+                self.emit([(request, raw, False, t_start, t_end)])
                 continue
-            self.emit([(request, raw, parsed, True, t_start, t_end)])
+            self.emit([(request, raw, True, t_start, t_end)])
             return parsed
-        self.emit([(request, None, None, False, 0.0, 0.0)])
+        self.emit([(request, None, False, 0.0, 0.0)])
         return fallback()

@@ -199,7 +199,6 @@ def _load_environment(config: RunConfig, fingerprints: dict | None = None) -> Ru
             log.warning("ground truth file %s is empty", config.ground_truth_path)
     header = {
         "config": config.canonical(),
-        "config_hash": config.config_hash(),
         "fingerprints": config.fingerprints() if fingerprints is None else fingerprints,
         "agent_ids": [p.agent_id for p in agents],
     }
@@ -546,7 +545,7 @@ def _finalize(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState)
             log.warning("ground truth and simulation share no years; skipping MAE")
 
     bundle = {
-        "config_hash": env.header["config_hash"],
+        "config_hash": config.config_hash(),
         "seed": config.seed,
         "intervention": config.intervention,
         "ablation": config.ablation,

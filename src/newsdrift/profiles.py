@@ -163,13 +163,16 @@ def _load_records(path, taxonomy: TopicTaxonomy, what: str, build) -> list:
 
 def load_social_records(path: str | Path, taxonomy: TopicTaxonomy) -> list[SocialMediaRecord]:
     def build(doc) -> SocialMediaRecord:
+        posts = doc.get("posts", [])
+        if not (isinstance(posts, list) and all(isinstance(post, str) for post in posts)):
+            raise ValidationError(f"posts must be a list of strings: {posts!r}")
         record = SocialMediaRecord(
             record_id=str(doc["record_id"]),
             state=doc["state"],
             gender=doc["gender"],
             race=doc["race"],
             party=doc["party"],
-            posts=tuple(doc.get("posts", [])),
+            posts=tuple(posts),
         )
         state_to_region(record.state)
         return record

@@ -24,6 +24,7 @@ from newsdrift.gateway import (
     MockLexicon,
     load_lexicon,
     mock_sentiment,
+    parse_structured,
 )
 from newsdrift.geography import state_to_region
 from newsdrift.orchestrator import RunConfig, read_update_logs, resume, run
@@ -227,7 +228,8 @@ def test_criterion_5_ablation_structure(make_config):
     for record in _replay_records(out):
         if record["schema"] == "reflection_update":
             assert all(entry["action"] == "none"
-                       for entry in record["parsed"]["domains"].values())
+                       for entry in parse_structured(record["schema"], record["raw_response"])
+                       ["domains"].values())
 
     out = run_ablation("no_profile")
     reflections = [r for r in _replay_records(out)

@@ -81,6 +81,24 @@ def test_ingest_counts_malformed_rows(tmp_path):
     assert report.rejected["malformed"] == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("year", 2005.9), ("year", "2005"), ("year", True), ("year", None),
+    ("headline", None), ("headline", ["China"]), ("source", None), ("source", 7),
+    ("subheader", 0), ("category", ["politics"]), ("full_text", {"body": "text"}),
+])
+def test_ingest_counts_a_field_of_the_wrong_json_type_as_malformed(tmp_path, field, value):
+    """Each value would once have been coerced: 2005.9 read as 2005, null as "None"."""
+    row = {**_row(subheader="Chinese delegation arrives"), field: value}
+    index, report = ingest(_write(tmp_path, [row]))
+    assert (report.accepted, report.rejected["malformed"]) == (0, 1)
+
+
+def test_ingest_reads_a_null_optional_text_as_empty(tmp_path):
+    row = _row(subheader=None, category=None, full_text="Body.")
+    index, report = ingest(_write(tmp_path, [row]))
+    assert (index.get("a1").subheader, index.get("a1").category) == ("", "")
+
+
 def test_duplicate_article_id_fatal(tmp_path):
     rows = [_row(), _row()]
     with pytest.raises(CorpusError):

@@ -223,12 +223,12 @@ def test_log_json_is_json_dumps_with_sorted_keys_and_text_unescaped(value, text)
     with tempfile.TemporaryDirectory() as folder:
         gw = Gateway(BackendConfig(mode="mock"), log_path=Path(folder) / "r.jsonl")
         request = GenerationRequest("system", text, "reflection_update", "r:1")
-        gw.emit([(request, text, nested, True, 0.0, 0.0)])
+        gw.emit([(request, text, True, 0.0, 0.0)])
         gw.close()
         line = (Path(folder) / "r.jsonl").read_text("utf-8")
     assert line == dumps({"seq": 1, "tag": "r:1", "schema": "reflection_update",
                           "system": "system", "user": text, "temperature": 0.7,
-                          "max_tokens": 1024, "raw_response": text, "parsed": nested,
+                          "max_tokens": 1024, "raw_response": text,
                           "ok": True, "t_start": 0.0, "t_end": 0.0}) + "\n"
 
 
@@ -249,13 +249,12 @@ def test_mock_gateway_logs_every_exchange(tmp_path, open_gateway):
     assert [l["seq"] for l in lines] == [1, 2]
     assert lines[0]["tag"] == "s:1"
     assert lines[0]["raw_response"] == "3"
-    assert lines[0]["parsed"] == 3
+    assert parse_structured(lines[0]["schema"], lines[0]["raw_response"]) == 3
     assert lines[0]["ok"] is True
     # mock exchanges carry fixed timestamps for byte-stable logs
     assert lines[0]["t_start"] == 0.0 and lines[0]["t_end"] == 0.0
     assert set(lines[0]) == {"seq", "tag", "schema", "system", "user", "temperature",
-                             "max_tokens", "raw_response", "parsed", "ok",
-                             "t_start", "t_end"}
+                             "max_tokens", "raw_response", "ok", "t_start", "t_end"}
 
 
 def test_duplicate_tag_rejected(tmp_path, open_gateway):
@@ -281,8 +280,8 @@ def test_a_gateway_counts_the_exchanges_of_the_kept_lines_again(tmp_path):
     log = tmp_path / "r.jsonl"
     first = Gateway(BackendConfig(mode="mock"), log_path=log)
     first.generate(_req("a"), mock=lambda: 1, fallback=lambda: None)
-    first.emit([(_req("b"), "nope", None, False, 0.0, 0.0),
-                (_req("b"), None, None, False, 0.0, 0.0)])
+    first.emit([(_req("b"), "nope", False, 0.0, 0.0),
+                (_req("b"), None, False, 0.0, 0.0)])
     first.generate(_req("c", schema="selection_list"), mock=lambda: [1], fallback=lambda: None)
     first.close()
     log.write_text(log.read_text() + "{torn\n")
@@ -376,7 +375,7 @@ def test_replay_surfaces_recorded_failures(tmp_path):
     log = tmp_path / "replay.jsonl"
     record = {"seq": 1, "tag": "s:1", "schema": "survey_answer", "system": "system text",
               "user": "user text", "temperature": 0.7, "max_tokens": 10,
-              "raw_response": "no digits at all", "parsed": None, "ok": False,
+              "raw_response": "no digits at all", "ok": False,
               "t_start": 0.0, "t_end": 0.0}
     log.write_text(json.dumps(record) + "\n")
     replay = Gateway(BackendConfig(mode="replay", replay_log=str(log)))
@@ -384,7 +383,7 @@ def test_replay_surfaces_recorded_failures(tmp_path):
     assert replay.counters()["fallback_counts"] == {"survey_answer": 1}
 
     # a failed attempt before the tag's ok record: the ok record is served
-    answered = {**record, "seq": 2, "raw_response": "3", "parsed": 3, "ok": True}
+    answered = {**record, "seq": 2, "raw_response": "3", "ok": True}
     log.write_text(json.dumps(record) + "\n" + json.dumps(answered) + "\n")
     replay = Gateway(BackendConfig(mode="replay", replay_log=str(log)))
     assert replay.generate(_req("s:1"), fallback=lambda: 2) == 3
@@ -1357,7 +1356,7 @@ def test_an_item_run_inside_another_keeps_its_records_held(tmp_path, open_gatewa
     [(total, records)] = [outcome() for outcome in gw.start(outer, range(1))]
     assert total == 3 and not log.exists()
     gw.emit(records)
-    assert inner[0]() == (1, [(_req("inner:0"), "1", 1, True, 0.0, 0.0)])  # kept, not run again
+    assert inner[0]() == (1, [(_req("inner:0"), "1", True, 0.0, 0.0)])  # kept, not run again
     assert [json.loads(line)["tag"] for line in log.read_text().splitlines()] \
         == ["inner:0", "outer:0"]
 
@@ -1379,8 +1378,8 @@ def test_a_tag_repeated_across_concurrent_items_is_refused_at_the_second(canned_
         for outcome in gw.start(ask, range(2)):
             gw.emit(outcome()[1])
     gw.close()
-    assert [(r["user"], r["parsed"]) for r in map(json.loads, log.read_text().splitlines())] \
-        == [("user 1", 1)]
+    assert [(r["user"], parse_structured(r["schema"], r["raw_response"]))
+            for r in map(json.loads, log.read_text().splitlines())] == [("user 1", 1)]
 
 
 def test_log_records_reach_the_file_as_written(tmp_path):

@@ -16,7 +16,7 @@ import newsdrift
 from newsdrift import (cli, distribution, interventions, orchestrator, outputs, prompts,
                        reflection, surveys)
 from newsdrift.errors import ConfigError, ResumeError
-from newsdrift.gateway import BackendConfig, Gateway
+from newsdrift.gateway import BackendConfig, Gateway, parse_structured
 from newsdrift.modes import INTERVENTIONS
 from newsdrift.orchestrator import RunConfig, resume, run
 from newsdrift.surveys import MAE_BASES
@@ -319,7 +319,7 @@ def test_fallbacks_are_counted_and_survive_resume(make_config, tmp_path):
     records = [json.loads(line) for line in
                (Path(recorded.out_dir) / "replay.jsonl").read_text().splitlines()]
     survey = next(r for r in records if r["tag"].startswith("survey:"))
-    survey.update(ok=False, raw_response="no opinion", parsed=None)
+    survey.update(ok=False, raw_response="no opinion")
     tampered = tmp_path / "tampered.jsonl"
     tampered.write_text("".join(json.dumps(r) + "\n" for r in records))
 
@@ -368,8 +368,9 @@ def test_a_replay_ranks_only_the_selections_it_repairs_or_falls_back_on(make_con
                (Path(recorded.out_dir) / "replay.jsonl").read_text().splitlines()]
     short, failed = [r for r in records if r["tag"].startswith("select:")][1:3]
     # the first pick alone: the ranking fills the rest, so the run reads what it read
-    short.update(raw_response=json.dumps(short["parsed"][:1]), parsed=short["parsed"][:1])
-    failed.update(ok=False, raw_response="no picks today", parsed=None)
+    picks = parse_structured(short["schema"], short["raw_response"])
+    short.update(raw_response=json.dumps(picks[:1]))
+    failed.update(ok=False, raw_response="no picks today")
     scripted = tmp_path / "scripted.jsonl"
     scripted.write_text("".join(json.dumps(r) + "\n" for r in records))
 
@@ -489,8 +490,9 @@ def test_checkpoint_holds_live_state_not_results(make_config):
     final = json.loads(ck_path.read_text())
     assert "results" not in final and final["complete"] is True
     assert set(final["states"]) == set(final["agent_ids"])
-    # counts and skipped years are derived from the traces and the corpus
-    assert not {"offer_count", "payload_count", "skipped_years"} & set(final)
+    # counts and skipped years are derived from the traces and the corpus, and the
+    # config's hash from the config
+    assert not {"offer_count", "payload_count", "skipped_years", "config_hash"} & set(final)
     assert all(set(state) == {"agent_id", "valences", "exposures", "last_response"}
                for state in final["states"].values())
 
@@ -547,6 +549,52 @@ def test_a_checkpoint_with_stale_counts_resumes_to_the_straight_run(make_config,
     for name in ("results.json", "run_report.json"):
         assert _read(Path(cut.out_dir) / name) == _read(Path(straight.out_dir) / name), name
     assert not {"request_counts", "fallback_counts"} & set(json.loads(ck_path.read_text()))
+
+
+def _with_parsed(lines: str) -> str:
+    """Replay-log lines as written before records dropped ``parsed``, the
+    value parsed from each record's raw response."""
+    return "".join(json.dumps({**r, "parsed": parse_structured(r["schema"], r["raw_response"])})
+                   + "\n" for r in map(json.loads, lines.splitlines()))
+
+
+def test_a_log_whose_records_carry_parsed_replays_to_the_same_results(make_config, tmp_path):
+    recorded = make_config(n_agents=2, intervention="debias")
+    run(recorded)
+    log = Path(recorded.out_dir) / "replay.jsonl"
+    old = tmp_path / "old.jsonl"
+    old.write_text(_with_parsed(log.read_text()))
+    replays = [make_config(n_agents=2, intervention="debias",
+                           backend=BackendConfig(mode="replay", replay_log=str(path)))
+               for path in (log, old)]
+    for config in replays:
+        run(config)
+    for name in ("results.json", "run_report.json"):
+        assert _read(Path(replays[0].out_dir) / name) == _read(Path(replays[1].out_dir) / name)
+
+
+def test_a_run_kept_with_parsed_and_config_hash_resumes_to_the_straight_run(make_config):
+    """A log whose kept records carry ``parsed`` and a checkpoint carrying
+    ``config_hash``, as written before both were dropped, resume; the records
+    written after the cut carry no ``parsed``."""
+    straight = make_config(n_agents=2, intervention="debias")
+    run(straight)
+    cut = dataclasses.replace(straight, out_dir=straight.out_dir + "-cut")
+    run(cut, stop_after_year=2005)
+    out = Path(cut.out_dir)
+    ck = json.loads((out / "checkpoint.json").read_text())
+    ck["config_hash"] = cut.config_hash()
+    (out / "checkpoint.json").write_text(json.dumps(ck))
+    (out / "replay.jsonl").write_text(_with_parsed((out / "replay.jsonl").read_text()))
+    resume(cut.out_dir)
+    resumed, expected = _tree(out), _tree(Path(straight.out_dir))
+    records = [json.loads(line) for line in resumed.pop("replay.jsonl").splitlines()]
+    kept = ck["replay_lines"]
+    assert all("parsed" in r for r in records[:kept])
+    assert records[kept:] and not any("parsed" in r for r in records[kept:])
+    assert [{key: r[key] for key in r if key != "parsed"} for r in records] \
+        == [json.loads(line) for line in expected.pop("replay.jsonl").splitlines()]
+    assert resumed == expected
 
 
 @pytest.mark.parametrize("damage", ["delete", "drop_agent", "torn_line"])

@@ -1,10 +1,12 @@
 """Byte identity of the mock artifacts, checked against a committed table.
 
 A small shape runs under each intervention, straight and stopped then
-resumed, from a temporary working directory with relative paths, and every
-output file's sha256 is compared with ``fixtures/output_digests.json``. A
-change meant to alter the artifacts records the table again in the same
-change, and says which files changed and why:
+resumed, and baseline under each ablation but ``none``, straight only, from a
+temporary working directory with relative paths, after a profile build that
+writes its replay log and report. Every output file's sha256 is compared with
+``fixtures/output_digests.json``. A change meant to alter the artifacts
+records the table again in the same change, and says which files changed and
+why:
 
     PYTHONPATH=src python tests/test_output_digests.py
 
@@ -27,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from newsdrift.gateway import BackendConfig, Gateway
-from newsdrift.modes import INTERVENTIONS
+from newsdrift.modes import ABLATIONS, INTERVENTIONS
 from newsdrift.orchestrator import RunConfig, resume, run
 from newsdrift.profiles import build_profiles
 from newsdrift.taxonomy import load_taxonomy
@@ -48,31 +50,42 @@ def _digests(out: Path) -> dict[str, str]:
 
 def run_shape(workdir: Path) -> dict[str, dict[str, str]]:
     """Build profiles and run the shape inside workdir; return each output
-    directory's file digests by its name, an intervention, with RESUMED
-    appended for the run stopped after 2009 and resumed."""
+    directory's file digests by its name: an intervention, with RESUMED
+    appended for the run stopped after 2009 and resumed, or baseline-<ablation>."""
     for name in ("corpus_negative.jsonl", "ground_truth.csv"):
         shutil.copy(FIXTURES / name, workdir / name)
     here = os.getcwd()
     os.chdir(workdir)
     try:
         Path("profiles").mkdir()
-        build_profiles(FIXTURES / "social_records.jsonl", FIXTURES / "survey_records.jsonl",
-                       load_taxonomy(), Gateway(BackendConfig(mode="mock")),
-                       out_path=Path("profiles/profiles.json"))
+        # the log and report are named as build-profiles names them
+        gateway = Gateway(BackendConfig(mode="mock"),
+                          log_path=Path("profiles/profiles.replay.jsonl"))
+        try:
+            build_profiles(FIXTURES / "social_records.jsonl", FIXTURES / "survey_records.jsonl",
+                           load_taxonomy(), gateway, out_path=Path("profiles/profiles.json"),
+                           report_path=Path("profiles/profiles.report.json"))
+        finally:
+            gateway.close()
         digests = {"profiles": _digests(Path("profiles"))}
+        shape = RunConfig(seed=7, years=(2005, 2014), n_agents=8,
+                          corpus_path="corpus_negative.jsonl",
+                          profiles_path="profiles/profiles.json",
+                          ground_truth_path="ground_truth.csv")
         for intervention in INTERVENTIONS:
-            straight = RunConfig(seed=7, years=(2005, 2014), n_agents=8,
-                                 intervention=intervention,
-                                 corpus_path="corpus_negative.jsonl",
-                                 profiles_path="profiles/profiles.json",
-                                 ground_truth_path="ground_truth.csv",
-                                 out_dir=f"out/{intervention}")
+            straight = dataclasses.replace(shape, intervention=intervention,
+                                           out_dir=f"out/{intervention}")
             cut = dataclasses.replace(straight, out_dir=straight.out_dir + RESUMED)
             run(straight)
             run(cut, stop_after_year=2009)
             resume(cut.out_dir)
             for config in (straight, cut):
                 digests[Path(config.out_dir).name] = _digests(Path(config.out_dir))
+        for ablation in (a for a in ABLATIONS if a != "none"):
+            config = dataclasses.replace(shape, ablation=ablation,
+                                         out_dir=f"out/baseline-{ablation}")
+            run(config)
+            digests[Path(config.out_dir).name] = _digests(Path(config.out_dir))
     finally:
         os.chdir(here)
     return digests

@@ -256,6 +256,17 @@ def test_loader_skips_a_state_that_is_not_a_string(taxonomy, tmp_path, caplog):
     assert f"skipping social record at {path}:1" in caplog.text
 
 
+@pytest.mark.parametrize("posts", ["Trade war with China", [1, 2], None])
+def test_loader_skips_posts_that_are_not_a_list_of_strings(taxonomy, tmp_path, caplog, posts):
+    """A string was once split into its characters, each taken as a post."""
+    path = tmp_path / "soc.jsonl"
+    row = {"record_id": "soc-000", "state": "CA", "gender": "female",
+           "race": "white", "party": "democrat", "posts": posts}
+    path.write_text(json.dumps(row) + "\n")
+    assert load_social_records(path, taxonomy) == []
+    assert f"skipping social record at {path}:1" in caplog.text
+
+
 def test_loader_skips_duplicate_ids(taxonomy, tmp_path):
     path = tmp_path / "soc.jsonl"
     row = {"record_id": "soc-000", "state": "CA", "gender": "female",
