@@ -80,12 +80,13 @@ def ingest(path: str | Path) -> tuple[CorpusIndex, IngestReport]:
         try:
             doc = json.loads(line)
             year, texts = doc["year"], [doc.get(key) for key in OPTIONAL_TEXTS]
-            if not (is_number(year, int) and isinstance(doc["headline"], str)
-                    and isinstance(doc["source"], str)
+            if not (is_number(year, int)
+                    and all(isinstance(doc[key], str) for key in ("article_id", "headline",
+                                                                  "source"))
                     and all(text is None or isinstance(text, str) for text in texts)):
-                raise TypeError("year must be an integer, headline and source strings, "
-                                f"and {', '.join(OPTIONAL_TEXTS)} strings or null")
-            article = Article(str(doc["article_id"]), year, doc["source"], doc["headline"],
+                raise TypeError("year must be an integer, article_id, headline and source "
+                                f"strings, and {', '.join(OPTIONAL_TEXTS)} strings or null")
+            article = Article(doc["article_id"], year, doc["source"], doc["headline"],
                               *(text or "" for text in texts))
         except (KeyError, TypeError, ValueError) as exc:
             report.rejected["malformed"] += 1

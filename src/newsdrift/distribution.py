@@ -7,7 +7,8 @@ order. Offers carry headline text only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import prompts
 from .corpus import CorpusIndex
@@ -22,10 +23,10 @@ class HeadlineOffer:
     agent_id: str
     year: int
     offers: tuple[tuple[str, str], ...]
+    ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(article_id for article_id, _ in self.offers)
+    def __post_init__(self):
+        object.__setattr__(self, "ids", tuple(article_id for article_id, _ in self.offers))
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,13 +53,13 @@ def mock_ranking(profile, offer: HeadlineOffer, taxonomy: TopicTaxonomy,
                  lexicon: MockLexicon) -> list[str]:
     """Rank offer ids by (interest keyword hits, sentiment magnitude, id) desc."""
     interest = [i for i, name in enumerate(taxonomy.names) if name in profile.interests]
-    scored = []
-    for article_id, headline in offer.offers:
-        hits = taxonomy.keyword_hits(headline)
-        matched = sum(hits[i] for i in interest)
-        magnitude = abs(mock_sentiment(headline, lexicon))
-        scored.append((matched, magnitude, article_id))
-    scored.sort(reverse=True)
+    # a headline's hits on the agent's interests in one call, a tuple however many
+    # there are: itemgetter returns a lone index's count bare, so that one is a slice
+    pick = itemgetter(*interest) if len(interest) > 1 else itemgetter(
+        slice(interest[0], interest[0] + 1) if interest else slice(0))
+    scored = sorted([(sum(pick(taxonomy.keyword_hits(headline))),
+                      abs(mock_sentiment(headline, lexicon)), article_id)
+                     for article_id, headline in offer.offers], reverse=True)
     return [article_id for _, _, article_id in scored]
 
 

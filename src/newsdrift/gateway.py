@@ -26,6 +26,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
+from json.encoder import encode_basestring
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -379,6 +380,13 @@ class Gateway:
             record["tag"]: (record["schema"], not record["ok"])
             for record in read_records(self._log_path, ResumeError, replay_lines)
         } if replay_lines else {}
+        # the tag map's size and its fallbacks, kept as _log adds to it
+        self.exchanges = len(self._tags)
+        self.fallbacks = sum(fell_back for _, fell_back in self._tags.values())
+        # a record's fixed values as JSON, and each system preamble's, made once
+        self._temperature = _ENCODER.encode(config.temperature)
+        self._max_tokens = _ENCODER.encode(config.max_tokens)
+        self._systems: dict[str, str] = {}
         # tag -> (raw answer served on replay, digest of its recorded prompts) of the tag's
         # last record, as for _tags: its ok one, or its last failed attempt
         self._replay_index: dict[str, tuple[str, bytes]] = {
@@ -482,29 +490,27 @@ class Gateway:
             raise ConfigError(f"duplicate request tag in run: {tag!r}")
         if ok or raw is None:
             self._tags[tag] = (schema, raw is None)
+            self.exchanges += 1
+            self.fallbacks += raw is None
         if raw is None:
             log.warning("no answer for %s matched %s; using the fallback", tag, schema)
             return
         self.replay_lines += 1
         if self._log_path is None:
             return
-        record = {
-            "seq": self.replay_lines,
-            "tag": tag,
-            "schema": schema,
-            "system": request.role_preamble,
-            "user": request.user_text,
-            "temperature": self.config.temperature,
-            "max_tokens": self.config.max_tokens,
-            "raw_response": raw,
-            "ok": ok,
-            "t_start": t_start,
-            "t_end": t_end,
-        }
+        system = self._systems.get(request.role_preamble) or self._systems.setdefault(
+            request.role_preamble, encode_basestring(request.role_preamble))
         if self._log_fh is None:
             # line buffering hands every record to the OS as it is written
             self._log_fh = self._log_path.open("a", encoding="utf-8", buffering=1)
-        self._log_fh.write(_ENCODER.encode(record) + "\n")
+        # the bytes of _ENCODER.encode(record): its keys in sorted order, its strings
+        # quoted by its own escaper, its numbers as it writes them
+        self._log_fh.write(
+            f'{{"max_tokens": {self._max_tokens}, "ok": {"true" if ok else "false"}, '
+            f'"raw_response": {encode_basestring(raw)}, "schema": {encode_basestring(schema)}, '
+            f'"seq": {self.replay_lines}, "system": {system}, "t_end": {t_end!r}, '
+            f'"t_start": {t_start!r}, "tag": {encode_basestring(tag)}, '
+            f'"temperature": {self._temperature}, "user": {encode_basestring(request.user_text)}}}\n')
 
     # -- backends ------------------------------------------------------------
 

@@ -514,10 +514,8 @@ def _drive(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState,
         outputs.write_jsonl(_trace_path(out_dir, year), trace)
         state.completed_years.append(year)
         _write_checkpoint(out_dir, env.header, gateway, state, False)
-        counts = gateway.counters()
         log.info("year %d done in %.2f s: %d exchanges and %d fallbacks so far", year,
-                 time.perf_counter() - began, sum(counts["request_counts"].values()),
-                 sum(counts["fallback_counts"].values()))
+                 time.perf_counter() - began, gateway.exchanges, gateway.fallbacks)
         if stop_after_year == year:
             log.info("stopping after year %d as requested", year)
             return {"interrupted_after": year, "out_dir": str(out_dir)}

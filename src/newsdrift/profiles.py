@@ -63,7 +63,7 @@ class MatchedPair:
     compromised_feature: str | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentProfile:
     agent_id: str
     demographics: dict
@@ -72,6 +72,16 @@ class AgentProfile:
     domestic_views: dict
     interests: tuple[str, ...]
     provenance: dict
+    # the profile's texts in every prompt, made once: nothing changes a loaded profile
+    interests_text: str = field(init=False, repr=False)
+    demographics_text: str = field(init=False, repr=False)
+    media_preferences_text: str = field(init=False, repr=False)
+    domestic_views_text: str = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("interests_text", "demographics_text", "media_preferences_text",
+                     "domestic_views_text"):
+            object.__setattr__(self, name, getattr(prompts, name)(self))
 
     def feature_count(self) -> int:
         return (len(self.demographics) + len(self.political_preferences)
@@ -147,6 +157,8 @@ def _load_records(path, taxonomy: TopicTaxonomy, what: str, build) -> list:
     for lineno, line in inputs.read_lines(path, f"{what} records", ValidationError):
         try:
             record = build(json.loads(line))
+            if not isinstance(record.record_id, str):
+                raise ValidationError(f"record_id must be a string: {record.record_id!r}")
             for name in MATCH_FIELDS:
                 value = getattr(record, name)
                 if not taxonomy.validate_vocab(name, value):
@@ -167,7 +179,7 @@ def load_social_records(path: str | Path, taxonomy: TopicTaxonomy) -> list[Socia
         if not (isinstance(posts, list) and all(isinstance(post, str) for post in posts)):
             raise ValidationError(f"posts must be a list of strings: {posts!r}")
         record = SocialMediaRecord(
-            record_id=str(doc["record_id"]),
+            record_id=doc["record_id"],
             state=doc["state"],
             gender=doc["gender"],
             race=doc["race"],
@@ -189,7 +201,7 @@ def load_survey_records(path: str | Path, taxonomy: TopicTaxonomy) -> list[Surve
         if doc["region"] not in REGIONS:
             raise ValidationError(f"unknown region {doc['region']!r}")
         return SurveyRespondentRecord(
-            record_id=str(doc["record_id"]),
+            record_id=doc["record_id"],
             region=doc["region"],
             gender=doc["gender"],
             race=doc["race"],

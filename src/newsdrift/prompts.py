@@ -1,10 +1,11 @@
 """Prompt construction for every backend exchange.
 
-Templates live under data/prompts/ and are filled by literal placeholder
-replacement in one pass, so a value holding a placeholder goes in verbatim;
-str.format is unusable here because several templates contain raw JSON
-braces. The first paragraph of each template acts as the system preamble,
-the remainder as the user message.
+Templates live under data/prompts/. The first paragraph of each template
+acts as the system preamble, the remainder as the user message. Each template
+is split once into its preamble and its user part's literal and placeholder
+pieces; a render joins the pieces with the values, so a value holding a
+placeholder goes in verbatim. str.format is unusable here because several
+templates contain raw JSON braces.
 """
 
 from __future__ import annotations
@@ -38,17 +39,32 @@ def template_bytes() -> bytes:
     return b"".join(path.read_bytes() for path in sorted(folder.iterdir(), key=lambda p: p.name))
 
 
-def _fill(template: str, mapping: dict[str, str]) -> str:
-    """Put in each {key}'s value in one pass over the template, so values go in verbatim."""
-    return _PLACEHOLDER.sub(lambda match: mapping[match.group(1)], template)
-
-
 def split_role(text: str) -> tuple[str, str]:
     """Split a rendered prompt into (system preamble, user message)."""
     head, _, tail = text.partition("\n\n")
     return head.strip(), tail.strip()
 
 
+@lru_cache(maxsize=None)
+def _split(template: str) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    """A template's system preamble, its user part's pieces (literal text at even
+    indexes, placeholder names at odd ones) and those names."""
+    system, user = split_role(template)
+    if _PLACEHOLDER.search(system):
+        raise ValueError(f"a template's first paragraph holds a placeholder: {system!r}")
+    pieces = tuple(_PLACEHOLDER.split(user))
+    return system, pieces, pieces[1::2]
+
+
+def _render(template: str, mapping: dict[str, str]) -> tuple[str, str]:
+    """(system preamble, user message) with each {key}'s value put in verbatim."""
+    system, pieces, names = _split(template)
+    parts = list(pieces)
+    parts[1::2] = [mapping[name] for name in names]
+    return system, "".join(parts).strip()
+
+
+@lru_cache(maxsize=None)
 def _strip_dissonance(template: str) -> str:
     start = template.index(_DISSONANCE_START)
     end = template.index(_DISSONANCE_END) + len(_DISSONANCE_END)
@@ -106,46 +122,46 @@ def render_reflection(profile, opinions: str, news_list: str, *,
         template = _strip_dissonance(template)
     mapping = {
         "current_opinions": opinions,
-        "interests": NO_PROFILE_TEXT if no_profile else interests_text(profile),
-        "demographics_str": NO_PROFILE_TEXT if no_profile else demographics_text(profile),
-        "domestic_views_str": NO_PROFILE_TEXT if no_profile else domestic_views_text(profile),
+        "interests": NO_PROFILE_TEXT if no_profile else profile.interests_text,
+        "demographics_str": NO_PROFILE_TEXT if no_profile else profile.demographics_text,
+        "domestic_views_str": NO_PROFILE_TEXT if no_profile else profile.domestic_views_text,
         "formatted_news_list": news_list,
     }
     if devils_advocate_response is not None:
         mapping["devils_advocate_response"] = devils_advocate_response
-    return split_role(_fill(template, mapping))
+    return _render(template, mapping)
 
 
 def render_debias(full_text: str) -> tuple[str, str]:
-    return split_role(_fill(_template("debias"), {"full_text": full_text}))
+    return _render(_template("debias"), {"full_text": full_text})
 
 
 def render_critique(news_list: str) -> tuple[str, str]:
-    return split_role(_fill(_template("critique"), {"formatted_news_list": news_list}))
+    return _render(_template("critique"), {"formatted_news_list": news_list})
 
 
 def render_selection(profile, numbered_headlines: str, m: int) -> tuple[str, str]:
     mapping = {
-        "interests": interests_text(profile),
-        "demographics_str": demographics_text(profile),
-        "media_preferences_str": media_preferences_text(profile),
+        "interests": profile.interests_text,
+        "demographics_str": profile.demographics_text,
+        "media_preferences_str": profile.media_preferences_text,
         "numbered_headlines": numbered_headlines,
         "m": str(m),
     }
-    return split_role(_fill(_template("selection"), mapping))
+    return _render(_template("selection"), mapping)
 
 
 def render_survey(profile, opinions: str, overall_valence: float,
                   previous_response: int | None) -> tuple[str, str]:
     mapping = {
-        "interests": interests_text(profile),
-        "demographics_str": demographics_text(profile),
-        "domestic_views_str": domestic_views_text(profile),
+        "interests": profile.interests_text,
+        "demographics_str": profile.demographics_text,
+        "domestic_views_str": profile.domestic_views_text,
         "current_opinions": opinions,
         "overall_valence": f"{overall_valence:+.3f}",
         "previous_response": "none yet" if previous_response is None else str(previous_response),
     }
-    return split_role(_fill(_template("survey"), mapping))
+    return _render(_template("survey"), mapping)
 
 
 def render_interests(posts: str, media_preferences: str, topic_names) -> tuple[str, str]:
@@ -154,4 +170,4 @@ def render_interests(posts: str, media_preferences: str, topic_names) -> tuple[s
         "media_preferences_str": media_preferences,
         "topic_names": ", ".join(topic_names),
     }
-    return split_role(_fill(_template("interests"), mapping))
+    return _render(_template("interests"), mapping)

@@ -28,7 +28,7 @@ from newsdrift.gateway import (
 )
 from newsdrift.geography import state_to_region
 from newsdrift.orchestrator import RunConfig, read_update_logs, resume, run
-from newsdrift.profiles import build_profiles, validate_profile
+from newsdrift.profiles import AgentProfile, build_profiles, validate_profile
 from newsdrift.reflection import OpinionState, reflect_batch
 from newsdrift.surveys import GroundTruthSeries, mae, overall_valence
 from newsdrift.taxonomy import load_taxonomy
@@ -50,14 +50,16 @@ def _bits(x: float) -> bytes:
 # --- criterion 1: opinion equations at exact worked values ---
 
 
-class _Reader:
-    agent_id = "agent-0000"
-    demographics = {"gender": "female", "race": "white", "party": "democrat",
-                    "state": "CA", "region": "Pacific", "age_band": "30-44"}
-    political_preferences = {}
-    media_preferences = {}
-    domestic_views = {}
-    interests = ("economics",)
+_Reader = AgentProfile(
+    agent_id="agent-0000",
+    demographics={"gender": "female", "race": "white", "party": "democrat",
+                  "state": "CA", "region": "Pacific", "age_band": "30-44"},
+    political_preferences={},
+    media_preferences={},
+    domestic_views={},
+    interests=("economics",),
+    provenance={},
+)
 
 
 def test_criterion_1_equation_suite():

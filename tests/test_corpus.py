@@ -93,6 +93,16 @@ def test_ingest_counts_a_field_of_the_wrong_json_type_as_malformed(tmp_path, fie
     assert (report.accepted, report.rejected["malformed"]) == (0, 1)
 
 
+@pytest.mark.parametrize("ids, accepted", [
+    ([None], []), ([1], []), ([1, "1"], ["1"]), (["1", 1], ["1"]),
+])
+def test_ingest_counts_an_article_id_that_is_not_a_string_as_malformed(tmp_path, ids, accepted):
+    """Ids were once coerced with str(): null became "None", and 1 and "1" collided."""
+    index, report = ingest(_write(tmp_path, [_row(article_id=i) for i in ids]))
+    assert sorted(index.store) == accepted
+    assert report.rejected["malformed"] == len(ids) - len(accepted)
+
+
 def test_ingest_reads_a_null_optional_text_as_empty(tmp_path):
     row = _row(subheader=None, category=None, full_text="Body.")
     index, report = ingest(_write(tmp_path, [row]))

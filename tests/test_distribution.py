@@ -4,8 +4,10 @@ import dataclasses
 import json
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from newsdrift.corpus import Article, ingest
 from newsdrift.distribution import (
@@ -17,8 +19,9 @@ from newsdrift.distribution import (
     select_articles,
 )
 from newsdrift.errors import CorpusError, YearEmptyError
-from newsdrift.gateway import BackendConfig, Gateway, GenerationRequest
+from newsdrift.gateway import BackendConfig, Gateway, GenerationRequest, MockLexicon, mock_sentiment
 from newsdrift.orchestrator import run
+from newsdrift.profiles import AgentProfile
 from newsdrift.taxonomy import TopicTaxonomy
 
 
@@ -34,15 +37,17 @@ def test_per_read_records_are_frozen_and_slotted(record, field):
     assert not hasattr(record, "__dict__")
 
 
-class FakeProfile:
-    agent_id = "agent-0000"
-    demographics = {"gender": "female", "race": "white", "party": "democrat",
-                    "state": "CA", "region": "Pacific", "age_band": "30-44",
-                    "education": "college", "income_band": "middle"}
-    political_preferences = {}
-    media_preferences = {}
-    domestic_views = {}
-    interests = ("technology",)
+FakeProfile = AgentProfile(
+    agent_id="agent-0000",
+    demographics={"gender": "female", "race": "white", "party": "democrat",
+                  "state": "CA", "region": "Pacific", "age_band": "30-44",
+                  "education": "college", "income_band": "middle"},
+    political_preferences={},
+    media_preferences={},
+    domestic_views={},
+    interests=("technology",),
+    provenance={},
+)
 
 
 def _corpus(tmp_path, n=6, year=2010):
@@ -108,6 +113,40 @@ def test_ranking_ties_break_on_id_descending(taxonomy, lexicon):
     ))
     ranked = mock_ranking(FakeProfile, offer, taxonomy, lexicon)
     assert ranked == ["a2", "a1"]
+
+
+def _old_mock_ranking(profile, offer, taxonomy, lexicon):
+    """mock_ranking as it was, with a generator summing each headline's hits."""
+    interest = [i for i, name in enumerate(taxonomy.names) if name in profile.interests]
+    scored = []
+    for article_id, headline in offer.offers:
+        hits = taxonomy.keyword_hits(headline)
+        matched = sum(hits[i] for i in interest)
+        magnitude = abs(mock_sentiment(headline, lexicon))
+        scored.append((matched, magnitude, article_id))
+    scored.sort(reverse=True)
+    return [article_id for _, _, article_id in scored]
+
+
+_RANKING_LEXICON = MockLexicon({"up": 0.75, "gain": 0.5}, {"down": 0.75, "loss": 0.25})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), interests=st.lists(st.integers(0, 15), unique=True),
+       headlines=st.lists(st.lists(st.sampled_from(["up", "gain", "down", "loss", "flat"]),
+                                   max_size=3).map(" ".join), min_size=1, max_size=12))
+def test_ranking_orders_as_the_per_headline_loop_did(taxonomy, data, interests, headlines):
+    """Index 15 names a topic outside the taxonomy; a headline may be offered twice."""
+    names = (*taxonomy.names, "astrology")
+    profile = SimpleNamespace(interests=tuple(names[i] for i in interests))
+    hits = {headline: data.draw(st.tuples(*[st.integers(0, 3)] * len(taxonomy.names)))
+            for headline in headlines}
+    stub = SimpleNamespace(names=taxonomy.names, keyword_hits=hits.__getitem__)
+    offer = HeadlineOffer("agent-0000", 2010, tuple(
+        (f"a{data.draw(st.integers(0, 99)):02d}-{n}", headline)
+        for n, headline in enumerate(headlines)))
+    assert mock_ranking(profile, offer, stub, _RANKING_LEXICON) == _old_mock_ranking(
+        profile, offer, stub, _RANKING_LEXICON)
 
 
 def test_run_matches_each_offered_headline_once(make_config, monkeypatch):

@@ -27,6 +27,8 @@ from newsdrift import orchestrator
 from newsdrift.errors import (ConfigError, ReplayError, ResumeError, SchemaError, TransportError,
                              ValidationError)
 from newsdrift.gateway import (
+    _ENCODER,
+    SCHEMAS,
     BackendConfig,
     GenerationRequest,
     Gateway,
@@ -230,6 +232,42 @@ def test_log_json_is_json_dumps_with_sorted_keys_and_text_unescaped(value, text)
                           "system": "system", "user": text, "temperature": 0.7,
                           "max_tokens": 1024, "raw_response": text,
                           "ok": True, "t_start": 0.0, "t_end": 0.0}) + "\n"
+
+
+# texts rich in what JSON escapes or leaves alone: quotes, backslashes, control
+# characters, non-ASCII, U+2028 and the paragraph break a prompt splits at
+_LOG_TEXTS = st.text() | st.lists(st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\t", "\n\n", "\u2028", "é", "中", "😀", "a", " "])).map("".join)
+_LOG_NUMBERS = st.integers() | st.floats() | st.booleans()
+_LOG_TIMES = st.just(0.0) | st.builds(time.time) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.tuples(_LOG_TEXTS, _LOG_TEXTS, _LOG_TEXTS, _LOG_TEXTS),
+       schema=st.sampled_from(SCHEMAS), ok=st.booleans(),
+       temperature=_LOG_NUMBERS, max_tokens=_LOG_NUMBERS, t_start=_LOG_TIMES, t_end=_LOG_TIMES)
+def test_a_log_line_is_the_encoders_line_of_the_record(texts, schema, ok, temperature,
+                                                       max_tokens, t_start, t_end):
+    """The line _log assembles from parts is the one its encoder makes of the whole record."""
+    system, user, raw, tag = texts
+    # the second record takes its preamble's quoted form from the gateway's memo
+    requests = (GenerationRequest(system, user, schema, tag),
+                GenerationRequest(system, raw, schema, tag + "+"),
+                GenerationRequest(user, system, schema, tag + "++"))
+    config = BackendConfig(mode="mock", temperature=temperature, max_tokens=max_tokens)
+    with tempfile.TemporaryDirectory() as folder:
+        gw = Gateway(config, log_path=Path(folder) / "r.jsonl")
+        try:
+            gw.emit([(request, raw, ok, t_start, t_end) for request in requests])
+        finally:
+            gw.close()
+        written = (Path(folder) / "r.jsonl").read_text("utf-8")
+    # each record as _log built it before it wrote lines from parts
+    assert written == "".join(_ENCODER.encode({
+        "seq": seq, "tag": request.request_tag, "schema": schema,
+        "system": request.role_preamble, "user": request.user_text, "temperature": temperature,
+        "max_tokens": max_tokens, "raw_response": raw, "ok": ok,
+        "t_start": t_start, "t_end": t_end}) + "\n" for seq, request in enumerate(requests, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -404,18 +404,53 @@ def test_a_replay_run_resumes_only_with_its_config(make_config):
     assert [r["year"] for r in resume(out_dir, cut)["years"]] == [2005, 2006]
 
 
-def test_each_finished_year_logs_one_progress_line(make_config, caplog):
+def test_each_finished_year_logs_one_progress_line(make_config, tmp_path, caplog, monkeypatch):
+    """A year's line gives what counters() gives as it is logged: on a mock run, and on
+    a replay that falls back, straight and resumed."""
     caplog.set_level(logging.INFO, logger="newsdrift.orchestrator")
-    config = make_config(n_agents=2)
-    run(config)
+    gateways, at_lines = [], []
+
+    class Kept(Gateway):  # the run's gateway, read as each progress line is logged
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            gateways.append(self)
+
+    class AtLine(logging.Handler):
+        def emit(self, record):
+            if " done in " in record.getMessage():
+                counts = gateways[-1].counters()
+                at_lines.append((sum(counts["request_counts"].values()),
+                                 sum(counts["fallback_counts"].values())))
+
+    monkeypatch.setattr(orchestrator, "Gateway", Kept)
+    logger, handler = logging.getLogger("newsdrift.orchestrator"), AtLine()
+    logger.addHandler(handler)
+    try:
+        config = make_config(n_agents=2)
+        run(config)
+        records = [json.loads(line) for line in
+                   (Path(config.out_dir) / "replay.jsonl").read_text().splitlines()]
+        survey = next(r for r in records if r["tag"].startswith("survey:"))
+        survey.update(ok=False, raw_response="no opinion")
+        tampered = tmp_path / "tampered.jsonl"
+        tampered.write_text("".join(json.dumps(r) + "\n" for r in records))
+        backend = BackendConfig(mode="replay", replay_log=str(tampered))
+        run(make_config(n_agents=2, backend=backend))
+        cut = make_config(n_agents=2, backend=backend)
+        run(cut, stop_after_year=2005)
+        resume(cut.out_dir, cut)
+    finally:
+        logger.removeHandler(handler)
     lines = [re.fullmatch(r"year (\d+) done in [\d.]+ s: (\d+) exchanges and (\d+) fallbacks "
                           r"so far", record.getMessage())
              for record in caplog.records if record.name == "newsdrift.orchestrator"]
     done = [tuple(map(int, line.groups())) for line in lines if line]
     report = json.loads((Path(config.out_dir) / "run_report.json").read_text())
-    # 2 agents, each one selection, one reflection and one survey a year
-    assert done == [(2005, 6, 0), (2006, 12, 0)]
+    # 2 agents, each one selection, one reflection and one survey a year; the
+    # replays fall back on the first survey
+    assert done == [(2005, 6, 0), (2006, 12, 0)] + [(2005, 6, 1), (2006, 12, 1)] * 2
     assert sum(report["request_counts"].values()) == 12
+    assert [line[1:] for line in done] == at_lines
 
 
 def test_resume_without_checkpoint_fails(tmp_path):

@@ -267,6 +267,24 @@ def test_loader_skips_posts_that_are_not_a_list_of_strings(taxonomy, tmp_path, c
     assert f"skipping social record at {path}:1" in caplog.text
 
 
+@pytest.mark.parametrize("loader, row", [
+    (load_social_records, {"state": "CA", "gender": "female", "race": "white",
+                           "party": "democrat", "posts": []}),
+    (load_survey_records, {"region": "Pacific", "gender": "female", "race": "white",
+                           "party": "democrat"}),
+])
+@pytest.mark.parametrize("ids, kept", [
+    ([None], []), ([1], []), ([1, "1"], ["1"]), (["1", 1], ["1"]),
+])
+def test_loaders_skip_a_record_id_that_is_not_a_string(taxonomy, tmp_path, caplog,
+                                                      loader, row, ids, kept):
+    """Ids were once coerced with str(): null became "None", and 1 and "1" collided."""
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(json.dumps({"record_id": i, **row}) + "\n" for i in ids))
+    assert [r.record_id for r in loader(path, taxonomy)] == kept
+    assert caplog.text.count("record_id must be a string") == len(ids) - len(kept)
+
+
 def test_loader_skips_duplicate_ids(taxonomy, tmp_path):
     path = tmp_path / "soc.jsonl"
     row = {"record_id": "soc-000", "state": "CA", "gender": "female",

@@ -1,20 +1,26 @@
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from newsdrift import prompts
 from newsdrift.distribution import Payload
+from newsdrift.profiles import AgentProfile
 
 
-class FakeProfile:
-    agent_id = "agent-0000"
-    demographics = {"gender": "female", "race": "white", "party": "democrat",
-                    "state": "CA", "region": "Pacific", "age_band": "30-44",
-                    "education": "college", "income_band": "middle"}
-    political_preferences = {"ideology": "liberal", "party_strength": "lean"}
-    media_preferences = {"news_frequency": "daily", "primary_news_source": "online"}
-    domestic_views = {"abortion": "favor", "gun_control": "oppose"}
-    interests = ("economics", "technology")
+FakeProfile = AgentProfile(
+    agent_id="agent-0000",
+    demographics={"gender": "female", "race": "white", "party": "democrat",
+                  "state": "CA", "region": "Pacific", "age_band": "30-44",
+                  "education": "college", "income_band": "middle"},
+    political_preferences={"ideology": "liberal", "party_strength": "lean"},
+    media_preferences={"news_frequency": "daily", "primary_news_source": "online"},
+    domestic_views={"abortion": "favor", "gun_control": "oppose"},
+    interests=("economics", "technology"),
+    provenance={},
+)
 
 
 PAYLOADS = (Payload("a1", "Headline One", "Body text one."),
@@ -159,3 +165,63 @@ def test_split_role():
     role, rest = prompts.split_role("You are someone.\n\nDo the thing.\nMore.")
     assert role == "You are someone."
     assert rest.startswith("Do the thing.")
+
+
+def _fill(template: str, mapping: dict[str, str]) -> str:
+    """The renderers' one-pass fill from before each template was split once."""
+    return re.sub(r"\{(\w+)\}", lambda match: mapping[match.group(1)], template)
+
+
+def _old_render(name: str, mapping: dict[str, str], no_cognitive: bool = False):
+    template = prompts._template(name)
+    if no_cognitive:
+        template = prompts._strip_dissonance(template)
+    return prompts.split_role(_fill(template, mapping))
+
+
+# values that name placeholders, break paragraphs or carry outer whitespace
+_VALUES = st.text() | st.lists(st.sampled_from(
+    ["{m}", "{interests}", "{full_text}", "{current_opinions}", "\n\n", "\n", " ", "\t",
+     "\u2028", "China", "é", "{", "}"])).map("".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(_VALUES, min_size=5, max_size=5), m=st.integers(1, 50),
+       valence=st.floats(-2, 2), previous=st.none() | st.integers(1, 4),
+       no_profile=st.booleans(), no_cognitive=st.booleans())
+def test_every_template_renders_as_the_one_pass_fill_did(values, m, valence, previous,
+                                                          no_profile, no_cognitive):
+    opinions, news, critique, text, interest = values
+    profile = AgentProfile(
+        agent_id="agent-0000", demographics={"gender": text, "state": news},
+        political_preferences={"ideology": interest}, media_preferences={"news": opinions},
+        domestic_views={"abortion": critique}, interests=(interest, "economics"), provenance={})
+    texts = {"interests": prompts.interests_text(profile),
+             "demographics_str": prompts.demographics_text(profile),
+             "domestic_views_str": prompts.domestic_views_text(profile),
+             "media_preferences_str": prompts.media_preferences_text(profile)}
+    reflection_texts = dict.fromkeys(("interests", "demographics_str", "domestic_views_str"),
+                                     prompts.NO_PROFILE_TEXT) if no_profile else texts
+    for devil in (None, critique):
+        mapping = {**reflection_texts, "current_opinions": opinions, "formatted_news_list": news}
+        name = "reflection"
+        if devil is not None:
+            mapping["devils_advocate_response"], name = devil, "reflection_devils_advocate"
+        assert prompts.render_reflection(
+            profile, opinions, news, devils_advocate_response=devil, no_profile=no_profile,
+            no_cognitive=no_cognitive) == _old_render(name, mapping, no_cognitive)
+    assert prompts.render_debias(text) == _old_render("debias", {"full_text": text})
+    assert prompts.render_critique(news) == _old_render("critique", {"formatted_news_list": news})
+    assert prompts.render_selection(profile, news, m) == _old_render(
+        "selection", {**texts, "numbered_headlines": news, "m": str(m)})
+    assert prompts.render_survey(profile, opinions, valence, previous) == _old_render(
+        "survey", {**texts, "current_opinions": opinions, "overall_valence": f"{valence:+.3f}",
+                   "previous_response": "none yet" if previous is None else str(previous)})
+    assert prompts.render_interests(text, opinions, (interest, critique)) == _old_render(
+        "interests", {"posts": text, "media_preferences_str": opinions,
+                      "topic_names": f"{interest}, {critique}"})
+
+
+def test_a_template_with_a_placeholder_in_its_first_paragraph_is_refused():
+    with pytest.raises(ValueError, match="first paragraph"):
+        prompts._split("You are {name}.\n\nAnswer.")

@@ -10,6 +10,7 @@ from newsdrift.corpus import ingest
 from newsdrift.distribution import Payload, retrieve_full_text
 from newsdrift.errors import SchemaError, ValidationError
 from newsdrift.gateway import BackendConfig, Gateway, MockLexicon
+from newsdrift.profiles import AgentProfile
 from newsdrift.reflection import (
     OpinionState,
     apply_updates,
@@ -22,15 +23,17 @@ from newsdrift.reflection import (
 LEX = MockLexicon({"up": 0.75}, {"down": 0.75, "dip": 0.25, "blip": 0.05})
 
 
-class FakeProfile:
-    agent_id = "agent-0000"
-    demographics = {"gender": "female", "race": "white", "party": "democrat",
-                    "state": "CA", "region": "Pacific", "age_band": "30-44",
-                    "education": "college", "income_band": "middle"}
-    political_preferences = {}
-    media_preferences = {}
-    domestic_views = {}
-    interests = ("economics",)
+FakeProfile = AgentProfile(
+    agent_id="agent-0000",
+    demographics={"gender": "female", "race": "white", "party": "democrat",
+                  "state": "CA", "region": "Pacific", "age_band": "30-44",
+                  "education": "college", "income_band": "middle"},
+    political_preferences={},
+    media_preferences={},
+    domestic_views={},
+    interests=("economics",),
+    provenance={},
+)
 
 
 def _econ(text, article_id="a1"):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from newsdrift.errors import ConfigError, ValidationError
+from newsdrift.profiles import AgentProfile
 from newsdrift.reflection import OpinionState
 from newsdrift.surveys import (
     GroundTruthSeries,
@@ -80,17 +81,19 @@ class FailGateway:
 
 
 def test_survey_falls_back_to_threshold(taxonomy):
-    class P:
-        agent_id = "agent-0000"
-        demographics = {"gender": "female", "race": "white", "party": "democrat",
-                        "state": "CA", "region": "Pacific"}
-        political_preferences = {}
-        media_preferences = {}
-        domestic_views = {}
-        interests = ("economics",)
+    profile = AgentProfile(
+        agent_id="agent-0000",
+        demographics={"gender": "female", "race": "white", "party": "democrat",
+                      "state": "CA", "region": "Pacific"},
+        political_preferences={},
+        media_preferences={},
+        domestic_views={},
+        interests=("economics",),
+        provenance={},
+    )
 
     state = _state(taxonomy, {"economics": -2.0}, {"economics": 4})
-    assert survey_response(P, state, FailGateway(), taxonomy, tag="survey:t") == 1
+    assert survey_response(profile, state, FailGateway(), taxonomy, tag="survey:t") == 1
 
 
 # ---------------------------------------------------------------------------
