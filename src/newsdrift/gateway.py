@@ -15,6 +15,7 @@ import hashlib
 import http.client
 import json
 import logging
+import math
 import os
 import re
 import selectors
@@ -22,7 +23,7 @@ import socket
 import ssl
 import threading
 import time
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
@@ -93,18 +94,25 @@ class BackendConfig:
     max_in_flight: int = 8
 
     def __post_init__(self):
+        for name in ("base_url", "model_name", "api_key_env_var", "replay_log"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or (name == "replay_log" and value is None)):
+                raise ConfigError(f"{name} must be a string: {value!r}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown backend mode: {self.mode!r}")
         if self.mode == "remote" and (not self.base_url or not self.model_name):
             raise ConfigError("remote mode requires base_url and model_name")
         if self.mode == "replay" and not self.replay_log:
             raise ConfigError("replay mode requires replay_log path")
-        for name in ("max_attempts", "max_in_flight"):
+        for name in ("max_attempts", "max_in_flight", "max_tokens"):
             value = getattr(self, name)
             if not (is_number(value, int) and value >= 1):
                 raise ConfigError(f"{name} must be an integer of at least 1: {value!r}")
         if not (is_number(self.timeout_seconds) and self.timeout_seconds > 0):
             raise ConfigError(f"timeout_seconds must be a positive number: {self.timeout_seconds!r}")
+        if not (is_number(self.temperature) and 0 <= self.temperature < math.inf):
+            raise ConfigError(f"temperature must be a finite number of at least 0: "
+                              f"{self.temperature!r}")
         if not (isinstance(self.backoff_seconds, (list, tuple))
                 and all(is_number(delay) and delay >= 0 for delay in self.backoff_seconds)):
             raise ConfigError(f"backoff_seconds must be numbers, none negative: "
@@ -352,11 +360,11 @@ class Gateway:
     Each backend only supplies raw answers; ``generate`` parses, logs and
     returns them the same way whatever the mode. ``start`` runs independent
     chains of exchanges, at most ``max_in_flight`` at once on the remote
-    backend, and hands each chain's records back to be written in the order a
-    sequential run writes them. Each thread that posts keeps one connection
-    alive. Records are written, and their tags taken and checked for a
-    repeat, in ``_log``, only in the thread that collects them, so the tag map
-    always describes the log as far as it is written.
+    backend, and writes each chain's records in the order the chains were
+    started. Each thread that posts keeps one connection alive. One thread,
+    outside any item, starts the items and writes their records, taking and
+    checking each tag for a repeat in ``_log``, so the tag map always
+    describes the log as far as it is written.
     The gateway alone writes the replay log: it cuts the log back to the kept
     lines when it opens, then appends through one line-buffered handle; request
     tags must be unique per run so a recorded log can drive an exact replay.
@@ -372,6 +380,9 @@ class Gateway:
         self.replay_lines = replay_lines
         # .records: where this thread's exchanges are held; unset writes to the log
         self._local = threading.local()
+        # started items whose records wait, in start order: item _started - len(_held) first
+        self._held: deque = deque()
+        self._started = 0
         self._pool: ThreadPoolExecutor | None = None
         # thread id -> that thread's kept-alive connection to the remote endpoint
         self._connections: dict[int, http.client.HTTPConnection] = {}
@@ -422,6 +433,7 @@ class Gateway:
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
+        self._held.clear()  # their records are never written
         for connection in self._connections.values():
             connection.close()
         self._connections.clear()
@@ -440,36 +452,46 @@ class Gateway:
         finally:
             self._local.records = enclosing
 
-    def emit(self, records: list):
-        """Write records held back by ``start``; inside a ``start`` item, hold them
-        with that item's own records."""
+    def _record(self, *record):
+        """Write one record, or hold it with the records of the item running here."""
         held = getattr(self._local, "records", None)
-        if held is not None:
-            held.extend(records)
-            return
-        for record in records:
+        if held is None:
             self._log(*record)
+        else:
+            held.append(record)
 
     def start(self, fn, items):
-        """Start fn(item) for each item, each call a chain of exchanges, and
-        return one call per item that returns its (result, held records) once
-        it has finished. The caller emits the records in item order, so the
-        log reads as if the items ran one after another.
+        """Start fn(item) for each item, each a chain of exchanges; return one
+        call per item that returns its result once it has finished. Records are
+        written in start order: a call outside any item first writes those of
+        every item started up to and including its own, one inside an item
+        writes nothing, and a failed item stays first, so later calls raise it.
 
         The remote backend submits the items to its pool at once, where they
         queue behind items started earlier and run up to ``max_in_flight`` at a
         time, one after another when that is 1; a call waits for its item and
         raises its failure, and ``close`` cancels the items not yet begun. Mock
-        and replay run an item at its call's first use, in the calling thread,
+        and replay run an item when a call first needs it, in the calling thread,
         and keep its result for later calls (``run_once``). An item may use
         the calls of items started before it.
         """
-        if self.config.mode != "remote":
-            return [run_once(self._capture, fn, item) for item in items]
-        if self._pool is None:
+        if self.config.mode == "remote" and self._pool is None:
             self._pool = ThreadPoolExecutor(self.config.max_in_flight,
                                             thread_name_prefix="newsdrift-gateway")
-        return [self._pool.submit(self._capture, fn, item).result for item in items]
+        runs = [self._pool.submit(self._capture, fn, item).result if self._pool
+                else run_once(self._capture, fn, item) for item in items]
+        self._held.extend(runs)
+        first, self._started = self._started, self._started + len(runs)
+        return [partial(self._collect, number, run) for number, run in enumerate(runs, first)]
+
+    def _collect(self, number: int, run):
+        """Item ``number``'s result; outside any item, held records up to it are written first."""
+        while (self._started - len(self._held) <= number
+               and getattr(self._local, "records", None) is None):
+            for record in self._held[0]()[1]:
+                self._log(*record)
+            self._held.popleft()
+        return run()[0]
 
     def counters(self) -> dict:
         """Exchanges and fallbacks per schema, from the tag map, and the log's line count."""
@@ -588,16 +610,16 @@ class Gateway:
         that fails its schema is logged as failed, and the next answer is
         tried. When none matches, ``fallback()`` is returned, and the
         exchange is counted in ``fallback_counts`` under its schema once its
-        records are emitted; transport, replay and config errors still raise.
+        records are written; transport, replay and config errors still raise.
         """
         schema = request.expected_schema
         for raw, t_start, t_end in self._answers(request, mock):
             try:
                 parsed = parse_structured(schema, raw)
             except SchemaError:
-                self.emit([(request, raw, False, t_start, t_end)])
+                self._record(request, raw, False, t_start, t_end)
                 continue
-            self.emit([(request, raw, True, t_start, t_end)])
+            self._record(request, raw, True, t_start, t_end)
             return parsed
-        self.emit([(request, None, False, 0.0, 0.0)])
+        self._record(request, None, False, 0.0, 0.0)
         return fallback()

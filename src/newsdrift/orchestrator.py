@@ -249,7 +249,7 @@ def _chunk(items, size):
 
 def _choose(config: RunConfig, env: RunEnv, gateway: Gateway, year: int):
     """Start every agent's offer and selection for a year; return one call per
-    agent that returns its ((offer, selected, batches), selection records).
+    agent that returns its (offer, selected, batches).
 
     A selection reads only the static profile, the seed and the corpus, never
     an opinion, so it may run before the years ahead of it are done.
@@ -270,45 +270,32 @@ def _choose(config: RunConfig, env: RunEnv, gateway: Gateway, year: int):
 
 def _start_year(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState,
                 year: int, chosen: list):
-    """Rewrite the year's debias reads, then start every agent's
-    reading and survey; return one call per agent that returns its
-    ((opinion, updates, trace row), records), its selection's records first.
+    """Rewrite the year's debias reads, then start each agent's reading and
+    survey; return one call per agent for its (opinion, updates, trace row).
 
     ``chosen`` holds ``_choose``'s calls. An agent's reading waits only for its
     own selection, unless debias waits for them all. Agents share nothing
     within a year but the debias cache, so each agent's chain of exchanges may
-    run beside the others'. The replay log still reads as the sequential run
-    wrote it: an agent's records, its selection first, each debias rewrite
-    just before the batch of the article's first reader.
+    run beside the others'. The gateway writes the chains in the order they
+    were started, so a year's log reads: its selections, its rewrites in
+    first-reader order, then each agent's chain.
     """
-    agents = env.agents
-
-    # (agent index, batch index) -> records of the rewrites that batch reads first
-    rewrites: dict[tuple[int, int], list] = {}
     if config.intervention == "debias":
-        first_reader = {}
-        for i, ((_, _, batches), _) in enumerate(choice() for choice in chosen):
-            for j, batch in enumerate(batches):
-                for payload in batch:
-                    first_reader.setdefault(payload.article_id, (payload, (i, j)))
-        readers = list(first_reader.values())
-        held = gateway.start(lambda entry: debias_payload(
-            entry[0], gateway, env.lexicon, state.cache), readers)
-        for (_, reader), rewrite in zip(readers, held):
-            _, records = rewrite()
-            rewrites.setdefault(reader, []).extend(records)
+        reads = {payload.article_id: payload for choice in chosen
+                 for batch in choice()[2] for payload in batch}
+        for rewrite in gateway.start(lambda payload: debias_payload(
+                payload, gateway, env.lexicon, state.cache), reads.values()):
+            rewrite()
 
     def read_and_survey(i):
-        profile = agents[i]
+        profile = env.agents[i]
         agent_id = profile.agent_id
-        (offer, selected, batches), selection_records = chosen[i]()
-        gateway.emit(selection_records)
+        offer, selected, batches = chosen[i]()
         opinion = state.states[agent_id]
         critique_chars = []
         read_meta = []
         updates_all = []
         for j, batch in enumerate(batches):
-            gateway.emit(rewrites.get((i, j), []))
             batch_payloads, critique = apply_intervention(
                 config.intervention, batch, gateway, env.lexicon, state.cache,
                 tag=f"critique:{year}:{agent_id}:b{j}",
@@ -341,7 +328,7 @@ def _start_year(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunStat
             "response": response,
         }
 
-    return gateway.start(read_and_survey, range(len(agents)))
+    return gateway.start(read_and_survey, range(len(env.agents)))
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +491,8 @@ def _drive(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState,
         # behind this year's reading, on the remote backend; the last year holds none
         selections = _choose(config, env, gateway, next_year) if next_year else None
         updates, trace = [], []
-        while read:  # each agent's call is dropped once its records are written
-            (opinion, agent_updates, row), records = read.pop(0)()
-            gateway.emit(records)
+        while read:  # each agent's call is dropped once its chain is written
+            opinion, agent_updates, row = read.pop(0)()
             state.states[opinion.agent_id] = opinion
             updates.extend(agent_updates)
             trace.append(row)

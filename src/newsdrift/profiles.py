@@ -83,10 +83,6 @@ class AgentProfile:
                      "domestic_views_text"):
             object.__setattr__(self, name, getattr(prompts, name)(self))
 
-    def feature_count(self) -> int:
-        return (len(self.demographics) + len(self.political_preferences)
-                + len(self.media_preferences) + len(self.domestic_views))
-
     def to_dict(self) -> dict:
         return {
             "agent_id": self.agent_id,
@@ -128,8 +124,6 @@ def validate_profile(profile: AgentProfile, taxonomy: TopicTaxonomy):
                 f"profile {profile.agent_id}: {name} fields {sorted(fields)} "
                 f"do not match the declared schema"
             )
-    if profile.feature_count() != 50:
-        raise ValidationError(f"profile {profile.agent_id}: expected 50 feature fields")
     if not profile.interests:
         raise ValidationError(f"profile {profile.agent_id}: interests empty")
     unknown = [t for t in profile.interests if t not in taxonomy.names]

@@ -225,7 +225,7 @@ def test_log_json_is_json_dumps_with_sorted_keys_and_text_unescaped(value, text)
     with tempfile.TemporaryDirectory() as folder:
         gw = Gateway(BackendConfig(mode="mock"), log_path=Path(folder) / "r.jsonl")
         request = GenerationRequest("system", text, "reflection_update", "r:1")
-        gw.emit([(request, text, True, 0.0, 0.0)])
+        gw._log(request, text, True, 0.0, 0.0)
         gw.close()
         line = (Path(folder) / "r.jsonl").read_text("utf-8")
     assert line == dumps({"seq": 1, "tag": "r:1", "schema": "reflection_update",
@@ -238,14 +238,17 @@ def test_log_json_is_json_dumps_with_sorted_keys_and_text_unescaped(value, text)
 # characters, non-ASCII, U+2028 and the paragraph break a prompt splits at
 _LOG_TEXTS = st.text() | st.lists(st.sampled_from(
     ['"', "\\", "\x00", "\x1f", "\x7f", "\t", "\n\n", "\u2028", "é", "中", "😀", "a", " "])).map("".join)
-_LOG_NUMBERS = st.integers() | st.floats() | st.booleans()
+# the values BackendConfig accepts: a finite temperature of at least 0, an int max_tokens of 1 up
+_LOG_TEMPERATURES = st.integers(min_value=0) | st.floats(min_value=0, allow_infinity=False)
+_LOG_MAX_TOKENS = st.integers(min_value=1)
 _LOG_TIMES = st.just(0.0) | st.builds(time.time) | st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=200, deadline=None)
 @given(texts=st.tuples(_LOG_TEXTS, _LOG_TEXTS, _LOG_TEXTS, _LOG_TEXTS),
        schema=st.sampled_from(SCHEMAS), ok=st.booleans(),
-       temperature=_LOG_NUMBERS, max_tokens=_LOG_NUMBERS, t_start=_LOG_TIMES, t_end=_LOG_TIMES)
+       temperature=_LOG_TEMPERATURES, max_tokens=_LOG_MAX_TOKENS, t_start=_LOG_TIMES,
+       t_end=_LOG_TIMES)
 def test_a_log_line_is_the_encoders_line_of_the_record(texts, schema, ok, temperature,
                                                        max_tokens, t_start, t_end):
     """The line _log assembles from parts is the one its encoder makes of the whole record."""
@@ -258,7 +261,8 @@ def test_a_log_line_is_the_encoders_line_of_the_record(texts, schema, ok, temper
     with tempfile.TemporaryDirectory() as folder:
         gw = Gateway(config, log_path=Path(folder) / "r.jsonl")
         try:
-            gw.emit([(request, raw, ok, t_start, t_end) for request in requests])
+            for request in requests:
+                gw._log(request, raw, ok, t_start, t_end)
         finally:
             gw.close()
         written = (Path(folder) / "r.jsonl").read_text("utf-8")
@@ -318,8 +322,8 @@ def test_a_gateway_counts_the_exchanges_of_the_kept_lines_again(tmp_path):
     log = tmp_path / "r.jsonl"
     first = Gateway(BackendConfig(mode="mock"), log_path=log)
     first.generate(_req("a"), mock=lambda: 1, fallback=lambda: None)
-    first.emit([(_req("b"), "nope", False, 0.0, 0.0),
-                (_req("b"), None, False, 0.0, 0.0)])
+    first._log(_req("b"), "nope", False, 0.0, 0.0)
+    first._log(_req("b"), None, False, 0.0, 0.0)
     first.generate(_req("c", schema="selection_list"), mock=lambda: [1], fallback=lambda: None)
     first.close()
     log.write_text(log.read_text() + "{torn\n")
@@ -881,7 +885,7 @@ def test_close_closes_every_connection_and_a_later_exchange_opens_another(canned
     def ask(n):
         return gw.generate(_req(f"s:{n}"), fallback=lambda: None)
 
-    assert [outcome()[0] for outcome in gw.start(ask, range(8))] == [1] * 8
+    assert [outcome() for outcome in gw.start(ask, range(8))] == [1] * 8
     assert made and any(connection.sock for connection in made)
     gw.close()
     assert not any(connection.sock for connection in made)
@@ -1013,16 +1017,17 @@ def _outputs(out: Path) -> dict[str, bytes]:
 
 
 def _sequential_tags(out: Path, year: int, intervention: str) -> list[str]:
-    """The first year's tags in the order a one-agent-at-a-time run makes them."""
-    tags = []
-    for row in (json.loads(line) for line in
-                (out / "trace" / f"year_{year}.jsonl").read_text().splitlines()):
+    """The first year's tags in start order: every selection, then every debias
+    rewrite in first-reader order, then each agent's chain of reads and survey."""
+    rows = [json.loads(line) for line in
+            (out / "trace" / f"year_{year}.jsonl").read_text().splitlines()]
+    tags = [f"select:{year}:{row['agent_id']}" for row in rows]
+    if intervention == "debias":
+        tags.extend(dict.fromkeys(f"debias:{read['article_id']}"
+                                  for row in rows for read in row["reads"]))
+    for row in rows:
         agent = row["agent_id"]
-        tags.append(f"select:{year}:{agent}")
         for j in range(0, len(row["reads"]), 2):
-            if intervention == "debias":
-                tags.extend(f"debias:{read['article_id']}" for read in row["reads"][j:j + 2]
-                            if f"debias:{read['article_id']}" not in tags)
             if intervention == "devils_advocate":
                 tags.append(f"critique:{year}:{agent}:b{j // 2}")
             tags.append(f"reflect:{year}:{agent}:b{j // 2}")
@@ -1356,7 +1361,7 @@ def test_map_raises_the_first_failure_in_item_order(canned_server, monkeypatch, 
     gw.close()
     assert len(started) < 40  # the items not started were cancelled
     assert [outcome() for outcome in gw.start(lambda item: item * 2, range(3))] \
-        == [(0, []), (2, []), (4, [])]
+        == [0, 2, 4]
     gw.close()
 
 
@@ -1372,31 +1377,94 @@ def test_a_mock_item_runs_once_and_a_failed_one_raises_again_at_its_next_call():
 
     good, bad = gw.start(work, ["good", "bad"])
     assert runs == []  # nothing runs before its call's first use
-    assert good() == good() == ("good", [])
+    assert good() == good() == "good"
     for _ in range(2):
         with pytest.raises(KeyError, match="item bad"):
             bad()
     assert runs == ["good", "bad", "bad"]
 
 
+def _tags(log: Path) -> list[str]:
+    return [json.loads(line)["tag"] for line in log.read_text().splitlines()] \
+        if log.exists() else []
+
+
 def test_an_item_run_inside_another_keeps_its_records_held(tmp_path, open_gateway):
-    """On mock an item runs at its call's first use, here inside another item."""
+    """On mock an item runs at its call's first use, here inside the item that
+    started it; its records stay its own and are written at its place in start
+    order, after the whole of the item that started it."""
     log = tmp_path / "r.jsonl"
     gw = open_gateway(BackendConfig(mode="mock"), log_path=log)
-    inner = gw.start(lambda n: gw.generate(_req(f"inner:{n}"), mock=lambda: 1,
-                                           fallback=lambda: None), range(1))
+    runs = []
+
+    def ask(tag, answer):
+        runs.append(tag)
+        return gw.generate(_req(tag), mock=lambda: answer, fallback=lambda: None)
 
     def outer(n):
-        value, records = inner[0]()
-        gw.emit(records)
-        return value + gw.generate(_req(f"outer:{n}"), mock=lambda: 2, fallback=lambda: None)
+        first = ask(f"outer:{n}:a", 1)
+        inner = gw.start(lambda m: ask(f"inner:{m}", 2), range(1))
+        return first + inner[0]() + ask(f"outer:{n}:b", 1), inner
 
-    [(total, records)] = [outcome() for outcome in gw.start(outer, range(1))]
-    assert total == 3 and not log.exists()
-    gw.emit(records)
-    assert inner[0]() == (1, [(_req("inner:0"), "1", True, 0.0, 0.0)])  # kept, not run again
-    assert [json.loads(line)["tag"] for line in log.read_text().splitlines()] \
-        == ["inner:0", "outer:0"]
+    [(total, inner)] = [outcome() for outcome in gw.start(outer, range(1))]
+    assert total == 4 and runs == ["outer:0:a", "inner:0", "outer:0:b"]
+    assert _tags(log) == ["outer:0:a", "outer:0:b"]
+    assert inner[0]() == 2 and runs == ["outer:0:a", "inner:0", "outer:0:b"]  # not run again
+    assert _tags(log) == ["outer:0:a", "outer:0:b", "inner:0"]
+
+
+@pytest.mark.parametrize("mode", ["mock", "remote"])
+def test_records_are_written_in_start_order_whatever_order_items_are_collected_in(
+        canned_server, tmp_path, monkeypatch, mode):
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    config = _remote_config(canned_server, max_in_flight=4) if mode == "remote" \
+        else BackendConfig(mode="mock")
+    log = tmp_path / "r.jsonl"
+    gw = Gateway(config, log_path=log)
+    finished, inside = [], []
+
+    def ask(tag):
+        return gw.generate(_req(tag), mock=lambda: 1, fallback=lambda: None)
+
+    def first(n):
+        time.sleep(0.05 if n == 0 else 0.0)  # on remote the first item finishes last
+        finished.append(n)
+        return ask(f"a{n}:1") + ask(f"a{n}:2")
+
+    def second(n):
+        before = _tags(log)
+        value = firsts[n]()  # a call inside an item writes nothing
+        inside.append(_tags(log) == before)
+        finished.append(n)
+        return value + ask(f"b{n}")
+
+    firsts = gw.start(first, range(3))
+    seconds = gw.start(second, range(3))
+    deadline = time.monotonic() + 5
+    while mode == "remote" and len(finished) < 6 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _tags(log) == []  # nothing is written until a call from outside any item
+    assert seconds[2]() == 3
+    start_order = ["a0:1", "a0:2", "a1:1", "a1:2", "a2:1", "a2:2", "b0", "b1", "b2"]
+    assert _tags(log) == start_order and inside == [True] * 3
+    assert [outcome() for outcome in [*seconds, *firsts]] == [3] * 3 + [2] * 3
+    assert _tags(log) == start_order
+
+    def third(n):
+        if n == 1:
+            raise KeyError("item 1 failed")
+        return ask(f"c{n}")
+
+    thirds = gw.start(third, range(3))
+    for _ in range(2):  # the failed item stays first in line
+        with pytest.raises(KeyError, match="item 1 failed"):
+            thirds[2]()
+    assert thirds[0]() == 1
+    assert _tags(log) == [*start_order, "c0"]
+    gw.close()  # drops the failed item and what was started after it
+    assert [outcome() for outcome in gw.start(lambda n: ask(f"d{n}"), range(2))][::-1] == [1, 1]
+    assert _tags(log) == [*start_order, "c0", "d0", "d1"]
+    gw.close()
 
 
 def test_a_tag_repeated_across_concurrent_items_is_refused_at_the_second(canned_server,
@@ -1414,7 +1482,7 @@ def test_a_tag_repeated_across_concurrent_items_is_refused_at_the_second(canned_
 
     with pytest.raises(ConfigError, match="duplicate request tag in run: 'dup'"):
         for outcome in gw.start(ask, range(2)):
-            gw.emit(outcome()[1])
+            outcome()
     gw.close()
     assert [(r["user"], parse_structured(r["schema"], r["raw_response"]))
             for r in map(json.loads, log.read_text().splitlines())] == [("user 1", 1)]
@@ -1463,6 +1531,26 @@ def test_threads_are_started_only_in_the_gateway():
                     and path.name != "gateway.py":
                 importers.append(f"{path.name}:{node.lineno}")
     assert importers == []
+
+
+def test_records_are_held_and_written_only_in_the_gateway():
+    """No module but gateway.py calls _log or _record or touches _local, and no
+    public Gateway method takes records, so no caller carries them."""
+    package = Path(__file__).resolve().parents[1] / "src" / "newsdrift"
+    touches = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_log", "_record", "_local") \
+                    and path.name != "gateway.py":
+                touches.append(f"{path.name}:{node.lineno}")
+    assert touches == []
+    tree = ast.parse((package / "gateway.py").read_text("utf-8"))
+    gateway = next(node for node in tree.body if getattr(node, "name", None) == "Gateway")
+    public = {method.name: [arg.arg for arg in ast.walk(method.args) if isinstance(arg, ast.arg)]
+              for method in gateway.body
+              if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")}
+    assert sorted(public) == ["close", "counters", "generate", "start"]
+    assert not [name for args in public.values() for name in args if "record" in name]
 
 
 def test_run_and_resume_enter_the_year_loop_through_one_function():
@@ -1607,6 +1695,21 @@ def test_backend_config_refuses_a_timeout_that_is_not_positive(timeout):
 def test_backend_config_refuses_a_number_of_the_wrong_type(field, value):
     with pytest.raises(ConfigError, match=field):
         BackendConfig.from_dict({"mode": "mock", field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("base_url", 5), ("base_url", ["http://h/v1"]), ("model_name", 5), ("model_name", None),
+    ("api_key_env_var", 5), ("api_key_env_var", None), ("replay_log", 7), ("replay_log", ["r"]),
+    ("temperature", "hot"), ("temperature", float("nan")), ("temperature", float("inf")),
+    ("temperature", -0.1), ("temperature", True), ("temperature", None),
+    ("max_tokens", True), ("max_tokens", -5), ("max_tokens", 0), ("max_tokens", 64.0),
+    ("max_tokens", "64"),
+])
+def test_backend_config_refuses_a_setting_of_the_wrong_type_or_range(field, value):
+    for mode in ("mock", "remote"):
+        doc = {"mode": mode, "base_url": "http://h/v1", "model_name": "m", field: value}
+        with pytest.raises(ConfigError, match=field):
+            BackendConfig.from_dict(doc)
 
 
 def test_backend_config_refuses_a_negative_backoff():

@@ -632,6 +632,28 @@ def test_a_run_kept_with_parsed_and_config_hash_resumes_to_the_straight_run(make
     assert resumed == expected
 
 
+def test_a_kept_log_in_another_order_resumes_to_the_straight_run(make_config):
+    """The kept records are read as a set of tags, so a log whose kept year is
+    in another order, as logs written before records went in start order are,
+    resumes to the straight run's results; the records after the cut follow
+    in start order."""
+    straight = make_config(n_agents=2, reads_per_year=4, batch_size=2, intervention="debias")
+    run(straight)
+    cut = dataclasses.replace(straight, out_dir=straight.out_dir + "-cut")
+    run(cut, stop_after_year=2005)
+    out = Path(cut.out_dir)
+    kept = (out / "replay.jsonl").read_text().splitlines(keepends=True)
+    assert len(kept) == json.loads((out / "checkpoint.json").read_text())["replay_lines"]
+    (out / "replay.jsonl").write_text("".join(reversed(kept)))
+    resume(cut.out_dir)
+    resumed, expected = _tree(out), _tree(Path(straight.out_dir))
+    lines = resumed.pop("replay.jsonl").decode().splitlines(keepends=True)
+    expected_lines = expected.pop("replay.jsonl").decode().splitlines(keepends=True)
+    assert kept == expected_lines[:len(kept)]
+    assert lines == [*reversed(kept), *expected_lines[len(kept):]]
+    assert resumed == expected
+
+
 @pytest.mark.parametrize("damage", ["delete", "drop_agent", "torn_line"])
 def test_resume_refuses_a_damaged_trace_of_a_completed_year(make_config, damage):
     config = make_config(n_agents=2)

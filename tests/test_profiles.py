@@ -13,6 +13,7 @@ from newsdrift.profiles import (
     assign_interests,
     build_profile,
     build_profiles,
+    load_profile_schema,
     load_profiles,
     load_social_records,
     load_survey_records,
@@ -187,11 +188,14 @@ def test_survey_fields_take_precedence():
 
 
 def test_profile_field_arity(fixtures_dir, profiles, taxonomy):
+    """The packaged schema fixes a profile's 8 + 5 + 7 + 30 fields, and
+    validate_profile holds each section to it."""
+    sizes = {section: len(names) for section, names in load_profile_schema().items()}
+    assert sizes == {"demographics": 8, "political_preferences": 5, "media_preferences": 7,
+                     "domestic_views": 30}
     for profile in profiles:
         validate_profile(profile, taxonomy)
-        total = (len(profile.demographics) + len(profile.political_preferences)
-                 + len(profile.media_preferences) + len(profile.domestic_views))
-        assert total == 50
+        assert [len(getattr(profile, section)) for section in sizes] == list(sizes.values())
 
 
 def test_build_profiles_report_reconciles(fixtures_dir, taxonomy, tmp_path, open_gateway):
