@@ -1,7 +1,7 @@
 """Pre-reflection transforms: debiased rewriting and devil's-advocate critique.
 
-Debias rewrites each selected article's full text (headline and id are
-never touched) and is cached per article so shared reads cost one exchange.
+Debias rewrites each article a year reads in one exchange (headline and id
+are never touched); every read of it takes its text from that exchange's call.
 The devil's advocate leaves articles alone and attaches a critique that the
 reflection step reads alongside the batch.
 """
@@ -31,21 +31,24 @@ def mock_debias_text(text: str, lexicon: MockLexicon) -> str:
     return re.sub(r"\s+", " ", stripped).strip()
 
 
-def debias_payload(payload: Payload, gateway, lexicon: MockLexicon,
-                   cache: dict[str, list]) -> Payload:
-    """Rewrite one read; cache maps article id -> [text, failed], one rewrite per run."""
-    cached = cache.get(payload.article_id)
-    if cached is None:
-        mock = partial(mock_debias_text, payload.full_text, lexicon)
-        system, user = prompts.render_debias(payload.full_text)
-        request = GenerationRequest(system, user, "debiased_text",
-                                    f"debias:{payload.article_id}")
-        text = gateway.generate(request, mock, fallback=lambda: None)
-        # None is the failed rewrite: the reader gets the original text
-        cached = cache[payload.article_id] = (
-            [payload.full_text, True] if text is None else [text, False])
-    text, failed = cached
-    return Payload(payload.article_id, payload.headline, text, not failed, payload.category)
+def rewrite_payload(payload: Payload, gateway, lexicon: MockLexicon,
+                    rewritten: dict[str, list]) -> Payload:
+    """Rewrite one read in one exchange and note [text, failed] under its id in
+    rewritten; return the rewritten read, or the read unchanged if it failed."""
+    mock = partial(mock_debias_text, payload.full_text, lexicon)
+    system, user = prompts.render_debias(payload.full_text)
+    request = GenerationRequest(system, user, "debiased_text",
+                                f"debias:{payload.article_id}")
+    text = gateway.generate(request, mock, fallback=lambda: None)
+    # None is the failed rewrite: the reader gets the original text
+    rewritten[payload.article_id] = [payload.full_text, True] if text is None else [text, False]
+    return payload if text is None else Payload(payload.article_id, payload.headline, text,
+                                                 True, payload.category)
+
+
+def debias_payload(payload: Payload, rewrites: dict) -> Payload:
+    """One read, as the call in rewrites under its article id rewrote it."""
+    return rewrites[payload.article_id]()
 
 
 def _mock_critique(payloads, lexicon: MockLexicon) -> str:
@@ -74,14 +77,12 @@ def devils_advocate_critique(payloads, gateway, lexicon: MockLexicon,
 
 
 def apply_intervention(mode: str, payloads, gateway, lexicon: MockLexicon,
-                       cache: dict[str, list], tag: str):
+                       rewrites: dict, tag: str):
     """Return (payloads', critique or None) for the active run mode."""
     validate_intervention(mode)
     if mode == "baseline":
         return tuple(payloads), None
     if mode == "debias":
-        return tuple(
-            debias_payload(p, gateway, lexicon, cache) for p in payloads
-        ), None
+        return tuple(debias_payload(p, rewrites) for p in payloads), None
     critique = devils_advocate_critique(payloads, gateway, lexicon, tag)
     return tuple(payloads), critique or None

@@ -23,7 +23,7 @@ from .corpus import CorpusIndex, IngestReport, articles_for_year, ingest
 from .distribution import retrieve_full_text, sample_headlines, select_articles
 from .errors import ConfigError, CorpusError, ResumeError
 from .gateway import BackendConfig, Gateway, MockLexicon, is_number, load_lexicon
-from .interventions import apply_intervention, debias_payload
+from .interventions import apply_intervention, rewrite_payload
 from .modes import validate_ablation, validate_intervention
 from .profiles import AgentProfile, load_profiles, sample_agents
 from .reflection import OpinionState, apply_updates, reflect_batch
@@ -215,7 +215,7 @@ class RunState:
     """
     states: dict[str, OpinionState]
     completed_years: list[int] = field(default_factory=list)
-    # debias rewrites: article id -> [text, failed]
+    # debias rewrites: article id -> [text, failed], kept for the checkpoint alone
     cache: dict[str, list] = field(default_factory=dict)
 
     @classmethod
@@ -249,7 +249,7 @@ def _chunk(items, size):
 
 def _choose(config: RunConfig, env: RunEnv, gateway: Gateway, year: int):
     """Start every agent's offer and selection for a year; return one call per
-    agent that returns its (offer, selected, batches).
+    agent that returns its (offer, batches).
 
     A selection reads only the static profile, the seed and the corpus, never
     an opinion, so it may run before the years ahead of it are done.
@@ -263,41 +263,41 @@ def _choose(config: RunConfig, env: RunEnv, gateway: Gateway, year: int):
             config.ablation, tag=f"select:{year}:{profile.agent_id}",
         )
         payloads = retrieve_full_text(env.index, selected, config.ablation)
-        return offer, selected, _chunk(list(payloads), config.batch_size)
+        return offer, _chunk(list(payloads), config.batch_size)
 
     return gateway.start(choose, env.agents)
 
 
 def _start_year(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState,
                 year: int, chosen: list):
-    """Rewrite the year's debias reads, then start each agent's reading and
-    survey; return one call per agent for its (opinion, updates, trace row).
+    """Start the year's debias rewrites, then each agent's reading and survey;
+    return one call per agent for its (opinion, updates, trace row).
 
-    ``chosen`` holds ``_choose``'s calls. An agent's reading waits only for its
-    own selection, unless debias waits for them all. Agents share nothing
-    within a year but the debias cache, so each agent's chain of exchanges may
-    run beside the others'. The gateway writes the chains in the order they
-    were started, so a year's log reads: its selections, its rewrites in
-    first-reader order, then each agent's chain.
+    ``chosen`` holds ``_choose``'s calls. Under debias the rewrites start once
+    every selection is in, one per distinct read in first-reader order. An
+    agent's reading waits only for its own selection and its own reads'
+    rewrites, so each agent's chain of exchanges may run beside the others'.
+    The gateway writes the chains in the order they were started, so a year's
+    log reads: its selections, its rewrites, then each agent's chain.
     """
+    rewrites = {}  # article id -> the call that rewrites it
     if config.intervention == "debias":
         reads = {payload.article_id: payload for choice in chosen
-                 for batch in choice()[2] for payload in batch}
-        for rewrite in gateway.start(lambda payload: debias_payload(
-                payload, gateway, env.lexicon, state.cache), reads.values()):
-            rewrite()
+                 for batch in choice()[1] for payload in batch}
+        rewrites = dict(zip(reads, gateway.start(lambda payload: rewrite_payload(
+            payload, gateway, env.lexicon, state.cache), reads.values())))
 
     def read_and_survey(i):
         profile = env.agents[i]
         agent_id = profile.agent_id
-        offer, selected, batches = chosen[i]()
+        offer, batches = chosen[i]()
         opinion = state.states[agent_id]
         critique_chars = []
         read_meta = []
         updates_all = []
         for j, batch in enumerate(batches):
             batch_payloads, critique = apply_intervention(
-                config.intervention, batch, gateway, env.lexicon, state.cache,
+                config.intervention, batch, gateway, env.lexicon, rewrites,
                 tag=f"critique:{year}:{agent_id}:b{j}",
             )
             critique_chars.append(len(critique) if critique else 0)
@@ -321,7 +321,6 @@ def _start_year(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunStat
         return opinion, updates_all, {
             "agent_id": agent_id,
             "offer_ids": list(offer.ids),
-            "selected_ids": list(selected),
             "reads": read_meta,
             "critique_chars": critique_chars,
             "overall_valence": overall_valence(opinion),

@@ -352,9 +352,7 @@ def build_profiles(social_path, survey_path, taxonomy: TopicTaxonomy, gateway,
             pair, taxonomy, gateway, tag=f"interests:{pair.survey.record_id}"
         )
         rule_fallbacks += from_rules
-        profile = build_profile(pair, f"agent-{i:04d}", interests)
-        validate_profile(profile, taxonomy)
-        profiles.append(profile)
+        profiles.append(build_profile(pair, f"agent-{i:04d}", interests))
 
     report = {**_matching_report(profiles, unmatched), **gateway.counters(),
               "interest_rule_fallbacks": rule_fallbacks}

@@ -1304,6 +1304,85 @@ def test_each_reading_waits_only_for_its_own_selection(canned_server, make_confi
     assert _artifacts(Path(concurrent.out_dir)) == _artifacts(Path(sequential.out_dir))
 
 
+def _first_reads(out: Path, year: int) -> tuple[dict, dict[str, set[str]]]:
+    """The year's first rewrite record whose user prompt no other rewrite
+    shares, and the agents that read each of the year's articles."""
+    rows = [json.loads(line) for line in
+            (out / "trace" / f"year_{year}.jsonl").read_text().splitlines()]
+    readers: dict[str, set[str]] = {}
+    for row in rows:
+        for read in row["reads"]:
+            readers.setdefault(read["article_id"], set()).add(row["agent_id"])
+    rewrites = [r for r in _without_times(out / "replay.jsonl")
+                if r["tag"].removeprefix("debias:") in readers]
+    users = [r["user"] for r in rewrites]
+    held = next(r for r in rewrites if users.count(r["user"]) == 1)
+    return held, readers
+
+
+def test_each_reading_waits_only_for_its_own_rewrites(canned_server, make_config, monkeypatch):
+    """One 2005 rewrite's POST is held 0.3 s; the agents that do not read its
+    article reflect meanwhile, and the run still equals the one-at-a-time run."""
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.answer = _schema_answer
+    shape = dict(intervention="debias", reads_per_year=4, batch_size=2)
+    sequential = make_config(**shape, backend=_remote_config(canned_server, max_in_flight=1))
+    run(sequential)
+    held, readers = _first_reads(Path(sequential.out_dir), 2005)
+    waiting = readers[held["tag"].removeprefix("debias:")]
+    agents = set().union(*readers.values())
+    assert waiting and waiting < agents
+
+    canned_server.answer = lambda body: (
+        ("held", 0.3, _schema_answer(body)) if body["messages"][1]["content"] == held["user"]
+        else _schema_answer(body))
+    concurrent = make_config(**shape, backend=_remote_config(canned_server, max_in_flight=8))
+    run(concurrent)
+
+    log = [json.loads(line) for line in
+           (Path(concurrent.out_dir) / "replay.jsonl").read_text().splitlines()]
+    returned = next(r["t_end"] for r in log if r["tag"] == held["tag"])
+    early = {r["tag"].split(":")[2] for r in log
+             if r["tag"].startswith("reflect:2005:") and r["t_start"] < returned}
+    assert early == agents - waiting
+    assert _without_times(Path(concurrent.out_dir) / "replay.jsonl") \
+        == _without_times(Path(sequential.out_dir) / "replay.jsonl")
+    assert _artifacts(Path(concurrent.out_dir)) == _artifacts(Path(sequential.out_dir))
+
+
+def test_a_rewrite_that_fails_in_transport_resumes_to_the_straight_run(canned_server,
+                                                                       make_config, monkeypatch):
+    """Every POST of one 2006 rewrite fails: the run stops with whole records
+    of the exchanges before it, and a resume once the server heals equals the
+    straight run."""
+    monkeypatch.setenv("NEWSDRIFT_API_KEY", "k")
+    canned_server.answer = _schema_answer
+    straight = make_config(intervention="debias", reads_per_year=4, batch_size=2,
+                           backend=_remote_config(canned_server))
+    run(straight)
+    straight_log = _without_times(Path(straight.out_dir) / "replay.jsonl")
+    failing, _ = _first_reads(Path(straight.out_dir), 2006)
+    canned_server.answer = lambda body: (
+        ("http_error", 500) if body["messages"][1]["content"] == failing["user"]
+        else _schema_answer(body))
+    cut = dataclasses.replace(straight, out_dir=str(Path(straight.out_dir).parent / "cut"))
+    with pytest.raises(TransportError):
+        run(cut)
+
+    out = Path(cut.out_dir)
+    blob = (out / "replay.jsonl").read_bytes()
+    assert blob.endswith(b"\n")
+    written = _without_times(out / "replay.jsonl")
+    assert written == straight_log[:len(written)]
+    assert straight_log[len(written)]["tag"] == failing["tag"]
+    assert json.loads((out / "checkpoint.json").read_text())["completed_years"] == [2005]
+
+    canned_server.answer = _schema_answer
+    resume(cut.out_dir)
+    assert _without_times(out / "replay.jsonl") == straight_log
+    assert _artifacts(out) == _artifacts(Path(straight.out_dir))
+
+
 class _CutInside2006(Exception):
     pass
 
@@ -1531,6 +1610,27 @@ def test_threads_are_started_only_in_the_gateway():
                     and path.name != "gateway.py":
                 importers.append(f"{path.name}:{node.lineno}")
     assert importers == []
+
+
+def test_run_state_cache_is_written_only_by_rewrite_payload():
+    """Outside RunState, src/ uses the ``cache`` attribute only as the
+    ``rewritten`` argument of rewrite_payload: a read takes its rewrite from the
+    call that made it, never from the checkpoint's record of it."""
+    package = Path(__file__).resolve().parents[1] / "src" / "newsdrift"
+    uses = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "RunState":
+                allowed.update(map(id, ast.walk(node)))
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", "") == "rewrite_payload":
+                allowed.update(id(value) for value in [*node.args[3:4], *(
+                    k.value for k in node.keywords if k.arg == "rewritten")])
+        uses.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "cache"
+                    and id(node) not in allowed)
+    assert uses == []
 
 
 def test_records_are_held_and_written_only_in_the_gateway():

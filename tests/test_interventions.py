@@ -7,12 +7,12 @@ from hypothesis import given, strategies as st
 
 from newsdrift.distribution import Payload
 from newsdrift.errors import ConfigError, ValidationError
-from newsdrift.gateway import BackendConfig, Gateway, load_lexicon, mock_sentiment
+from newsdrift.gateway import BackendConfig, Gateway, load_lexicon, mock_sentiment, run_once
 from newsdrift.interventions import (
     apply_intervention,
-    debias_payload,
     devils_advocate_critique,
     mock_debias_text,
+    rewrite_payload,
 )
 
 LOADED = "China's alarming crackdown stuns markets"
@@ -110,8 +110,15 @@ def test_mock_debias_leaves_nothing_that_mock_sentiment_scores(parts):
     assert mock_sentiment(mock_debias_text(text, _LEXICON), _LEXICON) == 0.0
 
 
+def _rewrites(payloads, gateway, lexicon, rewritten):
+    """Each distinct read's rewrite as a year's reading takes it: a call that
+    makes the rewrite at its first use."""
+    return {p.article_id: run_once(rewrite_payload, p, gateway, lexicon, rewritten)
+            for p in payloads}
+
+
 def test_debias_payload_flags_and_rewrites(mock_gateway, lexicon):
-    out = debias_payload(_payload(), mock_gateway, lexicon, {})
+    out = rewrite_payload(_payload(), mock_gateway, lexicon, {})
     assert out.full_text == "China's markets"
     assert out.debiased
     assert out.article_id == "art-000" and out.headline == "China report 0"
@@ -119,41 +126,33 @@ def test_debias_payload_flags_and_rewrites(mock_gateway, lexicon):
 
 def test_debias_payload_neutral_text_still_flagged(mock_gateway, lexicon):
     text = "The delegation met again on Tuesday"
-    out = debias_payload(_payload(text=text), mock_gateway, lexicon, {})
+    out = rewrite_payload(_payload(text=text), mock_gateway, lexicon, {})
     assert out.full_text == text
     assert out.debiased
 
 
 def test_debias_payload_keeps_input_frozen(mock_gateway, lexicon):
     payload = _payload()
-    debias_payload(payload, mock_gateway, lexicon, {})
+    rewrite_payload(payload, mock_gateway, lexicon, {})
     assert payload.full_text == LOADED and not payload.debiased
 
 
 def test_debias_failure_keeps_original_text(lexicon):
     gateway = BrokenGateway()
-    out = debias_payload(_payload(), gateway, lexicon, {})
+    rewritten = {}
+    out = rewrite_payload(_payload(), gateway, lexicon, rewritten)
     assert out.full_text == LOADED
     assert not out.debiased
+    assert rewritten == {"art-000": [LOADED, True]}
 
 
-def test_debias_cache_one_exchange_per_article(lexicon):
-    gateway = CountingGateway()
-    cache = {}
-    first = debias_payload(_payload(), gateway, lexicon, cache)
-    second = debias_payload(_payload(), gateway, lexicon, cache)
-    assert gateway.calls == 1
-    assert second.full_text == first.full_text == "China's markets"
-    assert cache == {"art-000": ["China's markets", False]}
-
-
-def test_debias_cache_remembers_failures(lexicon):
-    gateway = BrokenGateway()
-    cache = {}
-    debias_payload(_payload(), gateway, lexicon, cache)
-    out = debias_payload(_payload(), gateway, lexicon, cache)
-    assert gateway.calls == 1
-    assert not out.debiased and out.full_text == LOADED
+def test_rewrite_payload_notes_each_outcome(lexicon):
+    counting, broken = CountingGateway(), BrokenGateway()
+    rewritten = {}
+    rewrite_payload(_payload(0), counting, lexicon, rewritten)
+    rewrite_payload(_payload(1), broken, lexicon, rewritten)
+    assert counting.calls == broken.calls == 1
+    assert rewritten == {"art-000": ["China's markets", False], "art-001": [LOADED, True]}
 
 
 # --- devil's advocate critique ---
@@ -205,11 +204,15 @@ def test_baseline_passes_payloads_through(lexicon):
     assert critique is None
 
 
-def test_debias_flags_every_payload(mock_gateway, lexicon):
+def test_debias_flags_every_payload(lexicon):
     texts = [LOADED, "The delegation met again on Tuesday"] * 5
     payloads = [_payload(i, text=t) for i, t in enumerate(texts)]
+    gateway, rewritten = CountingGateway(), {}
+    rewrites = _rewrites(payloads, gateway, lexicon, rewritten)
     out, critique = apply_intervention(
-        "debias", payloads, mock_gateway, lexicon, {}, "iv:t")
+        "debias", payloads, gateway, lexicon, rewrites, "iv:t")
+    again, _ = apply_intervention("debias", payloads[:3], gateway, lexicon, rewrites, "iv:t")
+    assert again == out[:3] and gateway.calls == len(rewritten) == 10  # one per article
     assert len(out) == 10
     assert all(p.debiased for p in out)
     assert critique is None

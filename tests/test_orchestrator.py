@@ -1,5 +1,6 @@
 """End-to-end run driver: config identity, artifacts, resume, and the CLI."""
 
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -206,6 +207,73 @@ def test_run_report_accounting(make_config):
     assert report["fallback_counts"] == {}
     assert report["replay_lines"] == 12
     assert report["corpus_accepted"] == 600
+
+
+def _log_records(out: Path) -> list[dict]:
+    return [json.loads(line) for line in (out / "replay.jsonl").read_text().splitlines()]
+
+
+def _trace_rows(out: Path, year: int) -> list[dict]:
+    return [json.loads(line)
+            for line in (out / "trace" / f"year_{year}.jsonl").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("ablation", ["none", "no_selection"])
+def test_a_trace_rows_reads_are_its_selection_in_order(make_config, ablation):
+    config = make_config(n_agents=3, reads_per_year=4, ablation=ablation)
+    run(config)
+    out = Path(config.out_dir)
+    picks = {r["tag"]: parse_structured(r["schema"], r["raw_response"])
+             for r in _log_records(out) if r["tag"].startswith("select:")}
+    assert bool(picks) == (ablation != "no_selection")
+    for year in (2005, 2006):
+        for row in _trace_rows(out, year):
+            offered = row["offer_ids"]
+            expected = offered[:4] if ablation == "no_selection" else [
+                offered[n - 1] for n in picks[f"select:{year}:{row['agent_id']}"]]
+            assert [read["article_id"] for read in row["reads"]] == expected
+
+
+@pytest.mark.parametrize("fail_one", [False, True])
+def test_every_read_of_an_article_takes_the_one_rewrite_of_it(make_config, tmp_path,
+                                                             monkeypatch, fail_one):
+    """Each distinct read of a year has one debias record, and every read of
+    that article, by any agent, gets its text; a rewrite that falls back gives
+    each of them the original text, unflagged."""
+    config = make_config(intervention="debias", reads_per_year=4, batch_size=2)
+    articles = orchestrator.ingest(config.corpus_path)[0]
+    if fail_one:  # the mock rewrite of the most-read article's text answers no text
+        run(dataclasses.replace(config, out_dir=config.out_dir + "-probe"))
+        counts = collections.Counter(
+            read["article_id"] for year in (2005, 2006)
+            for row in _trace_rows(Path(config.out_dir + "-probe"), year) for read in row["reads"])
+        [(most_read, readers)] = counts.most_common(1)
+        assert readers > 1
+        failing = articles.get(most_read).full_text
+        rewrite = interventions.mock_debias_text
+        monkeypatch.setattr(interventions, "mock_debias_text", lambda text, lexicon: (
+            None if text == failing else rewrite(text, lexicon)))
+    reads, reflect = [], orchestrator.reflect_batch
+
+    def reflected(profile, payloads, *args, **kwargs):
+        reads.extend(payloads)
+        return reflect(profile, payloads, *args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "reflect_batch", reflected)
+    run(config)
+    out = Path(config.out_dir)
+    rewrites = [r for r in _log_records(out) if r["tag"].startswith("debias:")]
+    read_ids = {p.article_id for p in reads}
+    assert sorted(r["tag"] for r in rewrites) == sorted(f"debias:{i}" for i in read_ids)
+    texts = {}  # article id -> [the text each of its reads gets, whether the rewrite failed]
+    for r in rewrites:
+        article_id = r["tag"].removeprefix("debias:")
+        texts[article_id] = ([parse_structured(r["schema"], r["raw_response"]), False]
+                             if r["ok"] else [articles.get(article_id).full_text, True])
+    assert any(failed for _, failed in texts.values()) == fail_one
+    assert json.loads((out / "checkpoint.json").read_text())["debias_cache"] == texts
+    assert len(reads) > len(read_ids)  # some articles are read more than once
+    assert all([p.full_text, not p.debiased] == texts[p.article_id] for p in reads)
 
 
 def test_identical_configs_reproduce_identical_bytes(make_config):
