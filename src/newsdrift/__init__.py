@@ -14,7 +14,8 @@ from .errors import (
     ValidationError,
     YearEmptyError,
 )
-from .gateway import BackendConfig, GenerationRequest, Gateway, load_lexicon, mock_sentiment
+from .gateway import BackendConfig, GenerationRequest, Gateway
+from .mock import load_lexicon, mock_sentiment
 from .modes import ABLATIONS, INTERVENTIONS
 from .orchestrator import RunConfig, resume, run
 from .taxonomy import TopicTaxonomy, load_taxonomy

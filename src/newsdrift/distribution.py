@@ -13,7 +13,8 @@ from operator import itemgetter
 from . import prompts
 from .corpus import CorpusIndex
 from .errors import YearEmptyError
-from .gateway import GenerationRequest, MockLexicon, mock_sentiment, run_once
+from .gateway import GenerationRequest, run_once
+from .mock import MockLexicon, mock_sentiment
 from .seeding import stable_rng
 from .taxonomy import TopicTaxonomy
 

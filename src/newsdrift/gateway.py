@@ -32,8 +32,7 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 from . import inputs
-from .errors import (ConfigError, ReplayError, ResumeError, SchemaError, TransportError,
-                     ValidationError)
+from .errors import ConfigError, ReplayError, ResumeError, SchemaError, TransportError
 
 SCHEMAS = (
     "selection_list",
@@ -50,9 +49,6 @@ REFLECTION_ACTIONS = ("confirm", "revise", "reinforce", "dismiss", "none")
 
 VALENCE_MIN = -2.0
 VALENCE_MAX = 2.0
-
-# a token mock_sentiment scores: a longest run of these in the lower-cased text
-WORD = re.compile(r"[a-z0-9']+")
 
 # one of each for the run: neither keeps state between calls, and the decoder's
 # C scanner holds the interpreter lock while it reads, so remote workers share it
@@ -141,57 +137,6 @@ class BackendConfig:
 def is_number(value, kind=(int, float)) -> bool:
     """Whether value is a number of kind, int or float by default; a bool is none."""
     return isinstance(value, kind) and not isinstance(value, bool)
-
-
-# ---------------------------------------------------------------------------
-# Mock lexicon and sentiment
-# ---------------------------------------------------------------------------
-
-class MockLexicon:
-    """Weighted positive/negative word lists for the deterministic backend."""
-
-    def __init__(self, positive: dict[str, float], negative: dict[str, float]):
-        overlap = set(positive) & set(negative)
-        if overlap:
-            raise ValidationError(f"lexicon word sets must be disjoint: {sorted(overlap)}")
-        for word, weight in {**positive, **negative}.items():
-            if not (is_number(weight) and 0.0 < weight <= 2.0):
-                raise ValidationError(f"lexicon weight for {word!r} outside (0, 2]: {weight!r}")
-        self.positive = {w.lower(): float(x) for w, x in positive.items()}
-        self.negative = {w.lower(): float(x) for w, x in negative.items()}
-        self.signed = {**self.positive, **{w: -x for w, x in self.negative.items()}}
-        # mock_sentiment's per-run memo, keyed by the scored text
-        self._scores: dict[str, float] = {}
-
-
-def load_lexicon(path: str | Path | None = None) -> MockLexicon:
-    """Load a lexicon file, or the packaged default when path is None."""
-    doc = inputs.read_json(path, "lexicon", ValidationError)
-    try:
-        return MockLexicon(doc["positive"], doc["negative"])
-    except (LookupError, TypeError, ValidationError) as exc:
-        raise ValidationError(f"lexicon {path} is not a lexicon: "
-                              f"{type(exc).__name__}: {exc}") from None
-
-
-def mock_sentiment(text: str, lexicon: MockLexicon) -> float:
-    """Deterministic sentiment score in [-2, 2], memoised on the lexicon.
-
-    Signed lexicon weights of matched word occurrences are averaged and
-    scaled by 2, then clamped; a text without lexicon words scores 0.
-    """
-    score = lexicon._scores.get(text)
-    if score is not None:
-        return score
-    total = 0.0
-    matched = 0
-    for token in WORD.findall(text.lower()):
-        weight = lexicon.signed.get(token)
-        if weight is not None:
-            total += weight
-            matched += 1
-    score = lexicon._scores[text] = clamp_valence(total / max(1, matched) * 2.0)
-    return score
 
 
 def clamp_valence(value: float) -> float:

@@ -8,27 +8,14 @@ reflection step reads alongside the batch.
 
 from __future__ import annotations
 
-import re
 from functools import partial
 
 from . import prompts
 from .distribution import Payload
 from .errors import ValidationError
-from .gateway import WORD, GenerationRequest, MockLexicon, mock_sentiment
+from .gateway import GenerationRequest
+from .mock import MockLexicon, mock_debias_text, mock_sentiment
 from .modes import validate_intervention
-
-
-def mock_debias_text(text: str, lexicon: MockLexicon) -> str:
-    """Strip every token that mock_sentiment scores, in any case; the result scores 0."""
-    lowered = text.lower()
-    spans = [m.span() for m in WORD.finditer(lowered) if m.group() in lexicon.signed]
-    if not spans:
-        return text
-    if len(lowered) != len(text):  # a letter lower-cased to more: keep the spans aligned
-        text = lowered
-    starts, ends = zip(*spans)
-    stripped = "".join(text[a:b] for a, b in zip((0, *ends), (*starts, len(text))))
-    return re.sub(r"\s+", " ", stripped).strip()
 
 
 def rewrite_payload(payload: Payload, gateway, lexicon: MockLexicon,

@@ -22,8 +22,9 @@ from . import charts, inputs, outputs, prompts
 from .corpus import CorpusIndex, IngestReport, articles_for_year, ingest
 from .distribution import retrieve_full_text, sample_headlines, select_articles
 from .errors import ConfigError, CorpusError, ResumeError
-from .gateway import BackendConfig, Gateway, MockLexicon, is_number, load_lexicon
+from .gateway import BackendConfig, Gateway, is_number
 from .interventions import apply_intervention, rewrite_payload
+from .mock import MockLexicon, load_lexicon
 from .modes import validate_ablation, validate_intervention
 from .profiles import AgentProfile, load_profiles, sample_agents
 from .reflection import OpinionState, apply_updates, reflect_batch

@@ -21,8 +21,8 @@ from functools import partial
 
 from . import prompts
 from .errors import ValidationError
-from .gateway import (VALENCE_MAX, VALENCE_MIN, GenerationRequest, MockLexicon, clamp_valence,
-                      is_number, mock_sentiment)
+from .gateway import VALENCE_MAX, VALENCE_MIN, GenerationRequest, clamp_valence, is_number
+from .mock import MockLexicon, mock_sentiment
 from .taxonomy import TopicTaxonomy
 
 log = logging.getLogger(__name__)

@@ -137,7 +137,13 @@ def load_taxonomy(path: str | Path | None = None) -> TopicTaxonomy:
                 raise ValidationError(f"taxonomy topic {t['name']!r}: the name must be a string "
                                       f"and keywords a list of strings, got {t['keywords']!r}")
         topics = [Topic(t["name"], t["keywords"]) for t in doc["topics"]]
-        return TopicTaxonomy(topics, doc.get("demographics", {}))
+        demographics = doc.get("demographics", {})
+        if not (isinstance(demographics, dict) and all(
+                isinstance(v, list) and all(isinstance(x, str) for x in v)
+                for v in demographics.values())):
+            raise ValidationError(f"demographics must be an object of string lists, "
+                                  f"got {demographics!r}")
+        return TopicTaxonomy(topics, demographics)
     except (LookupError, TypeError, ValidationError) as exc:
         raise ValidationError(f"taxonomy {path} is not a taxonomy: "
                               f"{type(exc).__name__}: {exc}") from None

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from newsdrift.gateway import BackendConfig, Gateway, load_lexicon
+from newsdrift.gateway import BackendConfig, Gateway
+from newsdrift.mock import load_lexicon
 from newsdrift.orchestrator import RunConfig
 from newsdrift.profiles import build_profiles, load_profiles
 from newsdrift.taxonomy import load_taxonomy

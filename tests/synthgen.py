@@ -10,8 +10,8 @@ import csv
 import json
 from pathlib import Path
 
-from newsdrift.gateway import load_lexicon, mock_sentiment
 from newsdrift.geography import STATE_TO_REGION
+from newsdrift.mock import load_lexicon, mock_sentiment
 from newsdrift.taxonomy import load_taxonomy
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"

@@ -18,15 +18,9 @@ import pytest
 import synthgen
 from newsdrift.corpus import CorpusError, corpus_stats, ingest
 from newsdrift.distribution import Payload
-from newsdrift.gateway import (
-    BackendConfig,
-    Gateway,
-    MockLexicon,
-    load_lexicon,
-    mock_sentiment,
-    parse_structured,
-)
+from newsdrift.gateway import BackendConfig, Gateway, parse_structured
 from newsdrift.geography import state_to_region
+from newsdrift.mock import MockLexicon, load_lexicon, mock_sentiment
 from newsdrift.orchestrator import RunConfig, read_update_logs, resume, run
 from newsdrift.profiles import AgentProfile, build_profiles, validate_profile
 from newsdrift.reflection import OpinionState, reflect_batch

@@ -2,6 +2,7 @@
 
 import logging
 import re
+import xml.etree.ElementTree as ElementTree
 
 from newsdrift.charts import (
     attitude_chart,
@@ -80,6 +81,14 @@ def test_domain_influence_chart_one_line_per_domain():
     svg = domain_influence_chart(influence)
     assert len(_polylines(svg)) == 2
     assert "economics" in svg and "technology" in svg
+
+
+def test_series_names_are_escaped_into_well_formed_svg():
+    influence = {"R&D <x>": {"by_year": {2005: 0.5}, "all": 0.5}}
+    svg = domain_influence_chart(influence)
+    root = ElementTree.fromstring(svg)
+    legend = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "R&D <x>" in legend
 
 
 def test_single_year_series_still_renders():

@@ -19,7 +19,8 @@ from newsdrift.distribution import (
     select_articles,
 )
 from newsdrift.errors import CorpusError, YearEmptyError
-from newsdrift.gateway import BackendConfig, Gateway, GenerationRequest, MockLexicon, mock_sentiment
+from newsdrift.gateway import BackendConfig, Gateway, GenerationRequest
+from newsdrift.mock import MockLexicon, mock_sentiment
 from newsdrift.orchestrator import run
 from newsdrift.profiles import AgentProfile
 from newsdrift.taxonomy import TopicTaxonomy

@@ -32,14 +32,12 @@ from newsdrift.gateway import (
     BackendConfig,
     GenerationRequest,
     Gateway,
-    MockLexicon,
     clamp_valence,
     extract_json_value,
-    load_lexicon,
-    mock_sentiment,
     parse_structured,
     serialize_for_log,
 )
+from newsdrift.mock import MockLexicon, load_lexicon, mock_sentiment
 from newsdrift.orchestrator import RunConfig, resume, run
 
 

@@ -7,13 +7,9 @@ from hypothesis import given, strategies as st
 
 from newsdrift.distribution import Payload
 from newsdrift.errors import ConfigError, ValidationError
-from newsdrift.gateway import BackendConfig, Gateway, load_lexicon, mock_sentiment, run_once
-from newsdrift.interventions import (
-    apply_intervention,
-    devils_advocate_critique,
-    mock_debias_text,
-    rewrite_payload,
-)
+from newsdrift.gateway import BackendConfig, Gateway, run_once
+from newsdrift.interventions import apply_intervention, devils_advocate_critique, rewrite_payload
+from newsdrift.mock import load_lexicon, mock_debias_text, mock_sentiment
 
 LOADED = "China's alarming crackdown stuns markets"
 

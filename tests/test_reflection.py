@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 from newsdrift.corpus import ingest
 from newsdrift.distribution import Payload, retrieve_full_text
 from newsdrift.errors import SchemaError, ValidationError
-from newsdrift.gateway import BackendConfig, Gateway, MockLexicon
+from newsdrift.gateway import BackendConfig, Gateway
+from newsdrift.mock import MockLexicon
 from newsdrift.profiles import AgentProfile
 from newsdrift.reflection import (
     OpinionState,

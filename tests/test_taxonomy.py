@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from newsdrift.errors import ValidationError
-from newsdrift.gateway import MockLexicon, load_lexicon, mock_sentiment
+from newsdrift.mock import load_lexicon, mock_sentiment
 from newsdrift.taxonomy import Topic, TopicTaxonomy, load_taxonomy
 
 _TAXONOMY = load_taxonomy()
@@ -132,6 +132,20 @@ def test_load_refuses_mistyped_keywords(tmp_path, taxonomy, keywords):
         load_taxonomy(path)
 
 
+@pytest.mark.parametrize("demographics", [[], {"gender": "female"}, {"gender": [1, 2]}],
+                         ids=["a-list", "a-string-vocabulary", "non-string-values"])
+def test_load_refuses_demographics_that_are_no_object_of_string_lists(tmp_path, taxonomy,
+                                                                       demographics):
+    doc = {"topics": [{"name": t.name, "keywords": list(t.keywords)} for t in taxonomy.topics],
+           "demographics": demographics}
+    path = tmp_path / "tax.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as refused:
+        load_taxonomy(path)
+    assert f"taxonomy {path} is not a taxonomy" in str(refused.value)
+    assert "demographics must be an object of string lists" in str(refused.value)
+
+
 def test_vocab_validation(taxonomy):
     assert taxonomy.validate_vocab("gender", "female")
     assert not taxonomy.validate_vocab("gender", "xyz")
@@ -147,7 +161,7 @@ def test_memoised_rules_match_a_fresh_computation(text):
 
     # a taxonomy and lexicon with empty memos compute from scratch
     fresh_taxonomy = TopicTaxonomy(list(_TAXONOMY.topics), _TAXONOMY.demographics)
-    fresh_lexicon = MockLexicon(_LEXICON.positive, _LEXICON.negative)
+    fresh_lexicon = load_lexicon()
     best = _TAXONOMY.best_topic(text)
     assert _TAXONOMY.best_topic(text) == best == fresh_taxonomy.best_topic(text)
     score = mock_sentiment(text, _LEXICON)
