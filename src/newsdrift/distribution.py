@@ -15,6 +15,7 @@ from .corpus import CorpusIndex
 from .errors import YearEmptyError
 from .gateway import GenerationRequest, run_once
 from .mock import MockLexicon, mock_sentiment
+from .modes import Kept
 from .seeding import stable_rng
 from .taxonomy import TopicTaxonomy
 
@@ -66,16 +67,16 @@ def mock_ranking(profile, offer: HeadlineOffer, taxonomy: TopicTaxonomy,
 
 def select_articles(profile, offer: HeadlineOffer, m: int, gateway,
                     taxonomy: TopicTaxonomy, lexicon: MockLexicon,
-                    ablation: str, tag: str) -> tuple[str, ...]:
+                    kept: Kept, tag: str) -> tuple[str, ...]:
     """Pick exactly m distinct ids from the offer.
 
-    The no-selection path returns the head of the offer without any backend
-    exchange; otherwise the choice is one logged exchange, with invalid picks
-    repaired from the deterministic ranking.
+    A run that keeps no selection takes the head of the offer without any
+    backend exchange; otherwise the choice is one logged exchange, with
+    invalid picks repaired from the deterministic ranking.
     """
     if m > len(offer.offers):
         raise ValueError(f"cannot select {m} from an offer of {len(offer.offers)}")
-    if ablation == "no_selection":
+    if not kept.selection:
         return offer.ids[:m]
 
     ranked = run_once(mock_ranking, profile, offer, taxonomy, lexicon)  # once, if needed
@@ -101,11 +102,11 @@ def select_articles(profile, offer: HeadlineOffer, m: int, gateway,
     return tuple(selected[:m])
 
 
-def retrieve_full_text(index: CorpusIndex, selected_ids, ablation: str) -> tuple[Payload, ...]:
+def retrieve_full_text(index: CorpusIndex, selected_ids, kept: Kept) -> tuple[Payload, ...]:
     payloads = []
     for article_id in selected_ids:
         article = index.get(article_id)
-        text = "" if ablation == "title_only" else article.full_text
+        text = article.full_text if kept.bodies else ""
         payloads.append(Payload(article_id=article_id, headline=article.headline,
                                 full_text=text, category=article.category))
     return tuple(payloads)

@@ -15,7 +15,7 @@ from .distribution import Payload
 from .errors import ValidationError
 from .gateway import GenerationRequest
 from .mock import MockLexicon, mock_debias_text, mock_sentiment
-from .modes import validate_intervention
+from .modes import Treatment
 
 
 def rewrite_payload(payload: Payload, gateway, lexicon: MockLexicon,
@@ -63,13 +63,10 @@ def devils_advocate_critique(payloads, gateway, lexicon: MockLexicon,
     return gateway.generate(request, mock, fallback=lambda: "")
 
 
-def apply_intervention(mode: str, payloads, gateway, lexicon: MockLexicon,
+def apply_intervention(treatment: Treatment, payloads, gateway, lexicon: MockLexicon,
                        rewrites: dict, tag: str):
-    """Return (payloads', critique or None) for the active run mode."""
-    validate_intervention(mode)
-    if mode == "baseline":
-        return tuple(payloads), None
-    if mode == "debias":
+    """Return (payloads', critique or None) for the run's intervention."""
+    if treatment.rewrite:
         return tuple(debias_payload(p, rewrites) for p in payloads), None
-    critique = devils_advocate_critique(payloads, gateway, lexicon, tag)
+    critique = treatment.critique and devils_advocate_critique(payloads, gateway, lexicon, tag)
     return tuple(payloads), critique or None

@@ -25,7 +25,7 @@ from .errors import ConfigError, CorpusError, ResumeError
 from .gateway import BackendConfig, Gateway, is_number
 from .interventions import apply_intervention, rewrite_payload
 from .mock import MockLexicon, load_lexicon
-from .modes import validate_ablation, validate_intervention
+from .modes import ABLATIONS, INTERVENTIONS, KEPT, TREATMENTS, Kept, Treatment, checked
 from .profiles import AgentProfile, load_profiles, sample_agents
 from .reflection import OpinionState, apply_updates, reflect_batch
 from .surveys import (BREAKDOWN_FIELDS, GroundTruthSeries, aggregate_year,
@@ -82,8 +82,8 @@ class RunConfig:
 
     def __post_init__(self):
         # every artifact stores the checked spelling of the run mode names
-        object.__setattr__(self, "intervention", validate_intervention(self.intervention))
-        object.__setattr__(self, "ablation", validate_ablation(self.ablation))
+        for kind, names in (("intervention", INTERVENTIONS), ("ablation", ABLATIONS)):
+            object.__setattr__(self, kind, checked(kind, getattr(self, kind), names))
         if not (isinstance(self.years, (list, tuple)) and len(self.years) == 2
                 and all(is_number(year, int) for year in self.years)):
             raise ConfigError(f"years must be two integers, first and last: {self.years!r}")
@@ -183,6 +183,8 @@ class RunEnv:
     agents: list[AgentProfile]
     truth: GroundTruthSeries | None
     header: dict  # the run's identity in every checkpoint; see _load_environment
+    treatment: Treatment  # the records of the run's intervention and ablation, resolved once
+    kept: Kept
 
 
 def _load_environment(config: RunConfig, fingerprints: dict | None = None) -> RunEnv:
@@ -203,7 +205,8 @@ def _load_environment(config: RunConfig, fingerprints: dict | None = None) -> Ru
         "fingerprints": config.fingerprints() if fingerprints is None else fingerprints,
         "agent_ids": [p.agent_id for p in agents],
     }
-    return RunEnv(taxonomy, lexicon, index, ingest_report, agents, truth, header)
+    return RunEnv(taxonomy, lexicon, index, ingest_report, agents, truth, header,
+                  TREATMENTS[config.intervention], KEPT[config.ablation])
 
 
 @dataclass
@@ -261,9 +264,9 @@ def _choose(config: RunConfig, env: RunEnv, gateway: Gateway, year: int):
         m_eff = min(config.reads_per_year, len(offer.offers))
         selected = select_articles(
             profile, offer, m_eff, gateway, env.taxonomy, env.lexicon,
-            config.ablation, tag=f"select:{year}:{profile.agent_id}",
+            env.kept, tag=f"select:{year}:{profile.agent_id}",
         )
-        payloads = retrieve_full_text(env.index, selected, config.ablation)
+        payloads = retrieve_full_text(env.index, selected, env.kept)
         return offer, _chunk(list(payloads), config.batch_size)
 
     return gateway.start(choose, env.agents)
@@ -282,7 +285,7 @@ def _start_year(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunStat
     log reads: its selections, its rewrites, then each agent's chain.
     """
     rewrites = {}  # article id -> the call that rewrites it
-    if config.intervention == "debias":
+    if env.treatment.rewrite:
         reads = {payload.article_id: payload for choice in chosen
                  for batch in choice()[1] for payload in batch}
         rewrites = dict(zip(reads, gateway.start(lambda payload: rewrite_payload(
@@ -298,7 +301,7 @@ def _start_year(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunStat
         updates_all = []
         for j, batch in enumerate(batches):
             batch_payloads, critique = apply_intervention(
-                config.intervention, batch, gateway, env.lexicon, rewrites,
+                env.treatment, batch, gateway, env.lexicon, rewrites,
                 tag=f"critique:{year}:{agent_id}:b{j}",
             )
             critique_chars.append(len(critique) if critique else 0)
@@ -309,7 +312,7 @@ def _start_year(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunStat
             )
             outcome = reflect_batch(
                 profile, batch_payloads, opinion, gateway, env.taxonomy,
-                env.lexicon, config.ablation,
+                env.lexicon, env.kept,
                 batch_id=f"{year}:{agent_id}:b{j}",
                 tag=f"reflect:{year}:{agent_id}:b{j}",
                 critique=critique,
@@ -464,11 +467,9 @@ def _continue(config: RunConfig, env: RunEnv, state: RunState, replay_lines: int
 
 
 def _config_drift(proposed: dict, recorded: dict) -> list[str]:
-    drift = []
-    for key in sorted(set(proposed) | set(recorded)):
-        if proposed.get(key) != recorded.get(key):
-            drift.append(f"{key}: checkpoint={recorded.get(key)!r} proposed={proposed.get(key)!r}")
-    return drift
+    return [f"{key}: checkpoint={recorded.get(key)!r} proposed={proposed.get(key)!r}"
+            for key in sorted(set(proposed) | set(recorded))
+            if proposed.get(key) != recorded.get(key)]
 
 
 def _drive(config: RunConfig, env: RunEnv, gateway: Gateway, state: RunState,

@@ -388,9 +388,18 @@ def load_profiles(path, taxonomy: TopicTaxonomy) -> list[AgentProfile]:
     if not isinstance(docs, list) or not docs:
         raise ValidationError(f"profile file {path} must hold a non-empty JSON array")
     profiles = []
+    # agent id -> its entry number: a run tags exchanges by the id and keys the
+    # checkpoint's states by it, so it is a distinct string
+    numbers = {}
     for number, doc in enumerate(docs, 1):
         try:
             profiles.append(AgentProfile.from_dict(doc, taxonomy))
+            agent_id = profiles[-1].agent_id
+            if not isinstance(agent_id, str):
+                raise TypeError(f"agent_id must be a string: {agent_id!r}")
+            first = numbers.setdefault(agent_id, number)
+            if first != number:
+                raise ValueError(f"agent_id {agent_id!r} repeats entry {first}")
         except (LookupError, TypeError, ValueError, ValidationError) as exc:
             raise ValidationError(f"profile file {path} entry {number} is not a profile: "
                                   f"{type(exc).__name__}: {exc}") from None

@@ -14,9 +14,11 @@ import re
 from functools import lru_cache
 from importlib import resources
 
+from .modes import Kept
+
 NO_PROFILE_TEXT = "(no profile available)"
 
-# region stripped from reflection templates under the no-cognitive flag
+# region stripped from reflection templates when a run keeps no dissonance resolution
 _DISSONANCE_START = "4. **Compare new information with existing beliefs**"
 _DISSONANCE_END = (
     "- Reducing the Importance of the Dissonant Cognition: "
@@ -114,17 +116,16 @@ def interests_text(profile) -> str:
 
 def render_reflection(profile, opinions: str, news_list: str, *,
                       devils_advocate_response: str | None = None,
-                      no_profile: bool = False,
-                      no_cognitive: bool = False) -> tuple[str, str]:
+                      kept: Kept = Kept()) -> tuple[str, str]:
     name = "reflection_devils_advocate" if devils_advocate_response is not None else "reflection"
     template = _template(name)
-    if no_cognitive:
+    if not kept.dissonance:
         template = _strip_dissonance(template)
     mapping = {
         "current_opinions": opinions,
-        "interests": NO_PROFILE_TEXT if no_profile else profile.interests_text,
-        "demographics_str": NO_PROFILE_TEXT if no_profile else profile.demographics_text,
-        "domestic_views_str": NO_PROFILE_TEXT if no_profile else profile.domestic_views_text,
+        "interests": profile.interests_text if kept.profile else NO_PROFILE_TEXT,
+        "demographics_str": profile.demographics_text if kept.profile else NO_PROFILE_TEXT,
+        "domestic_views_str": profile.domestic_views_text if kept.profile else NO_PROFILE_TEXT,
         "formatted_news_list": news_list,
     }
     if devils_advocate_response is not None:

@@ -23,6 +23,7 @@ from . import prompts
 from .errors import ValidationError
 from .gateway import VALENCE_MAX, VALENCE_MIN, GenerationRequest, clamp_valence, is_number
 from .mock import MockLexicon, mock_sentiment
+from .modes import Kept
 from .taxonomy import TopicTaxonomy
 
 log = logging.getLogger(__name__)
@@ -42,11 +43,7 @@ class OpinionState:
 
     @classmethod
     def initial(cls, agent_id: str, taxonomy: TopicTaxonomy) -> "OpinionState":
-        return cls(
-            agent_id=agent_id,
-            valences={name: 0.0 for name in taxonomy.names},
-            exposures={name: 0 for name in taxonomy.names},
-        )
+        return cls(agent_id, dict.fromkeys(taxonomy.names, 0.0), dict.fromkeys(taxonomy.names, 0))
 
     def to_dict(self) -> dict:
         return {
@@ -85,9 +82,9 @@ def categorize_payload(payload, taxonomy: TopicTaxonomy) -> str:
 
 
 def _mock_domain_update(old: float, mean_sentiment: float,
-                        no_cognitive: bool) -> tuple[str, float, list[str]]:
+                        dissonance: bool) -> tuple[str, float, list[str]]:
     """Deterministic dissonance resolution for one domain."""
-    if no_cognitive:
+    if not dissonance:
         return "none", clamp_valence(old + mean_sentiment), []
     consonant = old == 0.0 or mean_sentiment == 0.0 or (old > 0) == (mean_sentiment > 0)
     if consonant:
@@ -102,7 +99,7 @@ def _mock_domain_update(old: float, mean_sentiment: float,
 
 def _mock_outcome(payloads, payload_domains: list[str], state: OpinionState,
                   taxonomy: TopicTaxonomy, lexicon: MockLexicon,
-                  critique: str | None, no_cognitive: bool) -> dict:
+                  critique: str | None, kept: Kept) -> dict:
     sentiments: dict[str, list[float]] = {}
     for payload, domain in zip(payloads, payload_domains):
         score = mock_sentiment(payload.headline + " " + payload.full_text, lexicon)
@@ -117,7 +114,7 @@ def _mock_outcome(payloads, payload_domains: list[str], state: OpinionState,
         if critique is not None:
             mean = mean / 2.0
         old = state.valences[domain]
-        action, new, cognitions = _mock_domain_update(old, mean, no_cognitive)
+        action, new, cognitions = _mock_domain_update(old, mean, kept.dissonance)
         new = round(new, 6)
         if new == old:
             continue
@@ -136,23 +133,21 @@ def _mock_outcome(payloads, payload_domains: list[str], state: OpinionState,
 
 def reflect_batch(profile, payloads, state: OpinionState, gateway,
                   taxonomy: TopicTaxonomy, lexicon: MockLexicon,
-                  ablation: str, batch_id: str, tag: str,
+                  kept: Kept, batch_id: str, tag: str,
                   critique: str | None = None) -> ReflectionOutcome:
     if not payloads:
         raise ValidationError("reflection needs at least one article")
-    no_cognitive = ablation == "no_cognitive"
 
     payload_domains = [categorize_payload(p, taxonomy) for p in payloads]
     counts = dict(Counter(payload_domains))
     mock = partial(_mock_outcome, payloads, payload_domains, state, taxonomy, lexicon,
-                   critique, no_cognitive)
+                   critique, kept)
     system, user = prompts.render_reflection(
         profile,
         opinions=format_opinions(state, taxonomy),
         news_list=prompts.format_news_list(payloads),
         devils_advocate_response=critique,
-        no_profile=ablation == "no_profile",
-        no_cognitive=no_cognitive,
+        kept=kept,
     )
     request = GenerationRequest(system, user, "reflection_update", tag)
     parsed = gateway.generate(request, mock,
@@ -163,7 +158,7 @@ def reflect_batch(profile, payloads, state: OpinionState, gateway,
             log.warning("dropping unknown domain %r in %s", name, batch_id)
             continue
         entry = dict(entry)
-        if no_cognitive:
+        if not kept.dissonance:
             entry["action"] = "none"
         old = state.valences[name]
         if entry["new_valence"] == old:
@@ -178,12 +173,8 @@ def apply_updates(state: OpinionState, outcome: ReflectionOutcome,
                   year: int) -> tuple[OpinionState, list[dict]]:
     """Rewrite touched domains, bump their exposures, freeze the rest; ``reflect_batch``
     names only taxonomy domains, and only valences in range."""
-    new_state = OpinionState(
-        agent_id=state.agent_id,
-        valences=dict(state.valences),
-        exposures=dict(state.exposures),
-        last_response=state.last_response,
-    )
+    new_state = OpinionState(state.agent_id, dict(state.valences), dict(state.exposures),
+                             state.last_response)
     updates = []
     for domain, entry in outcome.domains.items():
         old, new = state.valences[domain], entry["new_valence"]
@@ -203,10 +194,5 @@ def apply_updates(state: OpinionState, outcome: ReflectionOutcome,
 
 
 def format_opinions(state: OpinionState, taxonomy: TopicTaxonomy) -> str:
-    lines = []
-    for name in taxonomy.names:
-        lines.append(
-            f"- {name}: valence {state.valences[name]:+.3f}, "
-            f"exposures {state.exposures[name]}"
-        )
-    return "\n".join(lines)
+    return "\n".join(f"- {name}: valence {state.valences[name]:+.3f}, "
+                     f"exposures {state.exposures[name]}" for name in taxonomy.names)

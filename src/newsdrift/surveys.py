@@ -107,6 +107,8 @@ class GroundTruthSeries:
         for number, line in lines:
             try:
                 year, favorable, unfavorable = line.split(",")
+                if int(year) in by_year:
+                    raise ValueError(f"year {int(year)} is repeated")
                 by_year[int(year)] = (float(favorable), float(unfavorable))
             except ValueError as exc:
                 raise ValidationError(f"ground truth {path} line {number}: {exc}") from None

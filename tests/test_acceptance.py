@@ -21,6 +21,7 @@ from newsdrift.distribution import Payload
 from newsdrift.gateway import BackendConfig, Gateway, parse_structured
 from newsdrift.geography import state_to_region
 from newsdrift.mock import MockLexicon, load_lexicon, mock_sentiment
+from newsdrift.modes import KEPT
 from newsdrift.orchestrator import RunConfig, read_update_logs, resume, run
 from newsdrift.profiles import AgentProfile, build_profiles, validate_profile
 from newsdrift.reflection import OpinionState, reflect_batch
@@ -68,7 +69,7 @@ def test_criterion_1_equation_suite():
     def reflect(state, text):
         payload = Payload("a1", "The economy today", text)
         return reflect_batch(_Reader, [payload], state, gateway, taxonomy,
-                             lexicon, "none", batch_id="b0",
+                             lexicon, KEPT["none"], batch_id="b0",
                              tag=f"reflect:eq:{next(calls)}", critique=None)
 
     def state(**valences):

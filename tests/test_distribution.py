@@ -21,6 +21,7 @@ from newsdrift.distribution import (
 from newsdrift.errors import CorpusError, YearEmptyError
 from newsdrift.gateway import BackendConfig, Gateway, GenerationRequest
 from newsdrift.mock import MockLexicon, mock_sentiment
+from newsdrift.modes import KEPT
 from newsdrift.orchestrator import run
 from newsdrift.profiles import AgentProfile
 from newsdrift.taxonomy import TopicTaxonomy
@@ -182,7 +183,7 @@ def test_mock_selection_returns_top_ranked(taxonomy, lexicon, tmp_path, open_gat
         ("a3", "China culture notes"),
     ))
     picked = select_articles(FakeProfile, offer, 1, gw, taxonomy, lexicon,
-                             "none", tag="select:t")
+                             KEPT["none"], tag="select:t")
     assert picked == ("a2",)
     # the exchange went through the gateway and was logged
     lines = (tmp_path / "r.jsonl").read_text().splitlines()
@@ -196,7 +197,7 @@ def test_no_selection_skips_backend(taxonomy, lexicon, tmp_path):
     offer = HeadlineOffer("agent-0000", 2010,
                           tuple((f"a{i}", f"China item {i}") for i in range(12)))
     picked = select_articles(FakeProfile, offer, 10, gw, taxonomy, lexicon,
-                             "no_selection", tag="select:t")
+                             KEPT["no_selection"], tag="select:t")
     assert picked == offer.ids[:10]
     assert not log.exists()
 
@@ -206,7 +207,7 @@ def test_select_all_of_offer(taxonomy, lexicon, tmp_path, open_gateway):
     offer = HeadlineOffer("agent-0000", 2010,
                           tuple((f"a{i}", f"China item {i}") for i in range(4)))
     picked = select_articles(FakeProfile, offer, 4, gw, taxonomy, lexicon,
-                             "none", tag="select:t")
+                             KEPT["none"], tag="select:t")
     assert sorted(picked) == ["a0", "a1", "a2", "a3"]
 
 
@@ -230,7 +231,7 @@ def test_selection_repairs_invalid_picks(taxonomy, lexicon):
     # refilled from the deterministic ranking
     gw = RepairStub([3, 3, 99])
     picked = select_articles(FakeProfile, offer, 2, gw, taxonomy, lexicon,
-                             "none", tag="select:t")
+                             KEPT["none"], tag="select:t")
     assert picked[0] == "a3"
     assert len(picked) == 2 and len(set(picked)) == 2
 
@@ -248,7 +249,7 @@ def test_selection_falls_back_to_ranking(taxonomy, lexicon):
         ("a2", "China technology briefing"),
     ))
     picked = select_articles(FakeProfile, offer, 1, FailStub(), taxonomy,
-                             lexicon, "none", tag="select:t")
+                             lexicon, KEPT["none"], tag="select:t")
     assert picked == ("a2",)
 
 
@@ -258,12 +259,12 @@ def test_selection_falls_back_to_ranking(taxonomy, lexicon):
 
 def test_retrieve_empty_selection(tmp_path):
     index = _corpus(tmp_path)
-    assert retrieve_full_text(index, (), "none") == ()
+    assert retrieve_full_text(index, (), KEPT["none"]) == ()
 
 
 def test_retrieve_returns_stored_texts_in_order(tmp_path):
     index = _corpus(tmp_path)
-    payloads = retrieve_full_text(index, ("a2", "a0"), "none")
+    payloads = retrieve_full_text(index, ("a2", "a0"), KEPT["none"])
     assert [p.article_id for p in payloads] == ["a2", "a0"]
     assert [p.full_text for p in payloads] == ["Body 2.", "Body 0."]
     assert payloads[0].headline == "China report 2"
@@ -271,7 +272,7 @@ def test_retrieve_returns_stored_texts_in_order(tmp_path):
 
 def test_retrieve_title_only(tmp_path):
     index = _corpus(tmp_path)
-    payloads = retrieve_full_text(index, ("a1", "a2"), "title_only")
+    payloads = retrieve_full_text(index, ("a1", "a2"), KEPT["title_only"])
     assert all(p.full_text == "" for p in payloads)
     assert all(p.headline for p in payloads)
 
@@ -279,4 +280,4 @@ def test_retrieve_title_only(tmp_path):
 def test_retrieve_dangling_id(tmp_path):
     index = _corpus(tmp_path)
     with pytest.raises(CorpusError):
-        retrieve_full_text(index, ("missing",), "none")
+        retrieve_full_text(index, ("missing",), KEPT["none"])

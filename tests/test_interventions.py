@@ -10,6 +10,8 @@ from newsdrift.errors import ConfigError, ValidationError
 from newsdrift.gateway import BackendConfig, Gateway, run_once
 from newsdrift.interventions import apply_intervention, devils_advocate_critique, rewrite_payload
 from newsdrift.mock import load_lexicon, mock_debias_text, mock_sentiment
+from newsdrift.modes import TREATMENTS
+from newsdrift.orchestrator import RunConfig
 
 LOADED = "China's alarming crackdown stuns markets"
 
@@ -195,7 +197,7 @@ def test_critique_failure_returns_empty_string(lexicon):
 def test_baseline_passes_payloads_through(lexicon):
     payloads = [_payload(i) for i in range(3)]
     out, critique = apply_intervention(
-        "baseline", payloads, ForbiddenGateway(), lexicon, {}, "iv:t")
+        TREATMENTS["baseline"], payloads, ForbiddenGateway(), lexicon, {}, "iv:t")
     assert out == tuple(payloads)
     assert critique is None
 
@@ -206,8 +208,9 @@ def test_debias_flags_every_payload(lexicon):
     gateway, rewritten = CountingGateway(), {}
     rewrites = _rewrites(payloads, gateway, lexicon, rewritten)
     out, critique = apply_intervention(
-        "debias", payloads, gateway, lexicon, rewrites, "iv:t")
-    again, _ = apply_intervention("debias", payloads[:3], gateway, lexicon, rewrites, "iv:t")
+        TREATMENTS["debias"], payloads, gateway, lexicon, rewrites, "iv:t")
+    again, _ = apply_intervention(TREATMENTS["debias"], payloads[:3], gateway, lexicon, rewrites,
+                                  "iv:t")
     assert again == out[:3] and gateway.calls == len(rewritten) == 10  # one per article
     assert len(out) == 10
     assert all(p.debiased for p in out)
@@ -221,19 +224,22 @@ def test_debias_flags_every_payload(lexicon):
 def test_devils_advocate_leaves_texts_bit_identical(mock_gateway, lexicon):
     payloads = [_payload(i) for i in range(4)]
     out, critique = apply_intervention(
-        "devils_advocate", payloads, mock_gateway, lexicon, {}, "iv:t")
+        TREATMENTS["devils_advocate"], payloads, mock_gateway, lexicon, {}, "iv:t")
     assert [p.full_text for p in out] == [p.full_text for p in payloads]
     assert out == tuple(payloads)
     assert critique and len(critique.splitlines()) == 6
 
 
+# a mode name is checked once, by RunConfig, which stores its one spelling
+
+
 def test_hyphenated_mode_name_accepted(mock_gateway, lexicon):
+    treatment = TREATMENTS[RunConfig(intervention="devils-advocate").intervention]
     out, critique = apply_intervention(
-        "devils-advocate", [_payload()], mock_gateway, lexicon, {}, "iv:t")
+        treatment, [_payload()], mock_gateway, lexicon, {}, "iv:t")
     assert critique
 
 
-def test_unknown_mode_rejected(mock_gateway, lexicon):
-    with pytest.raises(ConfigError):
-        apply_intervention(
-            "propaganda", [_payload()], mock_gateway, lexicon, {}, "iv:t")
+def test_unknown_mode_rejected():
+    with pytest.raises(ConfigError, match="unknown intervention"):
+        RunConfig(intervention="propaganda")

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from newsdrift.errors import SchemaError, ConfigError, MatchingError
+from newsdrift.errors import SchemaError, ConfigError, MatchingError, ValidationError
 from newsdrift.gateway import BackendConfig
 from newsdrift.profiles import (
     MatchedPair,
@@ -230,6 +232,27 @@ def test_load_profiles_round_trip(fixtures_dir, profiles_path, taxonomy):
     profiles = load_profiles(profiles_path, taxonomy)
     assert len(profiles) == 27
     assert all(p.interests for p in profiles)
+
+
+def test_load_profiles_refuses_a_repeated_agent_id(profiles_path, taxonomy, tmp_path):
+    """Two agents with one id would share request tags, so the file is refused at load."""
+    docs = json.loads(Path(profiles_path).read_text("utf-8"))[:4]
+    docs[1]["agent_id"] = docs[0]["agent_id"]
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps(docs))
+    message = f"{path} entry 2 is not a profile: ValueError: agent_id {docs[0]['agent_id']!r} "
+    with pytest.raises(ValidationError, match=re.escape(message + "repeats entry 1")):
+        load_profiles(path, taxonomy)
+
+
+def test_load_profiles_refuses_an_agent_id_that_is_no_string(profiles_path, taxonomy, tmp_path):
+    """The checkpoint keys states by id, and JSON keys are strings, so 3 could not resume."""
+    docs = json.loads(Path(profiles_path).read_text("utf-8"))[:2]
+    docs[1]["agent_id"] = 3
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps(docs))
+    with pytest.raises(ValidationError, match="entry 2 is not a profile: TypeError: agent_id"):
+        load_profiles(path, taxonomy)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from newsdrift import prompts
 from newsdrift.distribution import Payload
+from newsdrift.modes import KEPT, Kept
 from newsdrift.profiles import AgentProfile
 
 
@@ -80,7 +81,7 @@ def test_a_headline_naming_a_later_placeholder_is_not_filled():
 
 def test_reflection_prompt_no_profile_placeholder():
     news = prompts.format_news_list(PAYLOADS)
-    system, user = prompts.render_reflection(FakeProfile, "op", news, no_profile=True)
+    system, user = prompts.render_reflection(FakeProfile, "op", news, kept=KEPT["no_profile"])
     assert "(no profile available)" in user
     assert "female" not in user
     assert "democrat" not in user
@@ -89,7 +90,7 @@ def test_reflection_prompt_no_profile_placeholder():
 
 def test_reflection_prompt_no_cognitive_strips_dissonance_menu():
     news = prompts.format_news_list(PAYLOADS)
-    system, user = prompts.render_reflection(FakeProfile, "op", news, no_cognitive=True)
+    system, user = prompts.render_reflection(FakeProfile, "op", news, kept=KEPT["no_cognitive"])
     whole = system + user
     assert "Compare new information with existing beliefs" not in whole
     assert '"action": "confirm|revise|reinforce|dismiss"' not in whole
@@ -188,10 +189,11 @@ _VALUES = st.text() | st.lists(st.sampled_from(
 @settings(max_examples=100, deadline=None)
 @given(values=st.lists(_VALUES, min_size=5, max_size=5), m=st.integers(1, 50),
        valence=st.floats(-2, 2), previous=st.none() | st.integers(1, 4),
-       no_profile=st.booleans(), no_cognitive=st.booleans())
+       keeps_profile=st.booleans(), keeps_dissonance=st.booleans())
 def test_every_template_renders_as_the_one_pass_fill_did(values, m, valence, previous,
-                                                          no_profile, no_cognitive):
+                                                          keeps_profile, keeps_dissonance):
     opinions, news, critique, text, interest = values
+    kept = Kept(profile=keeps_profile, dissonance=keeps_dissonance)
     profile = AgentProfile(
         agent_id="agent-0000", demographics={"gender": text, "state": news},
         political_preferences={"ideology": interest}, media_preferences={"news": opinions},
@@ -201,15 +203,15 @@ def test_every_template_renders_as_the_one_pass_fill_did(values, m, valence, pre
              "domestic_views_str": prompts.domestic_views_text(profile),
              "media_preferences_str": prompts.media_preferences_text(profile)}
     reflection_texts = dict.fromkeys(("interests", "demographics_str", "domestic_views_str"),
-                                     prompts.NO_PROFILE_TEXT) if no_profile else texts
+                                     prompts.NO_PROFILE_TEXT) if not keeps_profile else texts
     for devil in (None, critique):
         mapping = {**reflection_texts, "current_opinions": opinions, "formatted_news_list": news}
         name = "reflection"
         if devil is not None:
             mapping["devils_advocate_response"], name = devil, "reflection_devils_advocate"
         assert prompts.render_reflection(
-            profile, opinions, news, devils_advocate_response=devil, no_profile=no_profile,
-            no_cognitive=no_cognitive) == _old_render(name, mapping, no_cognitive)
+            profile, opinions, news, devils_advocate_response=devil,
+            kept=kept) == _old_render(name, mapping, not keeps_dissonance)
     assert prompts.render_debias(text) == _old_render("debias", {"full_text": text})
     assert prompts.render_critique(news) == _old_render("critique", {"formatted_news_list": news})
     assert prompts.render_selection(profile, news, m) == _old_render(

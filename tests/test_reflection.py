@@ -11,6 +11,7 @@ from newsdrift.distribution import Payload, retrieve_full_text
 from newsdrift.errors import SchemaError, ValidationError
 from newsdrift.gateway import BackendConfig, Gateway
 from newsdrift.mock import MockLexicon
+from newsdrift.modes import KEPT
 from newsdrift.profiles import AgentProfile
 from newsdrift.reflection import (
     OpinionState,
@@ -51,7 +52,7 @@ def _state(taxonomy, **valences):
 def _reflect(taxonomy, state, payloads, ablation="none", critique=None, gateway=None):
     gw = gateway or Gateway(BackendConfig(mode="mock"))
     return reflect_batch(FakeProfile, payloads, state, gw, taxonomy, LEX,
-                         ablation, batch_id="2010:agent-0000:b0", tag="reflect:t",
+                         KEPT[ablation], batch_id="2010:agent-0000:b0", tag="reflect:t",
                          critique=critique)
 
 
@@ -257,7 +258,7 @@ def test_categorize_prefers_stored_category(taxonomy, tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(row) + "\n")
     index, _ = ingest(path)
-    (payload,) = retrieve_full_text(index, ["a1"], "none")
+    (payload,) = retrieve_full_text(index, ["a1"], KEPT["none"])
     assert categorize_payload(payload, taxonomy) == "sports"
     uncategorized = dataclasses.replace(payload, category="")
     assert categorize_payload(uncategorized, taxonomy) == "economics"

@@ -193,6 +193,14 @@ def test_ground_truth_header_check(tmp_path):
         GroundTruthSeries.from_csv(path)
 
 
+def test_ground_truth_refuses_a_repeated_year(tmp_path):
+    """A later row for a year would silently replace the earlier one in the MAE."""
+    path = tmp_path / "gt.csv"
+    path.write_text("year,favorable_pct,unfavorable_pct\n2005,40,50\n2006,41,49\n2005,90,5\n")
+    with pytest.raises(ValidationError, match="line 4: year 2005 is repeated"):
+        GroundTruthSeries.from_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # update-log and demographic analyses
 # ---------------------------------------------------------------------------
